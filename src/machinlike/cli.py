@@ -13,7 +13,8 @@ Subcommands::
 
 Every command prints a JSON summary to stdout; bulk artifacts (digit
 files, CSV tables) go to --out.  Exit codes: 0 success, 2 usage, 3 I/O,
-4 domain or parse failure, 5 verification failure.
+4 domain or parse failure, 5 verification failure (compute-pi: fewer
+digits than --precision with an auto-sized term count).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .exactmath import (
     digits_prefix,
     int_digit_count,
     int_log10,
-    rational_log10_abs,
     working_context,
 )
 from .radical import u1_of_k
@@ -194,7 +194,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     out = cfg.out or f"u2-k{k}.txt"
     squaring.write_fraction_file(out, u2)
 
-    formula = formulas.two_term_formula(k, allow_huge=cfg.allow_huge, u2_value=u2)
+    formula = formulas.two_term_formula(k, allow_huge=cfg.allow_huge, u2_value=u2, u1=u1)
     report = formulas.lehmer_measure(formula)
     check = formulas.validate_formula(formula, cfg.precision)
 
@@ -234,14 +234,12 @@ def _load_formula(cfg: RunConfig) -> formulas.MachinFormula:
 def _auto_terms(formula: formulas.MachinFormula, precision: int) -> int:
     """Truncation order that clears `precision` digits on every branch.
 
-    The series argument is x = 1/beta, so the digits-per-term rate is
-    log10((p^2 + 4q^2)/p^2) with p = beta.denominator, q = beta.numerator.
+    The series argument is x = 1/beta, so p = beta.denominator and
+    q = beta.numerator in the digits-per-term rate.
     """
     worst = 1
     for _, beta in formula.terms:
-        psq = beta.denominator * beta.denominator
-        s = psq + 4 * beta.numerator * beta.numerator
-        rate = float(rational_log10_abs(Fraction(s, psq), 20))
+        rate = series._term_rate(beta.denominator, beta.numerator)
         worst = max(worst, int((precision + 12) / rate) + 2)
     return worst
 
@@ -257,7 +255,8 @@ def cmd_compute_pi(cfg: RunConfig) -> int:
             u2 = squaring.read_fraction_file(cfg.u2_file)
         else:
             u2 = squaring.u2_of(u1, k, allow_huge=cfg.allow_huge)
-        formula = formulas.two_term_formula(k, allow_huge=cfg.allow_huge, u2_value=u2)
+        formula = formulas.two_term_formula(k, allow_huge=cfg.allow_huge, u2_value=u2,
+                                            u1=u1)
         terms = cfg.terms or _auto_terms(formula, precision)
         value = series.pi_two_term(k, u1, u2, terms, eval_digits,
                                    exact_coeffs=cfg.exact_coeffs)
@@ -275,12 +274,14 @@ def cmd_compute_pi(cfg: RunConfig) -> int:
 
     reference = series.reference_pi(precision)
     matched = coinciding_digits(value, reference)
+    ok = matched >= precision
     payload = {
         "source": source,
         "terms": terms,
         "precision": precision,
         "pi_prefix": digits_prefix(value, 30),
         "coinciding_digits": matched,
+        "ok": ok,
     }
     if cfg.out:
         text = digits_prefix(value, precision + 1)
@@ -288,23 +289,28 @@ def cmd_compute_pi(cfg: RunConfig) -> int:
             fh.write("3." + text[1:] + "\n")
         payload["out"] = cfg.out
     _emit(payload)
+    if not ok and cfg.terms is None:
+        # an explicit --terms asks for the truncation; an auto-sized one
+        # promised the digits
+        print(f"compute-pi delivered {matched} of {precision} digits", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 
 def cmd_measure(cfg: RunConfig) -> int:
     if cfg.k is not None:
         k = cfg.k
+        u1 = u1_of_k(k)
         if k <= DESK_SCALE_MAX_K or cfg.allow_huge:
-            u2 = squaring.u2_of(u1_of_k(k), k, allow_huge=cfg.allow_huge)
+            u2 = squaring.u2_of(u1, k, allow_huge=cfg.allow_huge)
             formula = formulas.two_term_formula(k, allow_huge=cfg.allow_huge,
-                                                u2_value=u2)
+                                                u2_value=u2, u1=u1)
             path = "exact"
         else:
-            u1 = u1_of_k(k)
             trig = trigcheck.u2_trig(u1, k, 40)
             sign = -1 if trig < 0 else 1
             stand_in = formulas.MagnitudeOnly(sign=sign, magnitude=abs(trig))
-            formula = formulas.two_term_formula(k, u2_value=stand_in)
+            formula = formulas.two_term_formula(k, u2_value=stand_in, u1=u1)
             path = "magnitude"
     else:
         formula = _load_formula(cfg)

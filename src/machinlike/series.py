@@ -10,13 +10,23 @@ are integers obeying
 
     A_1 = 2q,  B_1 = p,
     A' = A*K + C*B,  B' = B*K - C*A,   K = p^2 - 4q^2,  C = 4pq,
-    A^2 + B^2 = (p^2 + 4q^2)^(2m-1),
+    A^2 + B^2 = s^(2m-1),   s = p^2 + 4q^2,
 
-so every term is an exact integer ratio and each term contributes about
-log10((p^2 + 4q^2)/p^2) decimal digits.  Euler's accelerated series and a
-complex-arithmetic evaluation of the same sum serve as cross-checks, and
-an old-fashioned four-to-one arctangent pair computed with the plain
-Maclaurin series provides a pi that shares no code with any of it.
+so every term is an exact integer ratio (arctan_fast_exact keeps it so)
+and each term contributes about log10(s/p^2) decimal digits.
+
+arctan_fast, and through it arctan_auto and pi_two_term, sums the series
+in one fixed-point integer kernel instead: term m is -2*Im(c_m)/(2m-1)
+with c_m = w^(2m-1), w = x/(x + 2i) = (p^2 - 2ipq)/s, so c_m is carried
+scaled by 2^F and multiplied by w^2 = p^2 (K - iC)/s^2 each step.  For
+small p and q that multiplier stays exact small integers; wider arguments
+are first rounded to F bits, making each step a multiply and a shift.  F
+counts the requested digits, the guard digits, log10(1/|x|) and the
+digits of the term count, so termwise flooring never eats a delivered one.
+Euler's accelerated series and a complex-arithmetic evaluation of the same
+sum serve as cross-checks, and an old-fashioned four-to-one arctangent pair
+computed with the plain Maclaurin series provides a pi that shares no code
+with any of it.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from .exactmath import (
     complex_mul,
     fraction_to_decimal,
     guard_digits,
+    int_log10,
     rational_log10_abs,
     round_sig,
     working_context,
@@ -100,32 +111,61 @@ def two_term_series_states(u1: Fraction | int, u2: Fraction | int):
         yield PiSeriesCoeffState(m=s1.m, alpha=s1.a, beta=s1.b, gamma=s2.a, theta=s2.b)
 
 
-def arctan_fast(x: Fraction | int, terms: int, precision: int) -> Decimal:
-    """Truncation of the fast series after ``terms`` terms.
+_LOG10_2, _LOG2_10 = 0.3010299956639812, 3.321928094887362
 
-    Coefficients stay exact integers; Decimal enters only at the final
-    division of each term.  atan(0) is 0 by the defined limit.
-    """
+
+def _branch_float(x: Fraction, bits: int) -> tuple[int, int, int, int]:
+    """(Re w, Im w, Re w^2, Im w^2) * 2^bits, each within a few units, from
+    x rounded to X/2^bits: one division, however wide the parts of x."""
+    xs = (x.numerator << bits) // x.denominator
+    den = xs * xs + (1 << 2 * bits + 2)    # (x^2 + 4) * 4^bits
+    wr = (xs * xs << bits) // den
+    wi = -((xs << 2 * bits + 1) // den)
+    return wr, wi, (wr * wr - wi * wi) >> bits, (2 * wr * wi) >> bits
+
+
+def _arctan_scaled(x: Fraction, terms: int, bits: int) -> int:
+    """2^bits times the fast series at x != 0 truncated after ``terms``
+    terms, to within about 10*terms units (for |x| <= 1, where |w^2| <= 1/5
+    damps every rounding error)."""
+    p, q = x.numerator, x.denominator
+    if 8 * max(abs(p).bit_length(), q.bit_length()) + 12 <= bits:
+        # s^2 fills at most half the scale: exact multiplier p^2 (K - iC)/s^2
+        psq = p * p
+        s = psq + 4 * q * q
+        den = s * s
+        cr, ci = (psq << bits) // s, -((2 * p * q << bits) // s)
+        mr, mi = psq * (psq - 4 * q * q), -4 * psq * p * q
+        step = lambda v: v // den
+    else:
+        cr, ci, mr, mi = _branch_float(x, bits)
+        step = lambda v: v >> bits
+    total = 0
+    for m in range(1, terms + 1):
+        total -= ci // (2 * m - 1)
+        if m < terms:
+            cr, ci = step(cr * mr - ci * mi), step(cr * mi + ci * mr)
+    return 2 * total
+
+
+def arctan_fast(x: Fraction | int, terms: int, precision: int) -> Decimal:
+    """Truncation of the fast series after ``terms`` terms, to ``precision``
+    significant digits, from the fixed-point kernel.  atan(0) is 0 by the
+    defined limit."""
     x = Fraction(x)
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
     if x == 0:
         return Decimal(0)
-    p, q = x.numerator, x.denominator
-    big_a, big_b = 2 * q, p
-    k_fac, c_fac = p * p - 4 * q * q, 4 * p * q
-    s = p * p + 4 * q * q
-    ppow, spow = p, s
-    psq, ssq = p * p, s * s
-    with working_context(precision + guard_digits()):
-        total = Decimal(0)
-        for m in range(1, terms + 1):
-            total += Decimal(big_a * ppow) / (Decimal(2 * m - 1) * Decimal(spow))
-            if m < terms:
-                big_a, big_b = big_a * k_fac + c_fac * big_b, big_b * k_fac - c_fac * big_a
-                ppow *= psq
-                spow *= ssq
-        result = 2 * total
+    # decimal orders between |x| and 1; past |x| = 1 the leading terms
+    # shrink like 1/|x| and rounding errors are damped only by 4/x^2
+    bit_gap = abs(x.numerator).bit_length() - x.denominator.bit_length()
+    orders = (int((abs(bit_gap) + 1) * _LOG10_2) + 1) * (3 if bit_gap > 0 else 1)
+    digits = precision + guard_digits() + orders + len(str(terms)) + 2
+    bits = int(digits * _LOG2_10) + 1
+    scaled = _arctan_scaled(x, terms, bits) * 10**digits >> bits
+    with working_context(digits):
+        result = Decimal(scaled).scaleb(-digits)
     return round_sig(result, precision)
 
 
@@ -308,72 +348,31 @@ def reference_pi(precision: int) -> Decimal:
         return Decimal(scaled).scaleb(-precision)
 
 
-def _term_rate(x: Fraction) -> float:
-    """Decimal digits contributed per series term at argument x."""
-    psq = x.numerator * x.numerator
-    s = psq + 4 * x.denominator * x.denominator
-    return float(rational_log10_abs(Fraction(s, psq), 20))
-
-
-# beyond ~4000 digits per part, exact coefficients grow by the full part
-# width every term; the floating recurrence is the only sane route
-_EXACT_PART_BIT_LIMIT = 13_300
+def _term_rate(p: int, q: int) -> float:
+    """Decimal digits contributed per series term at argument p/q,
+    log10(s/p^2), without reducing the ratio."""
+    return float(int_log10(p * p + 4 * q * q) - 2 * int_log10(p))
 
 
 def arctan_auto(x: Fraction | int, precision: int) -> Decimal:
     """Arctangent at an exact rational argument, |x| <= 1, with the term
-    count sized from the argument itself.
-
-    Small arguments take the exact integer path; arguments with huge
-    parts (reciprocals of generated closing cotangents) go through the
-    floating coefficient recurrence at working precision.
-    """
+    count sized from the argument itself."""
     x = Fraction(x)
     if x == 0:
         return Decimal(0)
     if abs(x) > 1:
         raise DomainError("arctan_auto expects |x| <= 1; pass the cotangent's reciprocal")
-    rate = _term_rate(x)
-    terms = int((precision + guard_digits() + 6) / rate) + 2
-    size = abs(x.numerator).bit_length() + x.denominator.bit_length()
-    if size > _EXACT_PART_BIT_LIMIT:
-        work = precision + guard_digits()
-        with working_context(work):
-            result = _branch_float(1 / x, terms, work)
-        return round_sig(result, precision)
-    return arctan_fast(x, terms, precision)
-
-
-def _branch_float(u: Fraction, terms: int, work: int) -> Decimal:
-    """atan(1/u) truncated after ``terms`` terms, coefficients carried as
-    Decimals at ``work`` digits.
-
-    The recurrence multiplies by (1 + 2iu)^2, a scaled rotation, so the
-    relative rounding error grows only linearly in the term count; the
-    guard digits inside ``work`` absorb it.  Must run inside a context of
-    at least ``work`` digits.
-    """
-    ud = fraction_to_decimal(u, work)
-    a, b = 2 * ud, Decimal(1)
-    k_fac = 1 - 4 * ud * ud
-    c_fac = 4 * ud
-    total = Decimal(0)
-    for m in range(1, terms + 1):
-        total += a / ((a * a + b * b) * (2 * m - 1))
-        if m < terms:
-            a, b = a * k_fac + c_fac * b, b * k_fac - c_fac * a
-    return 2 * total
+    rate = _term_rate(x.numerator, x.denominator)
+    return arctan_fast(x, int((precision + guard_digits() + 6) / rate) + 2, precision)
 
 
 def pi_two_term(k: int, u1: Fraction | int, u2: Fraction | int, terms: int,
                 precision: int, exact_coeffs: bool = False) -> Decimal:
     """pi from the assembled identity pi = 4*(2^(k-1) atan(1/u1) + atan(1/u2)),
-    each branch truncated after ``terms`` terms.
+    each branch truncated after ``terms`` terms by arctan_fast.
 
-    The u1 branch always uses exact integer coefficients (u1 is small).
-    The u2 branch defaults to the floating recurrence because generated
-    closing cotangents carry thousands to millions of digits; pass
-    exact_coeffs=True to force exact arithmetic there too.
+    exact_coeffs=True sums the closing branch as an exact rational
+    (arctan_fast_exact) instead, sharing no code with the kernel.
     """
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
@@ -388,10 +387,9 @@ def pi_two_term(k: int, u1: Fraction | int, u2: Fraction | int, terms: int,
     work = precision + k + guard_digits()
     lead = arctan_fast(1 / u1, terms, work)
     if exact_coeffs:
-        closing = arctan_fast(1 / u2, terms, work)
+        closing = fraction_to_decimal(arctan_fast_exact(1 / u2, terms), work)
     else:
-        with working_context(work):
-            closing = _branch_float(u2, terms, work)
+        closing = arctan_fast(1 / u2, terms, work)
     with working_context(work):
         result = 4 * (Decimal(2) ** (k - 1) * lead + closing)
     return round_sig(result, precision)

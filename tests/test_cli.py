@@ -257,3 +257,21 @@ def test_measure_sweep_crosses_into_magnitude(tmp_path, capsys):
 
 def test_measure_sweep_guard(capsys):
     assert run(capsys, "measure-sweep", "--k-max", "1")[0] == EXIT_USAGE
+
+
+def test_compute_pi_explicit_short_truncation_reports_not_ok(capsys):
+    # two terms of Machin's formula give four places; asked for, not failed
+    payload = payload_of(capsys, "compute-pi", "--fixture", "machin-1706",
+                         "--terms", "2", "--precision", "50")
+    assert payload["coinciding_digits"] == 4
+    assert payload["ok"] is False
+
+
+def test_compute_pi_auto_terms_shortfall_exits_5(capsys, monkeypatch):
+    from machinlike import cli
+    monkeypatch.setattr(cli, "_auto_terms", lambda formula, precision: 2)
+    code, out, err = run(capsys, "compute-pi", "--k", "3", "--precision", "50")
+    assert code == EXIT_VERIFY
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["coinciding_digits"] < 50
+    assert "50" in err

@@ -1,0 +1,85 @@
+"""Property tests of the fixed-point kernel behind arctan_fast.
+
+The kernel is checked against the exact rational truncation and, through
+pi_two_term, against the Maclaurin reference pi; neither shares code with
+it.  Every property runs across the guard-digit budget, down to none.
+"""
+
+import os
+from contextlib import contextmanager
+from decimal import Decimal
+from functools import lru_cache
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from machinlike.exactmath import coinciding_digits, fraction_to_decimal
+from machinlike.radical import u1_of_k
+from machinlike.series import (
+    _term_rate,
+    arctan_fast,
+    arctan_fast_exact,
+    pi_two_term,
+    reference_pi,
+)
+from machinlike.squaring import u2_of
+
+
+@contextmanager
+def guard_digits_set_to(digits: int):
+    """MACHINLIKE_GUARD_DIGITS set for the block, the old value restored."""
+    old = os.environ.get("MACHINLIKE_GUARD_DIGITS")
+    os.environ["MACHINLIKE_GUARD_DIGITS"] = str(digits)
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["MACHINLIKE_GUARD_DIGITS"]
+        else:
+            os.environ["MACHINLIKE_GUARD_DIGITS"] = old
+
+
+@st.composite
+def arguments(draw):
+    """Signed x = p/q with 1e-30 < |x| <= 1.  Parts of 900 digits are
+    wider than the kernel's scale at every drawn precision, so the
+    argument-rounding path runs as well as the exact-multiplier one."""
+    width = draw(st.sampled_from((1, 6, 40, 900)))
+    p = draw(st.integers(1, 10**width))
+    orders = draw(st.integers(0, 29))
+    q = draw(st.integers(p * 10**orders, p * 10**(orders + 1) - 1))
+    return Fraction(draw(st.sampled_from((-1, 1))) * p, q)
+
+
+@settings(max_examples=120, deadline=None)
+@given(x=arguments(), terms=st.integers(1, 10), precision=st.integers(20, 600),
+       guard=st.integers(0, 10))
+def test_kernel_matches_exact_truncation(x, terms, precision, guard):
+    """Both sides are the same truncation rounded to ``precision``
+    significant digits, so they differ by at most one unit in the last
+    place (a value straddling a rounding boundary)."""
+    with guard_digits_set_to(guard):
+        fast = arctan_fast(x, terms, precision)
+        exact = fraction_to_decimal(arctan_fast_exact(x, terms), precision)
+    top = max(fast.adjusted(), exact.adjusted())
+    assert abs(fast - exact) <= Decimal(1).scaleb(top - precision + 1), (x, terms)
+
+
+@lru_cache(maxsize=None)
+def _pair(k):
+    u1 = u1_of_k(k)
+    return u1, u2_of(u1, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 12), precision=st.integers(20, 600))
+def test_pi_two_term_reaches_reference_pi_without_guard_digits(k, precision):
+    u1, u2 = _pair(k)
+    # the lead branch's error is multiplied by 4 * 2^(k-1)
+    need = precision + k + 5
+    terms = max(int(need / _term_rate(1, u1)),
+                int(need / _term_rate(u2.denominator, u2.numerator))) + 2
+    with guard_digits_set_to(0):
+        value = pi_two_term(k, u1, u2, terms, precision)
+    # precision significant digits of pi are precision - 1 decimal places
+    assert coinciding_digits(value, reference_pi(precision + 5)) >= precision - 1, (k, terms)
