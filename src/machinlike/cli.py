@@ -147,25 +147,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        k=getattr(args, "k", None),
-        precision=getattr(args, "precision", 100),
-        terms=getattr(args, "terms", None),
-        out=getattr(args, "out", None),
-        formula=getattr(args, "formula", None),
-        fixture=getattr(args, "fixture", None),
-        u2_file=getattr(args, "u2_file", None),
-        series=getattr(args, "series", "fast"),
-        samples=getattr(args, "samples", 41),
-        k_max=getattr(args, "k_max", 16),
-        allow_huge=getattr(args, "allow_huge", False),
-        exact_coeffs=getattr(args, "exact_coeffs", False),
-    )
+    options = dict(vars(args))
     if args.command == "error-curve":
-        cfg.x_min = _parse_fraction_arg(args.x_min, "--x-min")
-        cfg.x_max = _parse_fraction_arg(args.x_max, "--x-max")
-    return cfg
+        options["x_min"] = _parse_fraction_arg(args.x_min, "--x-min")
+        options["x_max"] = _parse_fraction_arg(args.x_max, "--x-max")
+    return RunConfig(**options)
 
 
 def _require_k(cfg: RunConfig) -> int:
@@ -380,12 +366,11 @@ def cmd_measure_sweep(cfg: RunConfig) -> int:
         raise UsageError(f"--k-max must be >= 2, got {cfg.k_max}")
     out = cfg.out or "measure-sweep.csv"
     rows = []
-    exact_top = min(cfg.k_max, DESK_SCALE_MAX_K)
     with working_context(40):
         for k in range(2, cfg.k_max + 1):
             u1 = u1_of_k(k)
-            if k <= exact_top:
-                # magnitude needs no reduction; skip the giant gcd
+            if k <= DESK_SCALE_MAX_K:
+                # the magnitude needs no canonical form; skip Fraction's gcd
                 num, den = squaring.u2_parts(u1, k, allow_huge=True)
                 log_u2 = int_log10(abs(num)) - int_log10(den)
                 path = "exact"

@@ -20,11 +20,6 @@ from fractions import Fraction
 
 from .errors import DomainError, FormulaParseError
 
-# Fraction files legitimately carry integers of 10**5 digits and more; the
-# interpreter's default int<->str conversion limit would reject them.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
-
 DEFAULT_GUARD_DIGITS = 10
 
 _LOG10_2 = Decimal("0.30102999566398119521373889472449302676818988146210854131042746112852790792954564")
@@ -218,9 +213,25 @@ def digits_prefix(value: Decimal, count: int) -> str:
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
+@contextmanager
+def _unlimited_int_text():
+    """Lift the int<->str digit limit (4300 by default) for the block only:
+    fraction and formula files carry integers of 10**5 digits and more."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def format_rational(value: Fraction) -> str:
     """Render as num/den with the sign on the numerator, den always shown."""
-    return f"{value.numerator}/{value.denominator}"
+    with _unlimited_int_text():
+        return f"{value.numerator}/{value.denominator}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -229,8 +240,9 @@ def parse_rational(text: str) -> Fraction:
     match = _RATIONAL_RE.fullmatch(text.strip())
     if match is None:
         raise FormulaParseError(f"not a rational literal: {text.strip()!r}")
-    num = int(match.group(1))
-    den = int(match.group(2)) if match.group(2) is not None else 1
+    with _unlimited_int_text():
+        num = int(match.group(1))
+        den = int(match.group(2)) if match.group(2) is not None else 1
     if den == 0:
         raise FormulaParseError(f"zero denominator: {text.strip()!r}")
     return Fraction(num, den)

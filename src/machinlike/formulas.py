@@ -17,6 +17,8 @@ from pathlib import Path
 
 from .errors import DomainError, FormulaParseError, PrecisionError
 from .exactmath import (
+    _unlimited_int_text,
+    format_rational,
     fraction_to_decimal,
     guard_digits,
     rational_log10_abs,
@@ -201,8 +203,7 @@ def format_formula(formula: MachinFormula) -> str:
         raise DomainError("cannot serialize a formula with magnitude-only terms")
     lines = []
     for coeff, beta in formula.terms:
-        arg = 1 / beta
-        lines.append(f"{coeff} * atan({arg.numerator}/{arg.denominator})")
+        lines.append(f"{coeff} * atan({format_rational(1 / beta)})")
     return "\n".join(lines) + "\n"
 
 
@@ -213,7 +214,8 @@ def parse_formula_file(path) -> MachinFormula:
     number; cotangent domain violations surface with their term index.
     """
     terms = []
-    with open(path, "r", encoding="ascii") as fh:
+    # the limit stays lifted for the domain check too, whose message names the cotangent
+    with open(path, "r", encoding="ascii") as fh, _unlimited_int_text():
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -225,9 +227,9 @@ def parse_formula_file(path) -> MachinFormula:
             if num == 0:
                 raise FormulaParseError("zero arctangent argument", line=lineno)
             terms.append((coeff, Fraction(den, num)))
-    if not terms:
-        raise FormulaParseError("no terms found")
-    return MachinFormula(terms=tuple(terms), name=Path(path).stem)
+        if not terms:
+            raise FormulaParseError("no terms found")
+        return MachinFormula(terms=tuple(terms), name=Path(path).stem)
 
 
 def formula_leading_decimal(beta: Cotangent, precision: int = 30) -> Decimal:

@@ -91,26 +91,19 @@ def dec_sin_cos(theta: Decimal, precision: int) -> tuple[Decimal, Decimal]:
         r = +r
         xsq = r * r
         limit = Decimal(1).scaleb(-work - 5)
-        # sin: r - r^3/3! + ...
-        term = r
-        sin_total = Decimal(0)
-        n = 1
-        while True:
-            sin_total = sin_total + term if n % 4 == 1 else sin_total - term
-            if abs(term) < limit:
-                break
-            term = term * xsq / ((n + 1) * (n + 2))
-            n += 2
-        # cos: 1 - r^2/2! + ...
-        term = Decimal(1)
-        cos_total = Decimal(0)
-        n = 0
-        while True:
-            cos_total = cos_total + term if n % 4 == 0 else cos_total - term
-            if abs(term) < limit:
-                break
-            term = term * xsq / ((n + 1) * (n + 2))
-            n += 2
+        totals = []
+        # sin: r - r^3/3! + ..., then cos: 1 - r^2/2! + ...
+        for term, first in ((r, 1), (Decimal(1), 0)):
+            total = Decimal(0)
+            n = first
+            while True:
+                total = total + term if n % 4 == first else total - term
+                if abs(term) < limit:
+                    break
+                term = term * xsq / ((n + 1) * (n + 2))
+                n += 2
+            totals.append(total)
+    sin_total, cos_total = totals
     return round_sig(sin_total, precision), round_sig(cos_total, precision)
 
 
@@ -203,20 +196,19 @@ class TrigCheckResult:
 def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheckResult:
     """Run every independent check on the pair generated at k.
 
-    Checks: the unit circle holds exactly at the final squaring step; the
-    trig closed form agrees with the exact closing cotangent to at least
-    precision - k - 10 digits; for k <= 12 the direct complex-rational
-    oracle reproduces it term for term; and the assembled identity
-    4*(2^(k-1) atan(1/u1) + atan(1/u2)) lands on the reference pi to
-    within 10**-(precision-5).
+    The squaring chain runs once, to the state (A + iB)/D at k - 1, which
+    is the last squaring the closing cotangent needs.  Checks: the unit
+    circle A^2 + B^2 == D^2 holds exactly there (equivalent to the check
+    at k); the trig closed form agrees with the exact u2 = (A + B)/(A - B)
+    to at least precision - k - 10 digits; for k <= 12 the direct
+    complex-rational oracle reproduces it term for term; and the assembled
+    identity 4*(2^(k-1) atan(1/u1) + atan(1/u2)) lands on the reference pi
+    to within 10**-(precision-5).
     """
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    u1 = u1_of_k(k)
-    x_num, y_num, den = squaring.shared_parts(u1, k, allow_huge=allow_huge)
-    unit_exact = x_num * x_num + y_num * y_num == den * den
-    num, dnm = squaring.u2_parts(u1, k, allow_huge=allow_huge)
-    exact_u2 = Fraction(num, dnm)
+    u1 = u1_of_k(k)  # the ladder refuses k < 2
+    a, b, d = squaring._closing_state(u1, k, allow_huge)
+    unit_exact = a * a + b * b == d * d
+    exact_u2 = squaring._closing_u2(a, b)
 
     trig = u2_trig(u1, k, precision)
     exact_dec = fraction_to_decimal(exact_u2, precision + 10)

@@ -1,7 +1,11 @@
 """Exact unit-circle squaring chain and the closing cotangent."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,11 +117,33 @@ def test_final_reduction_halves_digit_counts():
     assert len(str(U2_K6.denominator)) == 50
 
 
+u1_values = st.one_of(
+    st.integers(min_value=2, max_value=10**4),
+    st.builds(Fraction, st.integers(min_value=2, max_value=2000),
+              st.integers(min_value=1, max_value=200)).filter(lambda u: u > 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(u1_values, st.integers(min_value=2, max_value=9))
+def test_u2_from_the_state_one_squaring_short(u1, k):
+    u2 = u2_of(u1, k)
+    num, den = u2_parts(u1, k)
+    assert u2 == Fraction(num, den) == u2_direct_oracle(u1, k)
+    x, y, d = shared_parts(u1, k)
+    assert (num, den) == (x, d - y)
+    # (A + B)/(A - B) from the state at k - 1 is already in lowest terms
+    a, b, _ = shared_parts(u1, k - 1)
+    assert (u2.numerator, u2.denominator) in ((a + b, a - b), (-(a + b), b - a))
+
+
 def test_desk_scale_cap():
     with pytest.raises(DomainError):
         state_at(2, DESK_SCALE_MAX_K + 1)
     with pytest.raises(DomainError):
         u2_parts(2, DESK_SCALE_MAX_K + 1)
+    # the gate is on k, although u2 needs the chain only up to k - 1
+    with pytest.raises(DomainError):
+        u2_of(2, DESK_SCALE_MAX_K + 1)
     # the override lifts it
     state = state_at(2, DESK_SCALE_MAX_K + 1, allow_huge=True)
     assert state.x ** 2 + state.y ** 2 == 1
@@ -168,3 +194,49 @@ def test_fraction_file_rejects_multiple_values(tmp_path):
     path.write_text("-239/1\n-7/1\n", encoding="ascii")
     with pytest.raises(FormulaParseError):
         read_fraction_file(path)
+
+
+ROUND_TRIP_SCRIPT = """
+import sys
+from fractions import Fraction
+
+import machinlike
+from machinlike.errors import DomainError
+from machinlike.exactmath import format_rational
+from machinlike.formulas import MachinFormula, format_formula, parse_formula_file
+from machinlike.squaring import read_fraction_file, write_fraction_file
+
+limit = sys.get_int_max_str_digits()
+assert limit == 4300, limit
+value = Fraction(-(3 ** 20000), 7 ** 6000)  # 9543 and 5071 digits
+write_fraction_file(sys.argv[1], value)
+assert read_fraction_file(sys.argv[1]) == value
+formula = MachinFormula(((1, Fraction(5)), (-1, value)))
+with open(sys.argv[2], "w", encoding="ascii") as fh:
+    fh.write(format_formula(formula))
+assert parse_formula_file(sys.argv[2]).terms == formula.terms
+# a huge cotangent inside the unit interval is still a domain error
+with open(sys.argv[2], "w", encoding="ascii") as fh:
+    fh.write(f"1 * atan({format_rational(value)})")
+try:
+    parse_formula_file(sys.argv[2])
+except DomainError:
+    pass
+else:
+    raise AssertionError("cotangent below 1 accepted")
+assert sys.get_int_max_str_digits() == limit
+"""
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no int<->str digit limit")
+def test_import_keeps_int_digit_limit_and_huge_files_round_trip(tmp_path):
+    env = dict(os.environ)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", ROUND_TRIP_SCRIPT, str(tmp_path / "u2.txt"),
+         str(tmp_path / "formula.txt")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

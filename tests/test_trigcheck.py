@@ -14,7 +14,7 @@ from machinlike.exactmath import (
     working_context,
 )
 from machinlike.series import reference_pi
-from machinlike.squaring import u2_of
+from machinlike.squaring import DESK_SCALE_MAX_K, u2_of
 from machinlike.trigcheck import (
     dec_arctan,
     dec_sin_cos,
@@ -139,3 +139,9 @@ def test_verify_k_json_round_trip():
 def test_verify_k_rejects_k1():
     with pytest.raises(DomainError):
         verify_k(1)
+
+
+def test_verify_k_desk_scale_gate():
+    # refused before any squaring, although the chain would stop at k - 1
+    with pytest.raises(DomainError):
+        verify_k(DESK_SCALE_MAX_K + 1)
