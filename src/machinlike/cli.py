@@ -4,7 +4,7 @@ Subcommands::
 
     machinlike generate      --k N [--precision P] [--out PATH] [--allow-huge]
     machinlike compute-pi    (--k N [--u2-file PATH] | --fixture NAME | --formula PATH)
-                             [--terms M] [--precision P] [--out PATH] [--exact-coeffs]
+                             [--terms M] [--precision P] [--out PATH]
     machinlike measure       (--k N | --fixture NAME | --formula PATH) [--allow-huge]
     machinlike verify        --k N [--precision P] [--allow-huge]
     machinlike error-curve   [--series fast|euler] [--terms M] [--samples N]
@@ -72,7 +72,6 @@ class RunConfig:
     x_max: Fraction | None = None
     k_max: int = 16
     allow_huge: bool = False
-    exact_coeffs: bool = False
 
     def __post_init__(self):
         if self.k is not None and not 2 <= self.k <= 64:
@@ -98,9 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, k=False, precision=False, terms=False, out=False,
-               formula=False, allow_huge=False, exact_coeffs=False):
+               formula=False, allow_huge=False):
+        # a formula comes from exactly one source: --k, --formula or --fixture
+        sources = p.add_mutually_exclusive_group(required=True) if formula else p
         if k:
-            p.add_argument("--k", type=int, help="ladder index, 2..64")
+            sources.add_argument("--k", type=int, required=not formula,
+                                 help="ladder index, 2..64")
         if precision:
             p.add_argument("--precision", type=int, default=100,
                            help="decimal digits (default 100)")
@@ -109,21 +111,17 @@ def _build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", help="output file path")
         if formula:
-            p.add_argument("--formula", help="formula file to load")
-            p.add_argument("--fixture", help="named built-in formula")
+            sources.add_argument("--formula", help="formula file to load")
+            sources.add_argument("--fixture", help="named built-in formula")
         if allow_huge:
             p.add_argument("--allow-huge", action="store_true",
                            help="lift the k <= 20 desk-scale cap")
-        if exact_coeffs:
-            p.add_argument("--exact-coeffs", action="store_true",
-                           help="exact rational coefficients on the closing branch")
 
     p = sub.add_parser("generate", help="derive the pair (u1, u2) at index k")
     common(p, k=True, precision=True, out=True, allow_huge=True)
 
     p = sub.add_parser("compute-pi", help="evaluate pi from a formula")
-    common(p, k=True, precision=True, terms=True, out=True, formula=True,
-           exact_coeffs=True)
+    common(p, k=True, precision=True, terms=True, out=True, formula=True)
     p.add_argument("--u2-file", help="reload a generated closing cotangent")
 
     p = sub.add_parser("measure", help="digits-per-term measure of a formula")
@@ -154,17 +152,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**options)
 
 
-def _require_k(cfg: RunConfig) -> int:
-    if cfg.k is None:
-        raise UsageError(f"{cfg.command} requires --k")
-    return cfg.k
-
-
 def _check_desk_scale(cfg: RunConfig) -> None:
-    if cfg.k is not None and cfg.k > DESK_SCALE_MAX_K and not cfg.allow_huge:
-        raise UsageError(
-            f"--k {cfg.k} exceeds the desk-scale cap {DESK_SCALE_MAX_K}; "
-            f"pass --allow-huge to proceed (expect long integer runtimes)")
+    if cfg.k > DESK_SCALE_MAX_K and not cfg.allow_huge:
+        # compute-pi needs u2 exactly and has no way past the cap
+        lift = ("" if cfg.command == "compute-pi" else
+                "; pass --allow-huge to proceed (expect long integer runtimes)")
+        raise UsageError(f"--k {cfg.k} exceeds the desk-scale cap {DESK_SCALE_MAX_K}{lift}")
 
 
 def _emit(payload: dict) -> None:
@@ -173,7 +166,7 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    k = _require_k(cfg)
+    k = cfg.k
     _check_desk_scale(cfg)
     u1 = u1_of_k(k)
     u2 = squaring.u2_of(u1, k, allow_huge=cfg.allow_huge)
@@ -204,65 +197,42 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def _load_formula(cfg: RunConfig) -> formulas.MachinFormula:
-    if cfg.fixture is not None and cfg.formula is not None:
-        raise UsageError("--fixture and --formula are mutually exclusive")
-    if cfg.fixture is not None:
-        table = formulas.fixtures()
-        if cfg.fixture not in table:
-            raise UsageError(
-                f"unknown fixture {cfg.fixture!r}; known: {', '.join(sorted(table))}")
-        return table[cfg.fixture]
     if cfg.formula is not None:
         return formulas.parse_formula_file(cfg.formula)
-    raise UsageError(f"{cfg.command} needs --k, --fixture, or --formula")
+    table = formulas.fixtures()
+    if cfg.fixture not in table:
+        raise UsageError(
+            f"unknown fixture {cfg.fixture!r}; known: {', '.join(sorted(table))}")
+    return table[cfg.fixture]
 
 
 def _auto_terms(formula: formulas.MachinFormula, precision: int) -> int:
-    """Truncation order that clears `precision` digits on every branch.
-
-    The series argument is x = 1/beta, so p = beta.denominator and
-    q = beta.numerator in the digits-per-term rate.
-    """
-    worst = 1
-    for _, beta in formula.terms:
-        rate = series._term_rate(beta.denominator, beta.numerator)
-        worst = max(worst, int((precision + 12) / rate) + 2)
-    return worst
+    """Truncation order that clears ``precision`` digits on every branch."""
+    return max(series._auto_term_count(1 / beta, precision) for _, beta in formula.terms)
 
 
 def cmd_compute_pi(cfg: RunConfig) -> int:
     precision = cfg.precision
-    eval_digits = precision + 8
-    if cfg.k is not None:
-        k = cfg.k
+    if cfg.k is None:
+        formula = _load_formula(cfg)
+    else:
         _check_desk_scale(cfg)
-        u1 = u1_of_k(k)
+        u1 = u1_of_k(cfg.k)
         if cfg.u2_file is not None:
             u2 = squaring.read_fraction_file(cfg.u2_file)
         else:
-            u2 = squaring.u2_of(u1, k, allow_huge=cfg.allow_huge)
-        formula = formulas.two_term_formula(k, allow_huge=cfg.allow_huge, u2_value=u2,
-                                            u1=u1)
-        terms = cfg.terms or _auto_terms(formula, precision)
-        value = series.pi_two_term(k, u1, u2, terms, eval_digits,
-                                   exact_coeffs=cfg.exact_coeffs)
-        source = f"two-term-k{k}"
-    else:
-        formula = _load_formula(cfg)
-        terms = cfg.terms or _auto_terms(formula, precision)
-        work = eval_digits + 5
-        with working_context(work):
-            total = Decimal(0)
-            for coeff, beta in formula.terms:
-                total += coeff * series.arctan_fast(1 / beta, terms, work)
-            value = +(4 * total)
-        source = formula.name or "formula"
+            u2 = squaring.u2_of(u1, cfg.k)
+        formula = formulas.two_term_formula(cfg.k, u2_value=u2, u1=u1)
+    terms = cfg.terms or _auto_terms(formula, precision)
+    # pi is the sum at 4 * coeff; 8 spare digits keep rounding out of the digit file
+    value = series.arctan_sum([(4 * c, beta) for c, beta in formula.terms],
+                              precision + 8, terms)
 
     reference = series.reference_pi(precision)
     matched = coinciding_digits(value, reference)
     ok = matched >= precision
     payload = {
-        "source": source,
+        "source": formula.name or "formula",
         "terms": terms,
         "precision": precision,
         "pi_prefix": digits_prefix(value, 30),
@@ -283,24 +253,27 @@ def cmd_compute_pi(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_measure(cfg: RunConfig) -> int:
-    if cfg.k is not None:
-        k = cfg.k
-        u1 = u1_of_k(k)
-        if k <= DESK_SCALE_MAX_K or cfg.allow_huge:
-            u2 = squaring.u2_of(u1, k, allow_huge=cfg.allow_huge)
-            formula = formulas.two_term_formula(k, allow_huge=cfg.allow_huge,
-                                                u2_value=u2, u1=u1)
-            path = "exact"
-        else:
-            trig = trigcheck.u2_trig(u1, k, 40)
-            sign = -1 if trig < 0 else 1
-            stand_in = formulas.MagnitudeOnly(sign=sign, magnitude=abs(trig))
-            formula = formulas.two_term_formula(k, u2_value=stand_in, u1=u1)
-            path = "magnitude"
+def _measured_pair(k: int, allow_huge: bool) -> tuple[formulas.MachinFormula, str]:
+    """The pair at k with u2 known by sign and size only: "exact" from the
+    chain's parts, with no gcd, up to the cap or with allow_huge, else "magnitude" from trig."""
+    u1 = u1_of_k(k)
+    if k <= DESK_SCALE_MAX_K or allow_huge:
+        num, den = squaring.u2_parts(u1, k, allow_huge=True)
+        with working_context(40):
+            magnitude = Decimal(10) ** (int_log10(num) - int_log10(den))
+        sign, path = (-1 if num < 0 else 1), "exact"
     else:
-        formula = _load_formula(cfg)
-        path = "exact"
+        trig = trigcheck.u2_trig(u1, k, 40)
+        sign, magnitude, path = (-1 if trig < 0 else 1), abs(trig), "magnitude"
+    stand_in = formulas.MagnitudeOnly(sign=sign, magnitude=magnitude)
+    return formulas.two_term_formula(k, u2_value=stand_in, u1=u1), path
+
+
+def cmd_measure(cfg: RunConfig) -> int:
+    if cfg.k is None:
+        formula, path = _load_formula(cfg), "exact"
+    else:
+        formula, path = _measured_pair(cfg.k, cfg.allow_huge)
     report = formulas.lehmer_measure(formula)
     contributions = [
         {"coefficient": coeff, "inverse_log10_cotangent": str(contrib)}
@@ -316,7 +289,7 @@ def cmd_measure(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    k = _require_k(cfg)
+    k = cfg.k
     _check_desk_scale(cfg)
     result = trigcheck.verify_k(k, precision=cfg.precision,
                                 allow_huge=cfg.allow_huge)
@@ -366,20 +339,9 @@ def cmd_measure_sweep(cfg: RunConfig) -> int:
         raise UsageError(f"--k-max must be >= 2, got {cfg.k_max}")
     out = cfg.out or "measure-sweep.csv"
     rows = []
-    with working_context(40):
-        for k in range(2, cfg.k_max + 1):
-            u1 = u1_of_k(k)
-            if k <= DESK_SCALE_MAX_K:
-                # the magnitude needs no canonical form; skip Fraction's gcd
-                num, den = squaring.u2_parts(u1, k, allow_huge=True)
-                log_u2 = int_log10(abs(num)) - int_log10(den)
-                path = "exact"
-            else:
-                trig = trigcheck.u2_trig(u1, k, 40)
-                log_u2 = abs(trig).log10()
-                path = "magnitude"
-            e = 1 / Decimal(u1).log10() + 1 / log_u2
-            rows.append((k, u1, +e, path))
+    for k in range(2, cfg.k_max + 1):
+        formula, path = _measured_pair(k, allow_huge=False)
+        rows.append((k, formula.terms[0][1], formulas.lehmer_measure(formula).e, path))
     with open(out, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "u1", "e", "path"])

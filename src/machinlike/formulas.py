@@ -133,11 +133,9 @@ def validate_formula(formula: MachinFormula, precision: int) -> ValidationResult
         raise PrecisionError(f"validation precision must be >= 20, got {precision}")
     if not formula.exact():
         raise DomainError("cannot validate a formula with magnitude-only terms")
+    total = series.arctan_sum(formula.terms, precision)
     work = precision + guard_digits()
     with working_context(work):
-        total = Decimal(0)
-        for coeff, beta in formula.terms:
-            total += coeff * series.arctan_auto(1 / beta, work)
         residual = total - series.reference_pi(work) / 4
     threshold = Decimal(1).scaleb(-(precision - 5))
     return ValidationResult(

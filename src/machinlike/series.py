@@ -15,23 +15,28 @@ are integers obeying
 so every term is an exact integer ratio (arctan_fast_exact keeps it so)
 and each term contributes about log10(s/p^2) decimal digits.
 
-arctan_fast, and through it arctan_auto and pi_two_term, sums the series
-in one fixed-point integer kernel instead: term m is -2*Im(c_m)/(2m-1)
-with c_m = w^(2m-1), w = x/(x + 2i) = (p^2 - 2ipq)/s, so c_m is carried
-scaled by 2^F and multiplied by w^2 = p^2 (K - iC)/s^2 each step.  For
-small p and q that multiplier stays exact small integers; wider arguments
-are first rounded to F bits, making each step a multiply and a shift.  F
-counts the requested digits, the guard digits, log10(1/|x|) and the
-digits of the term count, so termwise flooring never eats a delivered one.
-Euler's accelerated series and a complex-arithmetic evaluation of the same
-sum serve as cross-checks, and an old-fashioned four-to-one arctangent pair
-computed with the plain Maclaurin series provides a pi that shares no code
-with any of it.
+arctan_fast sums the series in one fixed-point integer kernel instead:
+term m is -2*Im(c_m)/(2m-1) with c_m = w^(2m-1), w = x/(x + 2i) =
+(p^2 - 2ipq)/s, so c_m is carried scaled by 2^F and multiplied by
+w^2 = p^2 (K - iC)/s^2 each step.  For small p and q that multiplier stays
+exact small integers; wider arguments are first rounded to F bits, making
+each step a multiply and a shift.  F counts the requested digits, the
+guard digits, log10(1/|x|) and the digits of the term count, so termwise
+flooring never eats a delivered one.  One rule sizes every automatic term
+count, (digits + guard + 6)/log10(s/p^2) + 2 (arctan_auto), and one
+evaluator, arctan_sum, turns a formula's (coeff, beta) terms into
+sum coeff * atan(1/beta): compute-pi, validation, verification and
+pi_two_term all call it.  Euler's accelerated series (summed exactly) and
+a complex-arithmetic evaluation of the same sum serve as cross-checks, and
+an old-fashioned four-to-one arctangent pair computed with the plain
+Maclaurin series provides a pi that shares no code with any of it.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -193,27 +198,14 @@ def arctan_fast_exact(x: Fraction | int, terms: int) -> Fraction:
 
 
 def arctan_euler(x: Fraction | int, terms: int, precision: int) -> Decimal:
-    """Euler's accelerated series, summed m = 0..terms-1 at working
-    precision.  The term ratio is (2m/(2m+1)) * x^2/(1+x^2)."""
-    x = Fraction(x)
-    if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
-    if x == 0:
-        return Decimal(0)
-    with working_context(precision + guard_digits()):
-        xd = fraction_to_decimal(x, precision + guard_digits())
-        ratio = xd * xd / (1 + xd * xd)
-        term = xd / (1 + xd * xd)
-        total = term
-        for m in range(1, terms):
-            term = term * ratio * (2 * m) / (2 * m + 1)
-            total += term
-        result = +total
-    return round_sig(result, precision)
+    """Euler's accelerated series summed m = 0..terms-1, to ``precision``
+    significant digits: the exact truncation, rounded once."""
+    return fraction_to_decimal(arctan_euler_exact(x, terms), precision)
 
 
 def arctan_euler_exact(x: Fraction | int, terms: int) -> Fraction:
-    """Exact rational value of the Euler truncation."""
+    """Exact rational value of the Euler truncation.  The term ratio is
+    (2m/(2m+1)) * x^2/(1+x^2)."""
     x = Fraction(x)
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
@@ -350,8 +342,16 @@ def reference_pi(precision: int) -> Decimal:
 
 def _term_rate(p: int, q: int) -> float:
     """Decimal digits contributed per series term at argument p/q,
-    log10(s/p^2), without reducing the ratio."""
-    return float(int_log10(p * p + 4 * q * q) - 2 * int_log10(p))
+    log10(s/p^2) = 2t + log10(4 + 10^(-2t)) with t = log10|q/p|, read from
+    the leading bits of p and q."""
+    t = float(int_log10(q) - int_log10(p))
+    # past t = 150 the correction is below a float's resolution, and 10^(-2t) underflows
+    return 2 * t + math.log10(4 + 10.0 ** (-2 * min(t, 150.0)))
+
+
+def _auto_term_count(x: Fraction, precision: int) -> int:
+    """Terms that take the fast series at x past ``precision`` digits: the one rule."""
+    return int((precision + guard_digits() + 6) / _term_rate(x.numerator, x.denominator)) + 2
 
 
 def arctan_auto(x: Fraction | int, precision: int) -> Decimal:
@@ -362,14 +362,30 @@ def arctan_auto(x: Fraction | int, precision: int) -> Decimal:
         return Decimal(0)
     if abs(x) > 1:
         raise DomainError("arctan_auto expects |x| <= 1; pass the cotangent's reciprocal")
-    rate = _term_rate(x.numerator, x.denominator)
-    return arctan_fast(x, int((precision + guard_digits() + 6) / rate) + 2, precision)
+    return arctan_fast(x, _auto_term_count(x, precision), precision)
+
+
+def arctan_sum(pairs: Iterable[tuple[int, Fraction | int]], precision: int,
+               terms: int | None = None) -> Decimal:
+    """sum of coeff * atan(1/beta) over (coeff, beta) pairs, |beta| > 1, each
+    branch truncated after ``terms`` terms or, when terms is None, sized by
+    arctan_auto.  Branches are rounded to precision + the digits of the
+    largest |coeff| + the guard digits, so no coefficient lifts its rounding
+    past 10**-(precision + guard digits); the sum comes back at that width."""
+    branches = [(coeff, 1 / Fraction(beta)) for coeff, beta in pairs]
+    work = precision + len(str(max(abs(coeff) for coeff, _ in branches))) + guard_digits()
+    with working_context(work):
+        total = Decimal(0)
+        for coeff, x in branches:
+            branch = arctan_auto(x, work) if terms is None else arctan_fast(x, terms, work)
+            total += coeff * branch
+    return total
 
 
 def pi_two_term(k: int, u1: Fraction | int, u2: Fraction | int, terms: int,
                 precision: int, exact_coeffs: bool = False) -> Decimal:
     """pi from the assembled identity pi = 4*(2^(k-1) atan(1/u1) + atan(1/u2)),
-    each branch truncated after ``terms`` terms by arctan_fast.
+    each branch truncated after ``terms`` terms by arctan_sum.
 
     exact_coeffs=True sums the closing branch as an exact rational
     (arctan_fast_exact) instead, sharing no code with the kernel.
@@ -383,13 +399,13 @@ def pi_two_term(k: int, u1: Fraction | int, u2: Fraction | int, terms: int,
     except TypeError:
         raise DomainError("both cotangents must be exact rationals; "
                           "magnitude-only stand-ins cannot drive the series") from None
+    if not exact_coeffs:
+        return round_sig(arctan_sum(((2 ** (k + 1), u1), (4, u2)), precision, terms),
+                         precision)
     # the 2^(k-1) multiplier amplifies the lead branch error by ~0.3k digits
     work = precision + k + guard_digits()
     lead = arctan_fast(1 / u1, terms, work)
-    if exact_coeffs:
-        closing = fraction_to_decimal(arctan_fast_exact(1 / u2, terms), work)
-    else:
-        closing = arctan_fast(1 / u2, terms, work)
+    closing = fraction_to_decimal(arctan_fast_exact(1 / u2, terms), work)
     with working_context(work):
         result = 4 * (Decimal(2) ** (k - 1) * lead + closing)
     return round_sig(result, precision)

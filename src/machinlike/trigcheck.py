@@ -219,11 +219,10 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
     if k <= 12:
         oracle_matched = squaring.u2_direct_oracle(u1, k) == exact_u2
 
+    # 4*(2^(k-1) atan(1/u1) + atan(1/u2)), the coefficients taken times 4
+    total = series.arctan_sum(((2 ** (k + 1), u1), (4, exact_u2)), precision)
     work = precision + guard_digits()
-    lead = series.arctan_auto(Fraction(1, u1), work)
-    close = series.arctan_auto(1 / exact_u2, work)
     with working_context(work):
-        total = 4 * (Decimal(2) ** (k - 1) * lead + close)
         residual = abs(total - series.reference_pi(work))
     threshold = Decimal(1).scaleb(-(precision - 5))
 

@@ -17,6 +17,7 @@ from machinlike.cli import (
     main,
 )
 from machinlike.errors import UsageError
+from machinlike.formulas import lehmer_measure, two_term_formula
 from machinlike.squaring import read_fraction_file, u2_of
 
 U2_K6 = u2_of(40, 6)
@@ -165,6 +166,31 @@ def test_measure_two_term(capsys):
     payload = payload_of(capsys, "measure", "--k", "6")
     assert payload["e"] == "1.167513"
     assert payload["path"] == "exact"
+
+
+def test_measure_by_size_matches_the_exact_fraction(capsys):
+    # measure --k sizes u2 from the chain's parts without reducing them
+    for k in range(2, 13):
+        payload = payload_of(capsys, "measure", "--k", str(k))
+        assert payload["path"] == "exact"
+        assert payload["e"] == str(lehmer_measure(two_term_formula(k)).e), k
+
+
+def test_k_excludes_fixture_and_formula(tmp_path, capsys):
+    path = tmp_path / "classic.txt"
+    path.write_text("4 * atan(1/5)\n1 * atan(-1/239)\n", encoding="ascii")
+    for command in ("compute-pi", "measure"):
+        for source in (("--fixture", "machin-1706"), ("--formula", str(path))):
+            code, _, err = run(capsys, command, "--k", "3", *source)
+            assert code == EXIT_USAGE, (command, source)
+            assert "not allowed with" in err
+
+
+def test_compute_pi_past_the_cap_names_no_flag_it_lacks(capsys):
+    code, _, err = run(capsys, "compute-pi", "--k", "21")
+    assert code == EXIT_USAGE
+    assert "desk-scale cap" in err and "allow-huge" not in err
+    assert run(capsys, "compute-pi", "--k", "21", "--allow-huge")[0] == EXIT_USAGE
 
 
 def test_measure_huge_k_uses_magnitude_path(capsys):

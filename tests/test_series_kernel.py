@@ -1,19 +1,25 @@
 """Property tests of the fixed-point kernel behind arctan_fast.
 
 The kernel is checked against the exact rational truncation and, through
-pi_two_term, against the Maclaurin reference pi; neither shares code with
-it.  Every property runs across the guard-digit budget, down to none.
+pi_two_term, arctan_sum and the compute-pi and verify commands, against
+the Maclaurin reference pi; neither shares code with it.  Every property
+runs across the guard-digit budget, down to none.
 """
 
+import io
+import json
+import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from decimal import Decimal
 from functools import lru_cache
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from machinlike.exactmath import coinciding_digits, fraction_to_decimal
+from machinlike import cli
+from machinlike.exactmath import coinciding_digits, fraction_to_decimal, int_log10
+from machinlike.formulas import fixtures
 from machinlike.radical import u1_of_k
 from machinlike.series import (
     _term_rate,
@@ -83,3 +89,39 @@ def test_pi_two_term_reaches_reference_pi_without_guard_digits(k, precision):
         value = pi_two_term(k, u1, u2, terms, precision)
     # precision significant digits of pi are precision - 1 decimal places
     assert coinciding_digits(value, reference_pi(precision + 5)) >= precision - 1, (k, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=arguments(), q_sign=st.sampled_from((-1, 1)))
+def test_term_rate_from_leading_bits_matches_the_full_parts(x, q_sign):
+    p, q = x.numerator, q_sign * x.denominator
+    full = float(int_log10(p * p + 4 * q * q) - 2 * int_log10(p))
+    assert math.isclose(_term_rate(p, q), full, rel_tol=1e-12), (p, q)
+
+
+def _run_cli(*argv):
+    """Exit code and JSON summary of one machinlike command."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, json.loads(out.getvalue())
+
+
+SOURCES = st.one_of(st.integers(2, 12).map(lambda k: ("--k", str(k))),
+                    st.sampled_from(sorted(fixtures())).map(lambda f: ("--fixture", f)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=SOURCES, precision=st.integers(20, 600), guard=st.integers(0, 10))
+def test_compute_pi_delivers_every_digit_across_the_guard_budget(source, precision, guard):
+    with guard_digits_set_to(guard):
+        code, payload = _run_cli("compute-pi", *source, "--precision", str(precision))
+    assert (code, payload["ok"]) == (0, True), payload
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 12), precision=st.integers(20, 600), guard=st.integers(0, 10))
+def test_verify_stays_ok_across_the_guard_budget(k, precision, guard):
+    with guard_digits_set_to(guard):
+        code, payload = _run_cli("verify", "--k", str(k), "--precision", str(precision))
+    assert (code, payload["ok"]) == (0, True), payload
