@@ -10,6 +10,8 @@ closed-form trigonometry plus a direct complex-rational oracle check the
 whole construction from the outside.
 """
 
+import types
+
 from .errors import (
     ConsistencyError,
     DegenerateFormulaError,
@@ -17,7 +19,6 @@ from .errors import (
     FormulaParseError,
     PrecisionError,
     UsageError,
-    VerificationFailure,
 )
 from .exactmath import (
     coinciding_digits,
@@ -87,70 +88,6 @@ from .trigcheck import (
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ArctanCoeffState",
-    "ComplexRationalState",
-    "ConsistencyError",
-    "ConvergenceReport",
-    "DESK_SCALE_MAX_K",
-    "DegenerateFormulaError",
-    "DomainError",
-    "FormulaParseError",
-    "MAX_LADDER_K",
-    "MachinFormula",
-    "MagnitudeOnly",
-    "MeasureReport",
-    "PiSeriesCoeffState",
-    "PrecisionError",
-    "RadicalPoint",
-    "TrigCheckResult",
-    "UsageError",
-    "ValidationResult",
-    "VerificationFailure",
-    "arctan_auto",
-    "arctan_coeff_states",
-    "arctan_complex",
-    "arctan_euler",
-    "arctan_euler_exact",
-    "arctan_fast",
-    "arctan_fast_exact",
-    "coinciding_digits",
-    "convergence_report_dict",
-    "convergence_scan",
-    "dec_arctan",
-    "dec_sin_cos",
-    "digits_prefix",
-    "fixtures",
-    "format_formula",
-    "fraction_to_decimal",
-    "guard_digits",
-    "init_state",
-    "int_digit_count",
-    "int_log10",
-    "ladder_eval",
-    "lehmer_measure",
-    "parse_formula_file",
-    "pi_two_term",
-    "rational_log10_abs",
-    "rational_sin_cos",
-    "read_fraction_file",
-    "reference_pi",
-    "round_sig",
-    "series_error",
-    "shared_parts",
-    "square_step",
-    "state_at",
-    "two_term_formula",
-    "two_term_series_states",
-    "u1_of_k",
-    "u2_direct_oracle",
-    "u2_from_state",
-    "u2_of",
-    "u2_parts",
-    "u2_trig",
-    "validate_formula",
-    "verify_k",
-    "working_context",
-    "write_convergence_csv",
-    "write_fraction_file",
-]
+# every name imported above is exported; the imports are the one list of them
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

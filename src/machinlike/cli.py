@@ -12,9 +12,10 @@ Subcommands::
     machinlike measure-sweep [--k-max N] [--out PATH]
 
 Every command prints a JSON summary to stdout; bulk artifacts (digit
-files, CSV tables) go to --out.  Exit codes: 0 success, 2 usage, 3 I/O,
-4 domain or parse failure, 5 verification failure (compute-pi: fewer
-digits than --precision with an auto-sized term count).
+files, CSV tables) go to --out.  --u2-file without --k is a usage error.
+Exit codes: 0 success, 2 usage, 3 I/O, 4 domain or parse failure or out
+of memory, 5 verification failure (compute-pi: fewer digits than
+--precision with an auto-sized term count).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .errors import (
     FormulaParseError,
     PrecisionError,
     UsageError,
-    VerificationFailure,
 )
 from .exactmath import (
     coinciding_digits,
@@ -44,7 +44,7 @@ from .exactmath import (
     int_log10,
     working_context,
 )
-from .radical import u1_of_k
+from .radical import MAX_LADDER_K, u1_of_k
 from .squaring import DESK_SCALE_MAX_K
 
 EXIT_OK = 0
@@ -74,8 +74,10 @@ class RunConfig:
     allow_huge: bool = False
 
     def __post_init__(self):
-        if self.k is not None and not 2 <= self.k <= 64:
-            raise UsageError(f"--k must be in 2..64, got {self.k}")
+        if self.k is not None and not 2 <= self.k <= MAX_LADDER_K:
+            raise UsageError(f"--k must be in 2..{MAX_LADDER_K}, got {self.k}")
+        if self.u2_file is not None and self.k is None:
+            raise UsageError("--u2-file holds the u2 of one --k; it needs --k")
         if self.precision < 20:
             raise UsageError(f"--precision must be >= 20, got {self.precision}")
         if self.terms is not None and self.terms < 1:
@@ -122,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute-pi", help="evaluate pi from a formula")
     common(p, k=True, precision=True, terms=True, out=True, formula=True)
-    p.add_argument("--u2-file", help="reload a generated closing cotangent")
+    p.add_argument("--u2-file", help="reload the closing cotangent of --k")
 
     p = sub.add_parser("measure", help="digits-per-term measure of a formula")
     common(p, k=True, formula=True, allow_huge=True)
@@ -173,7 +175,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     out = cfg.out or f"u2-k{k}.txt"
     squaring.write_fraction_file(out, u2)
 
-    formula = formulas.two_term_formula(k, allow_huge=cfg.allow_huge, u2_value=u2, u1=u1)
+    formula = formulas.two_term_formula(k, u2_value=u2, u1=u1)
     report = formulas.lehmer_measure(formula)
     check = formulas.validate_formula(formula, cfg.precision)
 
@@ -383,12 +385,15 @@ def main(argv=None) -> int:
             PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (VerificationFailure, ConsistencyError) as exc:
+    except ConsistencyError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("error: out of memory; lower --k or --precision", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

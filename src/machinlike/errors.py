@@ -18,10 +18,6 @@ class ConsistencyError(RuntimeError):
     """Two routes to the same exact quantity disagreed."""
 
 
-class VerificationFailure(RuntimeError):
-    """An independent cross-check did not confirm a computed result."""
-
-
 class FormulaParseError(ValueError):
     """A formula or fraction file could not be parsed."""
 

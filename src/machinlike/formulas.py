@@ -145,20 +145,20 @@ def validate_formula(formula: MachinFormula, precision: int) -> ValidationResult
     )
 
 
-def two_term_formula(k: int, allow_huge: bool = False,
-                     u2_value: Cotangent | None = None,
+def two_term_formula(k: int, u2_value: Cotangent | None = None,
                      u1: int | None = None) -> MachinFormula:
     """The generated pair at depth k: 2**(k-1) atan(1/u1) + atan(1/u2).
 
     Pass ``u2_value`` (exact or magnitude-only) to reuse a known closing
     cotangent, and ``u1`` a known u1_of_k(k), instead of recomputing them.
+    Past the desk-scale cap pass u2_value=u2_of(u1, k, allow_huge=True).
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     if u1 is None:
         u1 = u1_of_k(k)
     if u2_value is None:
-        u2_value = u2_of(u1, k, allow_huge)
+        u2_value = u2_of(u1, k)
     return MachinFormula(
         terms=((2 ** (k - 1), Fraction(u1)), (1, u2_value)),
         name=f"two-term-k{k}",

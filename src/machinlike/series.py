@@ -12,8 +12,9 @@ are integers obeying
     A' = A*K + C*B,  B' = B*K - C*A,   K = p^2 - 4q^2,  C = 4pq,
     A^2 + B^2 = s^(2m-1),   s = p^2 + 4q^2,
 
-so every term is an exact integer ratio (arctan_fast_exact keeps it so)
-and each term contributes about log10(s/p^2) decimal digits.
+so every term is an exact integer ratio and each term contributes about
+log10(s/p^2) decimal digits.  One private generator runs this recurrence
+for both exact consumers, arctan_coeff_states and arctan_fast_exact.
 
 arctan_fast sums the series in one fixed-point integer kernel instead:
 term m is -2*Im(c_m)/(2m-1) with c_m = w^(2m-1), w = x/(x + 2i) =
@@ -37,7 +38,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -87,21 +88,25 @@ class PiSeriesCoeffState:
     theta: Fraction
 
 
+def _scaled_parts(p: int, q: int):
+    """Yield (A_m, B_m) at x = p/q for m = 1, 2, ...: the module docstring's recurrence."""
+    big_a, big_b = 2 * q, p
+    k_fac, c_fac = p * p - 4 * q * q, 4 * p * q
+    while True:
+        yield big_a, big_b
+        big_a, big_b = big_a * k_fac + c_fac * big_b, big_b * k_fac - c_fac * big_a
+
+
 def arctan_coeff_states(x: Fraction | int):
     """Yield ArctanCoeffState for m = 1, 2, ... at exact rational x != 0."""
     x = Fraction(x)
     if x == 0:
         raise DomainError("x must be nonzero")
-    p, q = x.numerator, x.denominator
-    big_a, big_b = 2 * q, p
-    k_fac, c_fac = p * p - 4 * q * q, 4 * p * q
+    p = x.numerator
     ppow, psq = p, p * p
-    m = 1
-    while True:
+    for m, (big_a, big_b) in enumerate(_scaled_parts(p, x.denominator), start=1):
         yield ArctanCoeffState(m=m, a=Fraction(big_a, ppow), b=Fraction(big_b, ppow))
-        big_a, big_b = big_a * k_fac + c_fac * big_b, big_b * k_fac - c_fac * big_a
         ppow *= psq
-        m += 1
 
 
 def two_term_series_states(u1: Fraction | int, u2: Fraction | int):
@@ -182,18 +187,12 @@ def arctan_fast_exact(x: Fraction | int, terms: int) -> Fraction:
     if x == 0:
         return Fraction(0)
     p, q = x.numerator, x.denominator
-    big_a, big_b = 2 * q, p
-    k_fac, c_fac = p * p - 4 * q * q, 4 * p * q
     s = p * p + 4 * q * q
-    ppow, spow = p, s
     psq, ssq = p * p, s * s
     total = Fraction(0)
-    for m in range(1, terms + 1):
+    for m, (big_a, _) in zip(range(1, terms + 1), _scaled_parts(p, q)):
+        ppow, spow = (p, s) if m == 1 else (ppow * psq, spow * ssq)
         total += Fraction(big_a * ppow, (2 * m - 1) * spow)
-        if m < terms:
-            big_a, big_b = big_a * k_fac + c_fac * big_b, big_b * k_fac - c_fac * big_a
-            ppow *= psq
-            spow *= ssq
     return 2 * total
 
 
@@ -421,8 +420,8 @@ class ConvergenceReport:
     """
 
     k: int
-    u1: Fraction | int
-    u2: Fraction | int
+    u1: Fraction
+    u2: Fraction
     precision: int
     orders: tuple[int, ...]
     digits: tuple[int, ...]
@@ -463,18 +462,15 @@ def convergence_scan(k: int, u1: Fraction | int, u2: Fraction | int,
 
 
 def convergence_report_dict(report: ConvergenceReport) -> dict:
-    """JSON-ready view; exact rationals and decimals become strings."""
-    return {
-        "k": report.k,
-        "u1": str(report.u1),
-        "u2": str(report.u2) if report.u2.denominator < 10**40 else "(large rational)",
-        "precision": report.precision,
-        "orders": list(report.orders),
-        "digits": list(report.digits),
-        "fitted_rate": str(report.fitted_rate),
-        "measure": str(report.measure),
-        "predicted_rate": str(report.predicted_rate),
-    }
+    """JSON-ready view in field order: ints stay, tuples become lists, the rest
+    strings, and a u2 whose denominator reaches 10**40 reads "(large rational)"."""
+    view = {f.name: getattr(report, f.name) for f in fields(report)}
+    for name, value in view.items():
+        if not isinstance(value, int):
+            view[name] = list(value) if isinstance(value, tuple) else str(value)
+    if report.u2.denominator >= 10**40:
+        view["u2"] = "(large rational)"
+    return view
 
 
 def write_convergence_csv(report: ConvergenceReport, path) -> None:

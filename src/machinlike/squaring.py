@@ -19,6 +19,10 @@ from .exactmath import complex_add, complex_div, complex_mul, format_rational, p
 # k = 19 on a 2.1 GHz Xeon, and it grows fourfold or more per step.
 DESK_SCALE_MAX_K = 20
 
+# Deepest k verify runs the naive direct oracle at; its cost grows about
+# fourfold per step (32 ms at k = 12, 0.14 s at k = 13, 2 vCPUs, Python 3.11).
+ORACLE_MAX_K = 12
+
 
 @dataclass(frozen=True, slots=True)
 class ComplexRationalState:
@@ -124,7 +128,7 @@ def u2_of(u1: Fraction | int, k: int, allow_huge: bool = False) -> Fraction:
     return _closing_u2(a, b)
 
 
-def u2_direct_oracle(u1: Fraction | int, k: int, max_k: int = 12) -> Fraction:
+def u2_direct_oracle(u1: Fraction | int, k: int, max_k: int = ORACLE_MAX_K) -> Fraction:
     """u2 straight from its definition, with none of the iteration's
     structure: generic complex rational arithmetic squares
     z = (u1 + i)/(u1 - i) and the arctangent argument 2/(z + i) + i is

@@ -14,7 +14,7 @@ working precision until the requested digits survive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 
@@ -176,21 +176,9 @@ class TrigCheckResult:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "u1": self.u1,
-            "u2_num_digits": self.u2_num_digits,
-            "u2_den_digits": self.u2_den_digits,
-            "u2_leading": self.u2_leading,
-            "agreement_digits": self.agreement_digits,
-            "required_digits": self.required_digits,
-            "unit_circle_exact": self.unit_circle_exact,
-            "oracle_matched": self.oracle_matched,
-            "identity_residual": str(self.identity_residual),
-            "identity_threshold": str(self.identity_threshold),
-            "precision": self.precision,
-            "ok": self.ok,
-        }
+        """Every field in declaration order, Decimals as strings."""
+        view = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: str(v) if isinstance(v, Decimal) else v for name, v in view.items()}
 
 
 def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheckResult:
@@ -200,7 +188,7 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
     is the last squaring the closing cotangent needs.  Checks: the unit
     circle A^2 + B^2 == D^2 holds exactly there (equivalent to the check
     at k); the trig closed form agrees with the exact u2 = (A + B)/(A - B)
-    to at least precision - k - 10 digits; for k <= 12 the direct
+    to at least precision - k - 10 digits; up to ORACLE_MAX_K the direct
     complex-rational oracle reproduces it term for term; and the assembled
     identity 4*(2^(k-1) atan(1/u1) + atan(1/u2)) lands on the reference pi
     to within 10**-(precision-5).
@@ -216,7 +204,7 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
     required = precision - k - 10
 
     oracle_matched = None
-    if k <= 12:
+    if k <= squaring.ORACLE_MAX_K:
         oracle_matched = squaring.u2_direct_oracle(u1, k) == exact_u2
 
     # 4*(2^(k-1) atan(1/u1) + atan(1/u2)), the coefficients taken times 4

@@ -136,6 +136,15 @@ def test_compute_pi_missing_inputs(capsys):
     assert run(capsys, "compute-pi")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("source", [("--fixture", "machin-1706"),
+                                    ("--formula", "unread.txt")])
+def test_compute_pi_u2_file_needs_k(capsys, source):
+    code, out, err = run(capsys, "compute-pi", *source, "--u2-file", "/nonexistent",
+                         "--precision", "30")
+    assert code == EXIT_USAGE
+    assert out == "" and "--u2-file" in err
+
+
 def test_compute_pi_unknown_fixture(capsys):
     code, _, err = run(capsys, "compute-pi", "--fixture", "nope")
     assert code == EXIT_USAGE
@@ -301,3 +310,14 @@ def test_compute_pi_auto_terms_shortfall_exits_5(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["ok"] is False and payload["coinciding_digits"] < 50
     assert "50" in err
+
+
+def test_out_of_memory_exits_4_with_one_line(capsys, monkeypatch):
+    from machinlike import cli
+
+    def exhausted(cfg):
+        raise MemoryError
+    monkeypatch.setitem(cli._DISPATCH, "verify", exhausted)
+    code, out, err = run(capsys, "verify", "--k", "3")
+    assert code == EXIT_DOMAIN
+    assert out == "" and err.count("\n") == 1 and "out of memory" in err

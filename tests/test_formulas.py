@@ -154,3 +154,14 @@ def test_leading_decimal():
     assert formula_leading_decimal(Fraction(-239)) == Decimal(-239)
     stand_in = MagnitudeOnly(sign=-1, magnitude=Decimal("2.4e8"))
     assert formula_leading_decimal(stand_in) == Decimal("-2.4e8")
+
+
+def test_package_exports_every_public_import_and_no_module():
+    import types
+
+    import machinlike
+    assert "VerificationFailure" not in machinlike.__all__
+    assert {"two_term_formula", "verify_k", "MAX_LADDER_K", "UsageError"} <= set(machinlike.__all__)
+    for name in machinlike.__all__:
+        assert not name.startswith("_")
+        assert not isinstance(getattr(machinlike, name), types.ModuleType), name

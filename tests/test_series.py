@@ -228,3 +228,14 @@ def test_convergence_csv_and_dict(tmp_path):
     payload = convergence_report_dict(report)
     json.dumps(payload)  # must be serializable as-is
     assert payload["k"] == 3
+
+
+def test_convergence_report_dict_is_pinned():
+    report = convergence_scan(3, 5, -239, 6, 200)
+    assert json.dumps(convergence_report_dict(report)) == (
+        '{"k": 3, "u1": "5", "u2": "-239", "precision": 200, '
+        '"orders": [1, 2, 3, 4, 5, 6], "digits": [2, 4, 6, 8, 10, 13], '
+        '"fitted_rate": "2.50", "measure": "1.851128", "predicted_rate": "2.21"}')
+    # a u2 with a 50-digit denominator is named, not printed
+    wide = convergence_scan(6, 40, u2_of(40, 6), 3, 40)
+    assert convergence_report_dict(wide)["u2"] == "(large rational)"

@@ -136,6 +136,17 @@ def test_verify_k_json_round_trip():
     assert json.loads(text)["k"] == 3
 
 
+def test_verify_k_json_view_is_pinned():
+    # every field, in declaration order, with Decimals as strings
+    text = json.dumps(verify_k(3, precision=40).to_json_dict())
+    assert text == (
+        '{"k": 3, "u1": 5, "u2_num_digits": 3, "u2_den_digits": 1, '
+        '"u2_leading": "-23900000000000000000", "agreement_digits": 47, '
+        '"required_digits": 27, "unit_circle_exact": true, "oracle_matched": true, '
+        '"identity_residual": "6E-51", "identity_threshold": "1E-35", '
+        '"precision": 40, "ok": true}')
+
+
 def test_verify_k_rejects_k1():
     with pytest.raises(DomainError):
         verify_k(1)
