@@ -188,11 +188,13 @@ def arctan_fast_exact(x: Fraction | int, terms: int) -> Fraction:
         return Fraction(0)
     p, q = x.numerator, x.denominator
     s = p * p + 4 * q * q
+    ppow, spow = p, s
     psq, ssq = p * p, s * s
     total = Fraction(0)
     for m, (big_a, _) in zip(range(1, terms + 1), _scaled_parts(p, q)):
-        ppow, spow = (p, s) if m == 1 else (ppow * psq, spow * ssq)
         total += Fraction(big_a * ppow, (2 * m - 1) * spow)
+        ppow *= psq
+        spow *= ssq
     return 2 * total
 
 
@@ -465,11 +467,12 @@ def convergence_report_dict(report: ConvergenceReport) -> dict:
     """JSON-ready view in field order: ints stay, tuples become lists, the rest
     strings, and a u2 whose denominator reaches 10**40 reads "(large rational)"."""
     view = {f.name: getattr(report, f.name) for f in fields(report)}
+    if report.u2.denominator >= 10**40:
+        # set before any str(): the parts of a deep u2 pass the int-to-str limit
+        view["u2"] = "(large rational)"
     for name, value in view.items():
         if not isinstance(value, int):
             view[name] = list(value) if isinstance(value, tuple) else str(value)
-    if report.u2.denominator >= 10**40:
-        view["u2"] = "(large rational)"
     return view
 
 

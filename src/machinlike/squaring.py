@@ -68,8 +68,8 @@ def _check_depth(k: int, allow_huge: bool, least: int = 1) -> None:
     if k > DESK_SCALE_MAX_K and not allow_huge:
         raise DomainError(
             f"k={k} exceeds the desk-scale cap of {DESK_SCALE_MAX_K}: the iteration "
-            f"integers double per step, reaching millions of digits past k=20 "
-            f"(pass allow_huge=True to proceed anyway)")
+            f"integers double per step, reaching millions of digits past k=20 (pass "
+            f"allow_huge=True, as in u2_of(u1, k, allow_huge=True), to proceed anyway)")
 
 
 def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple[int, int, int]:

@@ -156,12 +156,18 @@ def test_leading_decimal():
     assert formula_leading_decimal(stand_in) == Decimal("-2.4e8")
 
 
-def test_package_exports_every_public_import_and_no_module():
+def test_package_all_lists_exactly_the_public_imports():
     import types
 
     import machinlike
-    assert "VerificationFailure" not in machinlike.__all__
-    assert {"two_term_formula", "verify_k", "MAX_LADDER_K", "UsageError"} <= set(machinlike.__all__)
-    for name in machinlike.__all__:
-        assert not name.startswith("_")
-        assert not isinstance(getattr(machinlike, name), types.ModuleType), name
+    public = {name for name, value in vars(machinlike).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(machinlike.__all__) == sorted(public)
+    assert len(machinlike.__all__) == len(public)
+    assert "VerificationFailure" not in public
+
+
+def test_two_term_formula_past_the_cap_names_a_call_that_exists():
+    with pytest.raises(DomainError, match="desk-scale cap") as info:
+        two_term_formula(21)
+    assert "u2_of(u1, k, allow_huge=True)" in str(info.value)

@@ -26,6 +26,7 @@ from machinlike.series import (
     two_term_series_states,
     write_convergence_csv,
 )
+from machinlike.radical import u1_of_k
 from machinlike.squaring import u2_of
 
 PI_30 = Decimal("3.141592653589793238462643383279")
@@ -239,3 +240,14 @@ def test_convergence_report_dict_is_pinned():
     # a u2 with a 50-digit denominator is named, not printed
     wide = convergence_scan(6, 40, u2_of(40, 6), 3, 40)
     assert convergence_report_dict(wide)["u2"] == "(large rational)"
+
+
+def test_convergence_report_dict_names_u2_past_the_int_text_limit():
+    # at k = 12 the parts of u2 run to about 6,700 digits, past the
+    # interpreter's default 4,300-digit int-to-str limit
+    u1 = u1_of_k(12)
+    u2 = u2_of(u1, 12)
+    assert u2.denominator.bit_length() * 0.30103 > 4300
+    payload = convergence_report_dict(convergence_scan(12, u1, u2, 3, 60))
+    assert payload["u2"] == "(large rational)"
+    assert payload["u1"] == str(u1)
