@@ -6,11 +6,13 @@ counts significant decimal digits of the result.  Internally they carry
 correct.  Anything exactly representable stays an ``int`` or ``Fraction``
 for as long as possible; ``Decimal`` enters only where a value is
 irrational or a quotient is finally needed.
+
+File text: ``parsed_lines`` holds the line rule of every input file, and
+only ``format_rational`` and ``parse_rational`` lift the int<->str digit limit.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import sys
@@ -70,13 +72,6 @@ def round_sig(value: Decimal, precision: int) -> Decimal:
         return +value
 
 
-def isqrt(n: int) -> int:
-    """Floor square root of a nonnegative integer."""
-    if n < 0:
-        raise DomainError(f"isqrt of negative {n}")
-    return math.isqrt(n)
-
-
 def fraction_to_decimal(value: Fraction | int, precision: int) -> Decimal:
     """``value`` as a Decimal correct to ``precision`` significant digits.
 
@@ -105,23 +100,6 @@ def fraction_to_decimal(value: Fraction | int, precision: int) -> Decimal:
         # a bare unary minus would round to its 28-digit default
         dec = dec.copy_negate()
     return round_sig(dec, precision)
-
-
-def bf_sqrt(value: Decimal | Fraction | int, precision: int) -> Decimal:
-    """Square root to ``precision`` significant digits.
-
-    Exactly representable roots come back exact: bf_sqrt(4, 50) == 2.
-    """
-    work = precision + guard_digits()
-    if isinstance(value, (Fraction,)):
-        dec = fraction_to_decimal(value, work)
-    else:
-        dec = Decimal(value)
-    if dec < 0:
-        raise DomainError(f"square root of negative value {value}")
-    with working_context(work):
-        root = dec.sqrt()
-    return round_sig(root, precision)
 
 
 def int_log10(n: int, precision: int = 40) -> Decimal:
@@ -241,11 +219,24 @@ def parse_rational(text: str) -> Fraction:
     if match is None:
         raise FormulaParseError(f"not a rational literal: {text.strip()!r}")
     with _unlimited_int_text():
-        num = int(match.group(1))
-        den = int(match.group(2)) if match.group(2) is not None else 1
+        num, den = int(match.group(1)), int(match.group(2) or 1)
     if den == 0:
         raise FormulaParseError(f"zero denominator: {text.strip()!r}")
     return Fraction(num, den)
+
+
+def parsed_lines(path, parse):
+    """``parse(line)`` for each stripped line of an ASCII input file that
+    is neither blank nor a '#' comment, in order.  A FormulaParseError
+    from ``parse`` is raised again with the line's number."""
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                try:
+                    yield parse(line)
+                except FormulaParseError as exc:
+                    raise FormulaParseError(str(exc), line=lineno) from None
 
 
 def complex_mul(a, b):

@@ -17,10 +17,10 @@ from pathlib import Path
 
 from .errors import DomainError, FormulaParseError, PrecisionError
 from .exactmath import (
-    _unlimited_int_text,
     format_rational,
-    fraction_to_decimal,
     guard_digits,
+    parse_rational,
+    parsed_lines,
     rational_log10_abs,
     round_sig,
     working_context,
@@ -67,13 +67,12 @@ class MachinFormula:
                 raise DomainError(f"term {index}: coefficient must be an integer") from None
             if coeff == 0:
                 raise DomainError(f"term {index}: zero coefficient")
-            if not isinstance(beta, MagnitudeOnly):
+            exact = not isinstance(beta, MagnitudeOnly)
+            if exact:
                 beta = Fraction(beta)
-                size = abs(beta)
-            else:
-                size = beta.magnitude
-            if size <= 1:
-                raise DomainError(f"term {index}: |cotangent| must exceed 1, got {beta}")
+            if (abs(beta) if exact else beta.magnitude) <= 1:
+                shown = format_rational(beta) if exact else beta
+                raise DomainError(f"term {index}: |cotangent| must exceed 1, got {shown}")
             normalized.append((coeff, beta))
         if not normalized:
             raise DomainError("a formula needs at least one term")
@@ -205,33 +204,24 @@ def format_formula(formula: MachinFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_term(line: str) -> tuple[int, Fraction]:
+    """(coeff, cotangent) from one ``coeff * atan(num/den)`` line."""
+    match = _TERM_RE.fullmatch(line)
+    if match is None:
+        raise FormulaParseError(f"unrecognized term: {line!r}")
+    arg = parse_rational(f"{match.group(2)}/{match.group(3)}")
+    if arg == 0:
+        raise FormulaParseError("zero arctangent argument")
+    return parse_rational(match.group(1)).numerator, 1 / arg
+
+
 def parse_formula_file(path) -> MachinFormula:
     """Parse a formula file written by format_formula.
 
     '#' comments and blank lines are ignored.  Bad lines are reported by
     number; cotangent domain violations surface with their term index.
     """
-    terms = []
-    # the limit stays lifted for the domain check too, whose message names the cotangent
-    with open(path, "r", encoding="ascii") as fh, _unlimited_int_text():
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            match = _TERM_RE.fullmatch(line)
-            if match is None:
-                raise FormulaParseError(f"unrecognized term: {line!r}", line=lineno)
-            coeff, num, den = int(match.group(1)), int(match.group(2)), int(match.group(3))
-            if num == 0:
-                raise FormulaParseError("zero arctangent argument", line=lineno)
-            terms.append((coeff, Fraction(den, num)))
-        if not terms:
-            raise FormulaParseError("no terms found")
-        return MachinFormula(terms=tuple(terms), name=Path(path).stem)
-
-
-def formula_leading_decimal(beta: Cotangent, precision: int = 30) -> Decimal:
-    """The cotangent's value (or signed magnitude) as a Decimal."""
-    if isinstance(beta, MagnitudeOnly):
-        return beta.magnitude if beta.sign > 0 else -beta.magnitude
-    return fraction_to_decimal(beta, precision)
+    terms = tuple(parsed_lines(path, _parse_term))
+    if not terms:
+        raise FormulaParseError("no terms found")
+    return MachinFormula(terms=terms, name=Path(path).stem)

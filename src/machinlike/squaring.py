@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, DegenerateFormulaError, DomainError, FormulaParseError
-from .exactmath import complex_add, complex_div, complex_mul, format_rational, parse_rational
+from .exactmath import (
+    complex_add, complex_div, complex_mul, format_rational, parse_rational, parsed_lines)
 
 # Above this depth the shared-denominator integers pass a million digits
 # (they double per step).  Fraction's gcd on u2's parts alone took 45 s at
@@ -109,23 +110,23 @@ def _closing_u2(a: int, b: int) -> Fraction:
     return Fraction(a + b, a - b)
 
 
-def u2_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple[int, int]:
-    """Unreduced (X, D - Y) of u2 at k, formed as ((A - B)(A + B), (A - B)^2).
-
-    Magnitude-faithful but not canonical, for callers that need only the size of u2.
-    """
+def u2_coprime_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple[int, int]:
+    """(A + B, A - B): u2 at k from the state at k - 1, before Fraction moves the
+    sign to the numerator.  The parts are coprime, as A and B are with opposite
+    parity, so they give u2's size and sign with no gcd and no product."""
     a, b, _ = _closing_state(u1, k, allow_huge)
-    return (a - b) * (a + b), (a - b) ** 2
+    return a + b, a - b
+
+
+def u2_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple[int, int]:
+    """Unreduced (X, D - Y) of u2 at k, formed as ((A - B)(A + B), (A - B)^2)."""
+    num, den = u2_coprime_parts(u1, k, allow_huge)
+    return den * num, den * den
 
 
 def u2_of(u1: Fraction | int, k: int, allow_huge: bool = False) -> Fraction:
-    """The closing cotangent in lowest terms, from the state at k - 1.
-
-    Its parts A + B and A - B are already coprime (A and B are, with
-    opposite parity), so Fraction's gcd on them only confirms it.
-    """
-    a, b, _ = _closing_state(u1, k, allow_huge)
-    return _closing_u2(a, b)
+    """The closing cotangent in lowest terms; Fraction's gcd only confirms it."""
+    return Fraction(*u2_coprime_parts(u1, k, allow_huge))
 
 
 def u2_direct_oracle(u1: Fraction | int, k: int, max_k: int = ORACLE_MAX_K) -> Fraction:
@@ -166,16 +167,7 @@ def read_fraction_file(path) -> Fraction:
     Tolerates '#' comment lines, blank lines and a bare integer, but
     exactly one value line must remain.
     """
-    values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values.append(parse_rational(line))
-            except FormulaParseError as exc:
-                raise FormulaParseError(str(exc), line=lineno) from None
+    values = list(parsed_lines(path, parse_rational))
     if len(values) != 1:
         raise FormulaParseError(f"expected exactly one fraction line, found {len(values)}")
     return values[0]

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from machinlike.errors import DomainError, FormulaParseError
 from machinlike.exactmath import (
-    bf_sqrt,
     coinciding_digits,
     complex_add,
     complex_div,
@@ -19,14 +18,11 @@ from machinlike.exactmath import (
     guard_digits,
     int_digit_count,
     int_log10,
-    isqrt,
     parse_rational,
     rational_log10_abs,
     round_sig,
     working_context,
 )
-
-SQRT2_40 = Decimal("1.414213562373095048801688724209698078570")
 
 
 def test_working_context_sets_and_restores_precision():
@@ -70,17 +66,6 @@ def test_round_sig_rejects_bad_input():
         round_sig(Decimal(1), 0)
 
 
-@given(st.integers(min_value=0, max_value=10**40))
-def test_isqrt_bounds(n):
-    r = isqrt(n)
-    assert r * r <= n < (r + 1) * (r + 1)
-
-
-def test_isqrt_negative():
-    with pytest.raises(DomainError):
-        isqrt(-1)
-
-
 def test_fraction_to_decimal_small_values():
     assert fraction_to_decimal(Fraction(1, 4), 20) == Decimal("0.25")
     assert fraction_to_decimal(Fraction(0), 20) == Decimal(0)
@@ -105,11 +90,11 @@ def test_fraction_to_decimal_close_to_true_value(frac, precision):
     assert err <= abs(frac) * Fraction(10) ** -(precision - 2)
 
 
-def test_bf_sqrt_exact_and_irrational():
-    assert bf_sqrt(4, 50) == 2
-    assert round_sig(bf_sqrt(2, 50), 40) == SQRT2_40
-    with pytest.raises(DomainError):
-        bf_sqrt(-1, 30)
+def test_fraction_to_decimal_divides_down_large_values():
+    # above 10**(precision + guard + 3) the scale shift is negative
+    third = Decimal("3.3333333333333333333E+79")
+    assert fraction_to_decimal(Fraction(10**80 + 7, 3), 20) == third
+    assert fraction_to_decimal(Fraction(-(10**80) - 7, 3), 20) == -third
 
 
 def test_int_log10_small_and_huge():
@@ -134,6 +119,13 @@ def test_int_digit_count_matches_str():
     for n in (0, 1, 9, 10, 99, 100, 10**50 - 1, 10**50, 10**50 + 1, 7**4000):
         assert int_digit_count(n) == len(str(abs(n))), n
     assert int_digit_count(-12345) == 5
+
+
+def test_int_digit_count_just_below_a_power_of_ten():
+    # the 40-digit estimate of log10(10**107 - 1) rounds up to 107,
+    # so the count must be corrected down
+    assert int_log10(10**107 - 1, 30) >= 107
+    assert int_digit_count(10**107 - 1) == 107
 
 
 @given(st.integers(min_value=1, max_value=10**200))

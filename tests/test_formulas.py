@@ -11,7 +11,6 @@ from machinlike.formulas import (
     MagnitudeOnly,
     fixtures,
     format_formula,
-    formula_leading_decimal,
     lehmer_measure,
     parse_formula_file,
     two_term_formula,
@@ -148,12 +147,6 @@ def test_parse_formula_empty(tmp_path):
     path.write_text("# nothing here\n", encoding="ascii")
     with pytest.raises(FormulaParseError):
         parse_formula_file(path)
-
-
-def test_leading_decimal():
-    assert formula_leading_decimal(Fraction(-239)) == Decimal(-239)
-    stand_in = MagnitudeOnly(sign=-1, magnitude=Decimal("2.4e8"))
-    assert formula_leading_decimal(stand_in) == Decimal("-2.4e8")
 
 
 def test_package_all_lists_exactly_the_public_imports():

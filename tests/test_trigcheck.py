@@ -89,6 +89,26 @@ def test_u2_trig_matches_exact_fraction():
         assert coinciding_digits(trig, exact) >= 50 - k - 10, k
 
 
+# cot(pi/16) to 30 digits: at k = 3 the angle 4 * atan(2u1/(u1^2 - 1))
+# lands within about 1e-29 of pi/2, so 1 - sin(phi) cancels some 60 digits
+COT_PI_16 = Fraction("5.02733949212584810451497507106")
+
+
+def test_u2_trig_retries_when_1_minus_sin_cancels(monkeypatch):
+    import machinlike.trigcheck as trigcheck
+    precisions = []
+
+    def counting_arctan(x, precision):
+        precisions.append(precision)
+        return dec_arctan(x, precision)
+
+    monkeypatch.setattr(trigcheck, "dec_arctan", counting_arctan)
+    trig = u2_trig(COT_PI_16, 3, 100)
+    assert len(precisions) == 2 and precisions[1] > precisions[0]
+    exact = u2_of(COT_PI_16, 3)
+    assert abs(Fraction(trig) - exact) <= abs(exact) / 10**99
+
+
 def test_u2_trig_domain():
     with pytest.raises(DomainError):
         u2_trig(1, 3, 40)
