@@ -33,15 +33,14 @@ from .radical import MAX_LADDER_K, RadicalPoint, ladder_eval, u1_of_k
 from .squaring import (
     DESK_SCALE_MAX_K,
     ComplexRationalState,
+    closing_parts,
     init_state,
     read_fraction_file,
     shared_parts,
     square_step,
     state_at,
     u2_direct_oracle,
-    u2_from_state,
     u2_of,
-    u2_parts,
     write_fraction_file,
 )
 from .formulas import (
@@ -63,7 +62,6 @@ from .series import (
     arctan_auto,
     arctan_coeff_states,
     arctan_complex,
-    arctan_euler,
     arctan_euler_exact,
     arctan_fast,
     arctan_fast_exact,
@@ -79,7 +77,6 @@ from .trigcheck import (
     TrigCheckResult,
     dec_arctan,
     dec_sin_cos,
-    rational_sin_cos,
     u2_trig,
     verify_k,
 )
@@ -108,10 +105,10 @@ __all__ = [
     "arctan_auto",
     "arctan_coeff_states",
     "arctan_complex",
-    "arctan_euler",
     "arctan_euler_exact",
     "arctan_fast",
     "arctan_fast_exact",
+    "closing_parts",
     "coinciding_digits",
     "convergence_report_dict",
     "convergence_scan",
@@ -130,7 +127,6 @@ __all__ = [
     "parse_formula_file",
     "pi_two_term",
     "rational_log10_abs",
-    "rational_sin_cos",
     "read_fraction_file",
     "reference_pi",
     "round_sig",
@@ -142,9 +138,7 @@ __all__ = [
     "two_term_series_states",
     "u1_of_k",
     "u2_direct_oracle",
-    "u2_from_state",
     "u2_of",
-    "u2_parts",
     "u2_trig",
     "validate_formula",
     "verify_k",

@@ -260,7 +260,7 @@ def _measured_pair(k: int, allow_huge: bool) -> tuple[formulas.MachinFormula, st
     chain's parts, with no gcd, up to the cap or with allow_huge, else "magnitude" from trig."""
     u1 = u1_of_k(k)
     if k <= DESK_SCALE_MAX_K or allow_huge:
-        num, den = squaring.u2_coprime_parts(u1, k, allow_huge=True)
+        num, den, _ = squaring.closing_parts(u1, k, allow_huge=True)
         with working_context(40):
             magnitude = Decimal(10) ** (int_log10(num) - int_log10(den))
         sign, path = (-1 if (num < 0) != (den < 0) else 1), "exact"

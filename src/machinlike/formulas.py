@@ -19,6 +19,7 @@ from .errors import DomainError, FormulaParseError, PrecisionError
 from .exactmath import (
     format_rational,
     guard_digits,
+    int_digit_count,
     parse_rational,
     parsed_lines,
     rational_log10_abs,
@@ -51,6 +52,16 @@ class MagnitudeOnly:
 Cotangent = Fraction | MagnitudeOnly
 
 
+def _shown(beta: Cotangent) -> str:
+    """beta in full up to 60 digits of parts, as generate shows u2, else its size."""
+    if isinstance(beta, MagnitudeOnly):
+        return str(beta)
+    num, den = int_digit_count(beta.numerator), int_digit_count(beta.denominator)
+    if num + den <= 60:
+        return format_rational(beta)
+    return f"a rational of {num}/{den} digits"
+
+
 @dataclass(frozen=True)
 class MachinFormula:
     """Terms are (integer coefficient, cotangent) pairs."""
@@ -71,8 +82,7 @@ class MachinFormula:
             if exact:
                 beta = Fraction(beta)
             if (abs(beta) if exact else beta.magnitude) <= 1:
-                shown = format_rational(beta) if exact else beta
-                raise DomainError(f"term {index}: |cotangent| must exceed 1, got {shown}")
+                raise DomainError(f"term {index}: |cotangent| must exceed 1, got {_shown(beta)}")
             normalized.append((coeff, beta))
         if not normalized:
             raise DomainError("a formula needs at least one term")
@@ -103,22 +113,29 @@ class ValidationResult:
     precision: int
 
 
+# A term adds 1/L to e, L = log10 |beta|, so an error dL moves e by dL/L^2.  L is
+# a difference of 40-digit logarithms of beta's parts: dL < 1e-35 for parts up to
+# 1e9 digits at guard 0, and e moves < 1e-11 above this bound.  Below it, refuse.
+_MIN_LOG10_COTANGENT = Decimal("1e-12")
+
+
 def lehmer_measure(formula: MachinFormula) -> MeasureReport:
     """Score a formula: smaller e means fewer series terms per digit."""
     contributions = []
     with working_context(40):
-        for _, beta in formula.terms:
+        for index, (_, beta) in enumerate(formula.terms, start=1):
             if isinstance(beta, MagnitudeOnly):
                 log = beta.magnitude.log10()
             else:
                 log = rational_log10_abs(beta, 40)
+            if log < _MIN_LOG10_COTANGENT:
+                raise DomainError(
+                    f"term {index}: log10 |cotangent| is below {_MIN_LOG10_COTANGENT}, "
+                    f"too close to 1 for e to 6 decimals")
             contributions.append(1 / log)
         total = sum(contributions)
-    return MeasureReport(
-        formula=formula.name,
-        e=total.quantize(Decimal("0.000001")),
-        contributions=tuple(contributions),
-    )
+        e = total.quantize(Decimal("0.000001"))
+    return MeasureReport(formula=formula.name, e=e, contributions=tuple(contributions))
 
 
 def validate_formula(formula: MachinFormula, precision: int) -> ValidationResult:

@@ -198,12 +198,6 @@ def arctan_fast_exact(x: Fraction | int, terms: int) -> Fraction:
     return 2 * total
 
 
-def arctan_euler(x: Fraction | int, terms: int, precision: int) -> Decimal:
-    """Euler's accelerated series summed m = 0..terms-1, to ``precision``
-    significant digits: the exact truncation, rounded once."""
-    return fraction_to_decimal(arctan_euler_exact(x, terms), precision)
-
-
 def arctan_euler_exact(x: Fraction | int, terms: int) -> Fraction:
     """Exact rational value of the Euler truncation.  The term ratio is
     (2m/(2m+1)) * x^2/(1+x^2)."""
@@ -384,15 +378,9 @@ def arctan_sum(pairs: Iterable[tuple[int, Fraction | int]], precision: int,
 
 
 def pi_two_term(k: int, u1: Fraction | int, u2: Fraction | int, terms: int,
-                precision: int, exact_coeffs: bool = False) -> Decimal:
+                precision: int) -> Decimal:
     """pi from the assembled identity pi = 4*(2^(k-1) atan(1/u1) + atan(1/u2)),
-    each branch truncated after ``terms`` terms by arctan_sum.
-
-    exact_coeffs=True sums the closing branch as an exact rational
-    (arctan_fast_exact) instead, sharing no code with the kernel.
-    """
-    if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
+    each branch truncated after ``terms`` terms by arctan_sum."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     try:
@@ -400,16 +388,8 @@ def pi_two_term(k: int, u1: Fraction | int, u2: Fraction | int, terms: int,
     except TypeError:
         raise DomainError("both cotangents must be exact rationals; "
                           "magnitude-only stand-ins cannot drive the series") from None
-    if not exact_coeffs:
-        return round_sig(arctan_sum(((2 ** (k + 1), u1), (4, u2)), precision, terms),
-                         precision)
-    # the 2^(k-1) multiplier amplifies the lead branch error by ~0.3k digits
-    work = precision + k + guard_digits()
-    lead = arctan_fast(1 / u1, terms, work)
-    closing = fraction_to_decimal(arctan_fast_exact(1 / u2, terms), work)
-    with working_context(work):
-        result = 4 * (Decimal(2) ** (k - 1) * lead + closing)
-    return round_sig(result, precision)
+    return round_sig(arctan_sum(((2 ** (k + 1), u1), (4, u2)), precision, terms),
+                     precision)
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,6 +4,10 @@ z(1) = (u1 + i)/(u1 - i) has modulus 1 and rational parts.  Squaring it
 k-1 times lands on z(k) = x(k) + i*y(k), still rational and still on the
 unit circle, and the closing cotangent of the two-term identity is
 u2 = x(k)/(1 - y(k)).  Everything here is exact; no rounding ever enters.
+
+One integer loop, shared_parts, runs the chain: state_at reads it as
+Fractions and closing_parts holds the one closing rule.  init_state and
+square_step are the plain Fraction reference it is tested against.
 """
 
 from __future__ import annotations
@@ -48,21 +52,6 @@ def square_step(state: ComplexRationalState) -> ComplexRationalState:
     return ComplexRationalState(n=state.n + 1, x=(x - y) * (x + y), y=2 * x * y)
 
 
-def state_at(u1: Fraction | int, k: int, allow_huge: bool = False) -> ComplexRationalState:
-    """State after k-1 squarings, i.e. z raised to the 2**(k-1)."""
-    _check_depth(k, allow_huge)
-    state = init_state(u1)
-    for _ in range(k - 1):
-        state = square_step(state)
-    return state
-
-
-def u2_from_state(state: ComplexRationalState) -> Fraction:
-    if state.y == 1:
-        raise DegenerateFormulaError("y(k) = 1 leaves the closing cotangent undefined")
-    return state.x / (1 - state.y)
-
-
 def _check_depth(k: int, allow_huge: bool, least: int = 1) -> None:
     if k < least:
         raise DomainError(f"k must be >= {least}, got {k}")
@@ -91,42 +80,32 @@ def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple[
     return x, y, d
 
 
-def _closing_state(u1: Fraction | int, k: int, allow_huge: bool) -> tuple[int, int, int]:
-    """(A, B, D) with z(k-1) = (A + iB)/D, the state one squaring short of k.
+def state_at(u1: Fraction | int, k: int, allow_huge: bool = False) -> ComplexRationalState:
+    """z(k), z(1) raised to the 2**(k-1): the integer chain read as Fractions."""
+    x, y, d = shared_parts(u1, k, allow_huge)
+    return ComplexRationalState(n=k, x=Fraction(x, d), y=Fraction(y, d))
 
-    The last squaring gives X = (A - B)(A + B) and, since A^2 + B^2 = D^2
-    exactly, D^2 - Y = (A - B)^2.  So u2 = X/(D^2 - Y) = (A + B)/(A - B):
-    the enormous common factor A - B cancels by algebra, not by a gcd.
+
+def closing_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple[int, int, int]:
+    """(A + B, A - B, D) with z(k-1) = (A + iB)/D, one squaring short of k.
+
+    The last squaring gives x(k) = (A - B)(A + B)/D^2 and, as A^2 + B^2 = D^2,
+    1 - y(k) = (A - B)^2/D^2.  So u2 = (A + B)/(A - B): the enormous common
+    factor A - B cancels by algebra, not by a gcd.  A and B are coprime with
+    opposite parity, so the parts are coprime, and (A + B)^2 + (A - B)^2 = 2D^2.
+    The sign of u2 may sit on either part.
     """
     _check_depth(k, allow_huge, least=2)
     a, b, d = shared_parts(u1, k - 1, allow_huge)
     if a == b:
         raise DegenerateFormulaError("y(k) = 1 leaves the closing cotangent undefined")
-    return a, b, d
-
-
-def _closing_u2(a: int, b: int) -> Fraction:
-    """u2 = (A + B)/(A - B) from the parts of _closing_state, in lowest terms."""
-    return Fraction(a + b, a - b)
-
-
-def u2_coprime_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple[int, int]:
-    """(A + B, A - B): u2 at k from the state at k - 1, before Fraction moves the
-    sign to the numerator.  The parts are coprime, as A and B are with opposite
-    parity, so they give u2's size and sign with no gcd and no product."""
-    a, b, _ = _closing_state(u1, k, allow_huge)
-    return a + b, a - b
-
-
-def u2_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple[int, int]:
-    """Unreduced (X, D - Y) of u2 at k, formed as ((A - B)(A + B), (A - B)^2)."""
-    num, den = u2_coprime_parts(u1, k, allow_huge)
-    return den * num, den * den
+    return a + b, a - b, d
 
 
 def u2_of(u1: Fraction | int, k: int, allow_huge: bool = False) -> Fraction:
     """The closing cotangent in lowest terms; Fraction's gcd only confirms it."""
-    return Fraction(*u2_coprime_parts(u1, k, allow_huge))
+    num, den, _ = closing_parts(u1, k, allow_huge)
+    return Fraction(num, den)
 
 
 def u2_direct_oracle(u1: Fraction | int, k: int, max_k: int = ORACLE_MAX_K) -> Fraction:

@@ -4,7 +4,8 @@ With phi = 2^(k-1) * atan(2*u1/(u1^2 - 1)), the closing cotangent is
 exactly cos(phi)/(1 - sin(phi)).  Evaluating that in plain decimal
 trigonometry and comparing against the exact rational from the squaring
 chain catches errors in either path; the two computations share nothing
-but the integer u1.
+but the integer u1.  The exact (sin phi, cos phi) is state_at's (y, x),
+and verify_k reads the chain through squaring.closing_parts.
 
 The 1 - sin(phi) denominator is brutally ill-conditioned on purpose:
 sin(phi) approaches 1 like 2/u2^2, so roughly 2*log10|u2| digits die in
@@ -147,16 +148,6 @@ def u2_trig(u1: int, k: int, precision: int) -> Decimal:
         f"precision for u1={u1}, k={k}")
 
 
-def rational_sin_cos(u1: int, k: int, allow_huge: bool = False) -> tuple[Fraction, Fraction]:
-    """Exact (sin, cos) of 2^(k-1) * atan(2*u1/(u1^2 - 1)) as rationals.
-
-    These are the (y, x) coordinates of the squaring chain; the angle
-    doubles each step, so step k lands exactly on the trig closed form.
-    """
-    state = squaring.state_at(u1, k, allow_huge=allow_huge)
-    return state.y, state.x
-
-
 @dataclass(frozen=True, slots=True)
 class TrigCheckResult:
     """Everything verify_k measured for one k."""
@@ -184,19 +175,19 @@ class TrigCheckResult:
 def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheckResult:
     """Run every independent check on the pair generated at k.
 
-    The squaring chain runs once, to the state (A + iB)/D at k - 1, which
-    is the last squaring the closing cotangent needs.  Checks: the unit
-    circle A^2 + B^2 == D^2 holds exactly there (equivalent to the check
-    at k); the trig closed form agrees with the exact u2 = (A + B)/(A - B)
-    to at least precision - k - 10 digits; up to ORACLE_MAX_K the direct
-    complex-rational oracle reproduces it term for term; and the assembled
-    identity 4*(2^(k-1) atan(1/u1) + atan(1/u2)) lands on the reference pi
-    to within 10**-(precision-5).
+    squaring.closing_parts runs the chain once, to (A + B, A - B, D) from
+    the state (A + iB)/D at k - 1.  Checks: (A + B)^2 + (A - B)^2 == 2D^2,
+    which is the unit circle A^2 + B^2 == D^2 there (equivalent to the
+    check at k); the trig closed form agrees with the exact
+    u2 = (A + B)/(A - B) to at least precision - k - 10 digits; up to
+    ORACLE_MAX_K the direct complex-rational oracle reproduces it term for
+    term; and the assembled identity 4*(2^(k-1) atan(1/u1) + atan(1/u2))
+    lands on the reference pi to within 10**-(precision-5).
     """
     u1 = u1_of_k(k)  # the ladder refuses k < 2
-    a, b, d = squaring._closing_state(u1, k, allow_huge)
-    unit_exact = a * a + b * b == d * d
-    exact_u2 = squaring._closing_u2(a, b)
+    num, den, d = squaring.closing_parts(u1, k, allow_huge)
+    unit_exact = num * num + den * den == 2 * d * d
+    exact_u2 = Fraction(num, den)
 
     trig = u2_trig(u1, k, precision)
     exact_dec = fraction_to_decimal(exact_u2, precision + 10)

@@ -1,7 +1,7 @@
 """Command line behavior: JSON summaries, artifacts, exit codes."""
 
 import json
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -214,6 +214,53 @@ def test_measure_formula_parse_failure(tmp_path, capsys):
     code, _, err = run(capsys, "measure", "--formula", str(path))
     assert code == EXIT_DOMAIN
     assert "line 2" in err
+
+
+def _near_one_formula(tmp_path, exponent, flip=False):
+    """``1 * atan(N/(N+1))`` with N = 10**exponent (flip: ``(N+1)/N``),
+    spelled out without str() of an int past its digit limit."""
+    n, n1 = "1" + "0" * exponent, "1" + "0" * (exponent - 1) + "1"
+    path = tmp_path / f"near-one-{exponent}.txt"
+    path.write_text(f"1 * atan({n1}/{n})\n" if flip else f"1 * atan({n}/{n1})\n",
+                    encoding="ascii")
+    return path
+
+
+def _reference_e(exponent):
+    """1/log10(1 + 10**-exponent) to 6 decimals, from ln(1 + t) summed at 200 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 200
+        t = Decimal(10) ** -exponent
+        ln1p = sum((-1) ** (j + 1) * t**j / j for j in range(1, 200 // exponent + 3))
+        return (Decimal(10).ln() / ln1p).quantize(Decimal("0.000001"))
+
+
+@pytest.mark.parametrize("guard", ["0", "10"])
+@pytest.mark.parametrize("exponent", [10, 20, 22, 60, 5000])
+def test_measure_cotangent_just_above_one(tmp_path, capsys, monkeypatch, exponent, guard):
+    # an e that is right in every decimal, or one refusal line and exit 4
+    monkeypatch.setenv("MACHINLIKE_GUARD_DIGITS", guard)
+    code, out, err = run(capsys, "measure", "--formula",
+                         str(_near_one_formula(tmp_path, exponent)))
+    if code == EXIT_OK:
+        assert Decimal(json.loads(out)["e"]) == _reference_e(exponent)
+    else:
+        assert code == EXIT_DOMAIN
+        assert err.count("\n") == 1 and len(err.encode()) < 200, err
+    # the refusal bound is log10 |cotangent| < 1e-12, whatever the guard digits
+    assert (code == EXIT_OK) == (exponent < 12)
+
+
+def test_rejected_cotangent_names_its_size_past_60_digits(tmp_path, capsys):
+    code, _, err = run(capsys, "measure", "--formula",
+                       str(_near_one_formula(tmp_path, 5000, flip=True)))
+    assert code == EXIT_DOMAIN
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert "5001/5001 digits" in err
+    short = tmp_path / "short.txt"
+    short.write_text("1 * atan(7/5)\n", encoding="ascii")
+    code, _, err = run(capsys, "measure", "--formula", str(short))
+    assert code == EXIT_DOMAIN and "got 5/7" in err
 
 
 def test_verify_ok(capsys):

@@ -1,6 +1,7 @@
 """Series engines: fast, Euler, complex cross-check, reference pi."""
 
 import json
+import math
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
@@ -9,12 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from machinlike.errors import ConsistencyError, DomainError, PrecisionError
-from machinlike.exactmath import coinciding_digits, fraction_to_decimal, round_sig
+from machinlike.exactmath import (
+    coinciding_digits, fraction_to_decimal, round_sig, working_context)
 from machinlike.series import (
     arctan_auto,
     arctan_coeff_states,
     arctan_complex,
-    arctan_euler,
     arctan_euler_exact,
     arctan_fast,
     arctan_fast_exact,
@@ -88,14 +89,19 @@ def test_two_term_states_branches_stay_independent():
 def test_euler_matches_fast_in_the_limit():
     for x in (Fraction(1, 5), Fraction(1, 40), Fraction(-3, 7)):
         fast = arctan_fast(x, 60, 50)
-        euler = arctan_euler(x, 400, 50)
+        euler = fraction_to_decimal(arctan_euler_exact(x, 400), 50)
         assert coinciding_digits(fast, euler) >= 45, x
 
 
 def test_euler_exact_matches_decimal_path():
+    # Euler's terms in closed form, 2^2n (n!)^2/(2n+1)! x^(2n+1)/(1+x^2)^(n+1),
+    # summed in Decimal: no term ratio shared with the exact recurrence
     exact = arctan_euler_exact(Fraction(1, 5), 30)
-    dec = arctan_euler(Fraction(1, 5), 30, 60)
-    assert coinciding_digits(fraction_to_decimal(exact, 70), dec) >= 55
+    with working_context(70):
+        x = Decimal(1) / 5
+        dec = sum(Decimal(4**n * math.factorial(n)**2) / math.factorial(2 * n + 1)
+                  * x**(2 * n + 1) / (1 + x * x)**(n + 1) for n in range(30))
+    assert coinciding_digits(fraction_to_decimal(exact, 70), dec) >= 60
 
 
 def test_complex_evaluation_agrees_with_integer_path():
@@ -107,15 +113,17 @@ def test_complex_evaluation_agrees_with_integer_path():
 
 def test_zero_argument_short_circuits():
     assert arctan_fast(0, 5, 30) == 0
-    assert arctan_euler(0, 5, 30) == 0
+    assert arctan_euler_exact(0, 5) == 0
     assert arctan_complex(0, 5, 30) == 0
     assert series_error(0, 5) == 0
 
 
 def test_bad_term_counts():
-    for fn in (arctan_fast, arctan_euler, arctan_complex):
+    for fn in (arctan_fast, arctan_complex):
         with pytest.raises(DomainError):
             fn(Fraction(1, 5), 0, 30)
+    with pytest.raises(DomainError):
+        arctan_euler_exact(Fraction(1, 5), 0)
 
 
 def test_series_error_frozen_values():
@@ -177,13 +185,6 @@ def test_pi_two_term_k6():
     u2 = u2_of(40, 6)
     value = pi_two_term(6, 40, u2, 31, 100)
     assert coinciding_digits(value, reference_pi(110)) >= 100
-
-
-def test_pi_two_term_exact_coeff_branch():
-    u2 = u2_of(40, 6)
-    floated = pi_two_term(6, 40, u2, 12, 45)
-    exact = pi_two_term(6, 40, u2, 12, 45, exact_coeffs=True)
-    assert coinciding_digits(floated, exact) >= 40
 
 
 def test_pi_two_term_rejects_magnitude_stand_in():

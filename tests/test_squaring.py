@@ -19,15 +19,14 @@ from machinlike.errors import (
 from machinlike.squaring import (
     DESK_SCALE_MAX_K,
     ComplexRationalState,
+    closing_parts,
     init_state,
     read_fraction_file,
     shared_parts,
     square_step,
     state_at,
     u2_direct_oracle,
-    u2_from_state,
     u2_of,
-    u2_parts,
     write_fraction_file,
 )
 
@@ -65,7 +64,8 @@ def test_u2_small_cases():
 def test_k3_chain_values():
     state = state_at(5, 3)
     assert (state.x, state.y) == (Fraction(-239, 28561), Fraction(28560, 28561))
-    assert u2_from_state(state) == -239
+    # z(2) = (119 + 120i)/169, so u2 = (119 + 120)/(119 - 120)
+    assert closing_parts(5, 3) == (239, -1, 169)
 
 
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=7))
@@ -94,25 +94,30 @@ def test_rational_u1_supported():
 
 
 def test_shared_parts_match_state():
-    for u1, k in ((5, 3), (40, 6), (163, 4)):
+    for u1, k in ((5, 3), (40, 6), (163, 4), (Fraction(163, 7), 5)):
+        # the plain Fraction reference, step by step
+        state = init_state(u1)
+        for _ in range(k - 1):
+            state = square_step(state)
         x_num, y_num, den = shared_parts(u1, k)
-        state = state_at(u1, k)
         assert Fraction(x_num, den) == state.x
         assert Fraction(y_num, den) == state.y
         assert x_num * x_num + y_num * y_num == den * den
+        assert state_at(u1, k) == state
 
 
-def test_u2_parts_reduce_to_u2():
-    num, den = u2_parts(40, 6)
+def test_closing_parts_reduce_to_u2():
+    num, den, d = closing_parts(40, 6)
     assert Fraction(num, den) == U2_K6
-    # the parts carry a giant common factor on purpose; reduction is the
-    # caller's (cheap at this size) final step
-    assert math.gcd(num, den) > 1
+    # coprime by proof, so the parts are u2's reduced parts up to sign
+    assert (abs(num), abs(den)) == (abs(U2_K6.numerator), U2_K6.denominator)
+    assert num * num + den * den == 2 * d * d
 
 
 def test_final_reduction_halves_digit_counts():
-    num, den = u2_parts(40, 6)
-    assert len(str(abs(num))) > 90
+    # x(k) and 1 - y(k) share the factor A - B that closing_parts never forms
+    x, _, _ = shared_parts(40, 6)
+    assert len(str(abs(x))) > 90
     assert len(str(abs(U2_K6.numerator))) == 52
     assert len(str(U2_K6.denominator)) == 50
 
@@ -126,21 +131,21 @@ u1_values = st.one_of(
 @settings(deadline=None, max_examples=60)
 @given(u1_values, st.integers(min_value=2, max_value=9))
 def test_u2_from_the_state_one_squaring_short(u1, k):
-    u2 = u2_of(u1, k)
-    num, den = u2_parts(u1, k)
-    assert u2 == Fraction(num, den) == u2_direct_oracle(u1, k)
-    x, y, d = shared_parts(u1, k)
-    assert (num, den) == (x, d - y)
-    # (A + B)/(A - B) from the state at k - 1 is already in lowest terms
-    a, b, _ = shared_parts(u1, k - 1)
-    assert (u2.numerator, u2.denominator) in ((a + b, a - b), (-(a + b), b - a))
+    num, den, d = closing_parts(u1, k)
+    assert Fraction(num, den) == u2_of(u1, k) == u2_direct_oracle(u1, k)
+    assert num * num + den * den == 2 * d * d
+    # x(k) and D^2 - y(k) of the full chain at k carry the extra factor A - B
+    x, y, d_k = shared_parts(u1, k)
+    assert (x, d_k - y) == (num * den, den * den)
+    # so (A + B)/(A - B) is already in lowest terms
+    assert math.gcd(num, den) == 1
 
 
 def test_desk_scale_cap():
     with pytest.raises(DomainError):
         state_at(2, DESK_SCALE_MAX_K + 1)
     with pytest.raises(DomainError):
-        u2_parts(2, DESK_SCALE_MAX_K + 1)
+        closing_parts(2, DESK_SCALE_MAX_K + 1)
     # the gate is on k, although u2 needs the chain only up to k - 1
     with pytest.raises(DomainError):
         u2_of(2, DESK_SCALE_MAX_K + 1)
@@ -155,10 +160,12 @@ def test_oracle_depth_limit():
     assert u2_direct_oracle(5, 13, max_k=13) == u2_of(5, 13)
 
 
-def test_degenerate_state_rejected():
-    bad = ComplexRationalState(n=1, x=Fraction(0), y=Fraction(1))
+def test_degenerate_state_rejected(monkeypatch):
+    import machinlike.squaring as squaring
+    # no rational u1 reaches A == B (that is z(k-1) = e^(i pi/4)); fake the chain
+    monkeypatch.setattr(squaring, "shared_parts", lambda u1, k, allow_huge=False: (3, 3, 5))
     with pytest.raises(DegenerateFormulaError):
-        u2_from_state(bad)
+        closing_parts(5, 3)
 
 
 def test_u2_of_k1_rejected():

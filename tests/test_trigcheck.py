@@ -14,11 +14,12 @@ from machinlike.exactmath import (
     working_context,
 )
 from machinlike.series import reference_pi
-from machinlike.squaring import DESK_SCALE_MAX_K, u2_of
+from machinlike import squaring
+from machinlike.cli import EXIT_VERIFY, main
+from machinlike.squaring import DESK_SCALE_MAX_K, state_at, u2_of
 from machinlike.trigcheck import (
     dec_arctan,
     dec_sin_cos,
-    rational_sin_cos,
     u2_trig,
     verify_k,
 )
@@ -119,14 +120,19 @@ def test_u2_trig_domain():
 
 
 def test_rational_sin_cos_k3():
-    s, c = rational_sin_cos(5, 3)
-    assert (s, c) == (Fraction(28560, 28561), Fraction(-239, 28561))
-    assert s * s + c * c == 1
+    # the chain's (y, x) at k are the exact (sin, cos) of 2^(k-1) atan(2u1/(u1^2 - 1))
+    state = state_at(5, 3)
+    with working_context(50):
+        phi = 4 * dec_arctan(fraction_to_decimal(Fraction(10, 24), 50), 50)
+    s, c = dec_sin_cos(phi, 45)
+    assert coinciding_digits(s, fraction_to_decimal(state.y, 50)) >= 40
+    assert coinciding_digits(c, fraction_to_decimal(state.x, 50)) >= 40
 
 
 def test_rational_sin_cos_closes_the_formula():
-    s, c = rational_sin_cos(40, 6)
-    assert c / (1 - s) == u2_of(40, 6)
+    # cos/(1 - sin) at k against closing_parts, which stops at k - 1
+    state = state_at(40, 6)
+    assert state.x / (1 - state.y) == u2_of(40, 6)
 
 
 def test_verify_k_small_depths():
@@ -165,6 +171,22 @@ def test_verify_k_json_view_is_pinned():
         '"required_digits": 27, "unit_circle_exact": true, "oracle_matched": true, '
         '"identity_residual": "6E-51", "identity_threshold": "1E-35", '
         '"precision": 40, "ok": true}')
+
+
+def test_verify_k_catches_a_wrong_chain(monkeypatch, capsys):
+    real = squaring.closing_parts
+
+    def off_by_one(u1, k, allow_huge=False):
+        num, den, d = real(u1, k, allow_huge)
+        return num + 1, den, d
+
+    monkeypatch.setattr(squaring, "closing_parts", off_by_one)
+    result = verify_k(6, precision=60)
+    assert result.unit_circle_exact is False
+    assert result.oracle_matched is False
+    assert result.ok is False
+    assert main(["verify", "--k", "6", "--precision", "60"]) == EXIT_VERIFY
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_verify_k_rejects_k1():
