@@ -56,22 +56,16 @@ from .formulas import (
     validate_formula,
 )
 from .series import (
-    ArctanCoeffState,
     ConvergenceReport,
-    PiSeriesCoeffState,
     arctan_auto,
-    arctan_coeff_states,
     arctan_complex,
     arctan_euler_exact,
     arctan_fast,
     arctan_fast_exact,
-    convergence_report_dict,
     convergence_scan,
     pi_two_term,
     reference_pi,
     series_error,
-    two_term_series_states,
-    write_convergence_csv,
 )
 from .trigcheck import (
     TrigCheckResult,
@@ -84,7 +78,6 @@ from .trigcheck import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "ArctanCoeffState",
     "ComplexRationalState",
     "ConsistencyError",
     "ConvergenceReport",
@@ -96,21 +89,18 @@ __all__ = [
     "MachinFormula",
     "MagnitudeOnly",
     "MeasureReport",
-    "PiSeriesCoeffState",
     "PrecisionError",
     "RadicalPoint",
     "TrigCheckResult",
     "UsageError",
     "ValidationResult",
     "arctan_auto",
-    "arctan_coeff_states",
     "arctan_complex",
     "arctan_euler_exact",
     "arctan_fast",
     "arctan_fast_exact",
     "closing_parts",
     "coinciding_digits",
-    "convergence_report_dict",
     "convergence_scan",
     "dec_arctan",
     "dec_sin_cos",
@@ -135,7 +125,6 @@ __all__ = [
     "square_step",
     "state_at",
     "two_term_formula",
-    "two_term_series_states",
     "u1_of_k",
     "u2_direct_oracle",
     "u2_of",
@@ -143,6 +132,5 @@ __all__ = [
     "validate_formula",
     "verify_k",
     "working_context",
-    "write_convergence_csv",
     "write_fraction_file",
 ]

@@ -82,6 +82,8 @@ class RunConfig:
             raise UsageError(f"--precision must be >= 20, got {self.precision}")
         if self.terms is not None and self.terms < 1:
             raise UsageError(f"--terms must be >= 1, got {self.terms}")
+        if not 2 <= self.k_max <= MAX_LADDER_K:
+            raise UsageError(f"--k-max must be in 2..{MAX_LADDER_K}, got {self.k_max}")
 
 
 def _parse_fraction_arg(text: str, flag: str) -> Fraction:
@@ -210,7 +212,7 @@ def _load_formula(cfg: RunConfig) -> formulas.MachinFormula:
 
 def _auto_terms(formula: formulas.MachinFormula, precision: int) -> int:
     """Truncation order that clears ``precision`` digits on every branch."""
-    return max(series._auto_term_count(1 / beta, precision) for _, beta in formula.terms)
+    return max(series.auto_term_count(1 / beta, precision) for _, beta in formula.terms)
 
 
 def cmd_compute_pi(cfg: RunConfig) -> int:
@@ -337,8 +339,6 @@ def cmd_error_curve(cfg: RunConfig) -> int:
 
 
 def cmd_measure_sweep(cfg: RunConfig) -> int:
-    if cfg.k_max < 2:
-        raise UsageError(f"--k-max must be >= 2, got {cfg.k_max}")
     out = cfg.out or "measure-sweep.csv"
     rows = []
     for k in range(2, cfg.k_max + 1):

@@ -14,7 +14,7 @@ are integers obeying
 
 so every term is an exact integer ratio and each term contributes about
 log10(s/p^2) decimal digits.  One private generator runs this recurrence
-for both exact consumers, arctan_coeff_states and arctan_fast_exact.
+for the exact truncation, arctan_fast_exact.
 
 arctan_fast sums the series in one fixed-point integer kernel instead:
 term m is -2*Im(c_m)/(2m-1) with c_m = w^(2m-1), w = x/(x + 2i) =
@@ -24,21 +24,22 @@ exact small integers; wider arguments are first rounded to F bits, making
 each step a multiply and a shift.  F counts the requested digits, the
 guard digits, log10(1/|x|) and the digits of the term count, so termwise
 flooring never eats a delivered one.  One rule sizes every automatic term
-count, (digits + guard + 6)/log10(s/p^2) + 2 (arctan_auto), and one
+count, (digits + guard + 6)/log10(s/p^2) + 2 (auto_term_count), and one
 evaluator, arctan_sum, turns a formula's (coeff, beta) terms into
 sum coeff * atan(1/beta): compute-pi, validation, verification and
 pi_two_term all call it.  Euler's accelerated series (summed exactly) and
-a complex-arithmetic evaluation of the same sum serve as cross-checks, and
-an old-fashioned four-to-one arctangent pair computed with the plain
-Maclaurin series provides a pi that shares no code with any of it.
+a complex-arithmetic evaluation of the same sum serve as cross-checks.
+One plain Maclaurin loop in integers, _maclaurin_scaled, shares no code
+with any of it and serves both independent references: the four-to-one
+arctangent pair behind reference_pi and the arctangent series_error
+measures against.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -57,37 +58,6 @@ from .exactmath import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ArctanCoeffState:
-    """Exact series coefficients at truncation index m.
-
-    a is the imaginary and b the real part of (1 + 2i/x)^(2m-1); they
-    satisfy a*a + b*b == (1 + 4/x^2)^(2m-1) exactly.
-    """
-
-    m: int
-    a: Fraction
-    b: Fraction
-
-
-@dataclass(frozen=True, slots=True)
-class PiSeriesCoeffState:
-    """Joint coefficient state of the assembled two-term series.
-
-    (alpha, beta) drive the u1 branch and (gamma, theta) the u2 branch;
-    each pair is the (a, b) state of the arctangent series at argument
-    1/u1 and 1/u2 respectively, so alpha_1 = 2*u1, beta_1 = 1,
-    gamma_1 = 2*u2, theta_1 = 1.  The theta recurrence multiplies by u2,
-    not u1; the two branches never mix.
-    """
-
-    m: int
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    theta: Fraction
-
-
 def _scaled_parts(p: int, q: int):
     """Yield (A_m, B_m) at x = p/q for m = 1, 2, ...: the module docstring's recurrence."""
     big_a, big_b = 2 * q, p
@@ -95,30 +65,6 @@ def _scaled_parts(p: int, q: int):
     while True:
         yield big_a, big_b
         big_a, big_b = big_a * k_fac + c_fac * big_b, big_b * k_fac - c_fac * big_a
-
-
-def arctan_coeff_states(x: Fraction | int):
-    """Yield ArctanCoeffState for m = 1, 2, ... at exact rational x != 0."""
-    x = Fraction(x)
-    if x == 0:
-        raise DomainError("x must be nonzero")
-    p = x.numerator
-    ppow, psq = p, p * p
-    for m, (big_a, big_b) in enumerate(_scaled_parts(p, x.denominator), start=1):
-        yield ArctanCoeffState(m=m, a=Fraction(big_a, ppow), b=Fraction(big_b, ppow))
-        ppow *= psq
-
-
-def two_term_series_states(u1: Fraction | int, u2: Fraction | int):
-    """Yield PiSeriesCoeffState for m = 1, 2, ...
-
-    Exact rationals throughout; meant for analysis and tests at desk
-    scale, not for huge u2.
-    """
-    gen1 = arctan_coeff_states(1 / Fraction(u1))
-    gen2 = arctan_coeff_states(1 / Fraction(u2))
-    for s1, s2 in zip(gen1, gen2):
-        yield PiSeriesCoeffState(m=s1.m, alpha=s1.a, beta=s1.b, gamma=s2.a, theta=s2.b)
 
 
 _LOG10_2, _LOG2_10 = 0.3010299956639812, 3.321928094887362
@@ -251,26 +197,35 @@ def arctan_complex(x: Fraction | int, terms: int, precision: int) -> Decimal:
     return round_sig(result, precision)
 
 
-def _maclaurin_arctan_exact(x: Fraction, terms: int) -> Fraction:
-    """Plain alternating Maclaurin partial sum, exact; tail bound is
-    |x|^(2*terms+1)/(2*terms+1)."""
-    total = Fraction(0)
-    power = x
-    xsq = x * x
-    for n in range(terms):
-        contribution = power / (2 * n + 1)
-        total += contribution if n % 2 == 0 else -contribution
-        power *= xsq
+def _maclaurin_scaled(p: int, q: int, scale: int) -> int:
+    """atan(p/q)*scale, 0 < p < q, by the alternating Maclaurin series in
+    integers: each carried term scale*x^(2j+1) and each summand (term over
+    2j+1) is truncated toward zero, and the loop stops once a term floors to 0.
+
+    With x = p/q and r = 1/(1 - x^2), in units of 1: a carried term errs by
+    e_0 < 1 and e_(j+1) < x^2 e_j + 1, so by less than 1 + x^2 + x^4 + ... = r;
+    each summand by less than e_j + 1 < 1 + r; and the tail past the first
+    term T_J that floors to 0 (T_J < e_J < r) by at most
+    T_J (1 + x^2 + ...) < r^2.  With J summed terms the result is within
+    J (1 + r) + r^2 of scale*atan(x), and J is at most the count of j with
+    scale*x^(2j+1) >= 1, as a smaller term floors to 0."""
+    psq, qsq = p * p, q * q
+    term, total, n = scale * p // q, 0, 1
+    while term:
+        total += term // n if n % 4 == 1 else -(term // n)
+        n += 2
+        # reference_pi's p = 1 skips a full-width multiply by 1 every term
+        term = term * psq // qsq if p > 1 else term // qsq
     return total
 
 
 def series_error(x: Fraction | int, terms: int, series: str = "fast") -> Decimal:
-    """|atan(x) - truncation| for the fast or euler series, exactly.
+    """|atan(x) - truncation| for the fast or euler series.
 
-    The truncation is an exact rational; the reference arctangent is a
-    Maclaurin partial sum whose tail bound is pushed ten orders below the
-    difference being measured, so the leading digits returned are true
-    regardless of how tiny the error is.
+    The truncation is an exact rational; the reference is
+    _maclaurin_scaled(|p|, q, 10**D)/10**D, whose drift bound (in units of
+    10**-D) is pushed ten orders below the difference being measured, so
+    the leading digits returned are true regardless of how tiny the error is.
     """
     x = Fraction(x)
     if series not in ("fast", "euler"):
@@ -279,45 +234,36 @@ def series_error(x: Fraction | int, terms: int, series: str = "fast") -> Decimal
         raise DomainError(f"terms must be >= 1, got {terms}")
     if x == 0:
         return Decimal(0)
-    if abs(x) >= Fraction(9, 10):
+    x = abs(x)    # every truncation is odd in x, so the error is even
+    if x >= Fraction(9, 10):
         raise DomainError("the Maclaurin reference needs |x| < 0.9")
     exact = arctan_fast_exact if series == "fast" else arctan_euler_exact
     trunc = exact(x, terms)
     # the first omitted term sets the scale of the answer
-    scale = abs(exact(x, terms + 1) - trunc)
-    target_log = float(rational_log10_abs(scale)) - 15
-    lx = float(rational_log10_abs(x))
-    needed = max(int((target_log / lx - 1) / 2) + 4, 4)
+    first_omitted = abs(exact(x, terms + 1) - trunc)
+    r = 1 / (1 - x * x)
+    orders = -float(rational_log10_abs(x))
+    # at most D/(2 log10(1/x)) + 1 nonzero terms at scale 10**D
+    drift = lambda d: (int(d / (2 * orders)) + 2) * (1 + r) + r * r
+    digits = int(15 - float(rational_log10_abs(first_omitted)))
+    digits += len(str(int(drift(digits))))
     for _ in range(6):
-        reference = _maclaurin_arctan_exact(x, needed)
-        tail = abs(x) ** (2 * needed + 1) / (2 * needed + 1)
-        diff = abs(reference - trunc)
-        if tail * 10**10 < diff:
+        diff = abs(Fraction(_maclaurin_scaled(x.numerator, x.denominator, 10**digits),
+                            10**digits) - trunc)
+        if drift(digits) * 10**10 < diff * 10**digits:
             return fraction_to_decimal(diff, 10)
-        needed *= 2
-    raise ConsistencyError("Maclaurin tail bound failed to clear the measured error")
-
-
-def _atan_unit_scaled(c: int, scale: int) -> int:
-    """atan(1/c)*scale by the alternating unit-fraction Maclaurin series,
-    pure integer arithmetic, truncated toward zero termwise."""
-    term = scale // c
-    total = 0
-    n = 1
-    csq = c * c
-    while term:
-        total += term // n if n % 4 == 1 else -(term // n)
-        n += 2
-        term //= csq
-    return total
+        digits *= 2
+    raise ConsistencyError("Maclaurin drift bound failed to clear the measured error")
 
 
 @lru_cache(maxsize=32)
 def _pi_scaled(places: int) -> int:
-    # 25 guard digits swallow the termwise floor drift of the two sums
-    work = places + 25
-    scale = 10**work
-    value = 16 * _atan_unit_scaled(5, scale) - 4 * _atan_unit_scaled(239, scale)
+    # by _maclaurin_scaled's bound, 16 atan(1/5) - 4 atan(1/239) at scale
+    # 10**W, W = places + 25, drifts by under 26 W + 62 units, so the 25 guard
+    # digits keep the truncation exact unless pi's digits past ``places`` run
+    # 0s or 9s for about 25 - log10(26 W) places
+    scale = 10**(places + 25)
+    value = 16 * _maclaurin_scaled(1, 5, scale) - 4 * _maclaurin_scaled(1, 239, scale)
     return value // 10**25
 
 
@@ -344,7 +290,7 @@ def _term_rate(p: int, q: int) -> float:
     return 2 * t + math.log10(4 + 10.0 ** (-2 * min(t, 150.0)))
 
 
-def _auto_term_count(x: Fraction, precision: int) -> int:
+def auto_term_count(x: Fraction, precision: int) -> int:
     """Terms that take the fast series at x past ``precision`` digits: the one rule."""
     return int((precision + guard_digits() + 6) / _term_rate(x.numerator, x.denominator)) + 2
 
@@ -357,7 +303,7 @@ def arctan_auto(x: Fraction | int, precision: int) -> Decimal:
         return Decimal(0)
     if abs(x) > 1:
         raise DomainError("arctan_auto expects |x| <= 1; pass the cotangent's reciprocal")
-    return arctan_fast(x, _auto_term_count(x, precision), precision)
+    return arctan_fast(x, auto_term_count(x, precision), precision)
 
 
 def arctan_sum(pairs: Iterable[tuple[int, Fraction | int]], precision: int,
@@ -441,27 +387,3 @@ def convergence_scan(k: int, u1: Fraction | int, u2: Fraction | int,
         measure=e.quantize(Decimal("0.000001")),
         predicted_rate=predicted.quantize(Decimal("0.01")),
     )
-
-
-def convergence_report_dict(report: ConvergenceReport) -> dict:
-    """JSON-ready view in field order: ints stay, tuples become lists, the rest
-    strings, and a u2 whose denominator reaches 10**40 reads "(large rational)"."""
-    view = {f.name: getattr(report, f.name) for f in fields(report)}
-    if report.u2.denominator >= 10**40:
-        # set before any str(): the parts of a deep u2 pass the int-to-str limit
-        view["u2"] = "(large rational)"
-    for name, value in view.items():
-        if not isinstance(value, int):
-            view[name] = list(value) if isinstance(value, tuple) else str(value)
-    return view
-
-
-def write_convergence_csv(report: ConvergenceReport, path) -> None:
-    """Columns M, digits, delta; delta is blank on the first row."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["M", "digits", "delta"])
-        previous = None
-        for m, d in zip(report.orders, report.digits):
-            writer.writerow([m, d, "" if previous is None else d - previous])
-            previous = d

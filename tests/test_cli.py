@@ -55,6 +55,8 @@ def test_run_config_rejects_bad_values():
         RunConfig(command="compute-pi", precision=10)
     with pytest.raises(UsageError):
         RunConfig(command="compute-pi", terms=0)
+    with pytest.raises(UsageError):
+        RunConfig(command="measure-sweep", k_max=65)
 
 
 def test_generate_k3(tmp_path, capsys):
@@ -339,6 +341,14 @@ def test_measure_sweep_crosses_into_magnitude(tmp_path, capsys):
 
 def test_measure_sweep_guard(capsys):
     assert run(capsys, "measure-sweep", "--k-max", "1")[0] == EXIT_USAGE
+
+
+def test_measure_sweep_refuses_k_max_past_the_ladder_before_any_row(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "measure-sweep", "--k-max", "65")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "--k-max must be in 2..64" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_compute_pi_explicit_short_truncation_reports_not_ok(capsys):

@@ -1,33 +1,29 @@
 """Series engines: fast, Euler, complex cross-check, reference pi."""
 
-import json
 import math
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from machinlike.errors import ConsistencyError, DomainError, PrecisionError
 from machinlike.exactmath import (
     coinciding_digits, fraction_to_decimal, round_sig, working_context)
 from machinlike.series import (
+    _maclaurin_scaled,
+    _scaled_parts,
     arctan_auto,
-    arctan_coeff_states,
     arctan_complex,
     arctan_euler_exact,
     arctan_fast,
     arctan_fast_exact,
-    convergence_report_dict,
     convergence_scan,
     pi_two_term,
     reference_pi,
     series_error,
-    two_term_series_states,
-    write_convergence_csv,
 )
-from machinlike.radical import u1_of_k
 from machinlike.squaring import u2_of
 
 PI_30 = Decimal("3.141592653589793238462643383279")
@@ -51,39 +47,13 @@ def test_fast_series_fifth():
     assert err.adjusted() == -23
 
 
-def test_coeff_states_start_values():
-    first = next(arctan_coeff_states(Fraction(1, 40)))
-    assert (first.a, first.b) == (Fraction(80), Fraction(1))
-    # negative arguments flip the odd part only
-    first = next(arctan_coeff_states(Fraction(-1, 239)))
-    assert (first.a, first.b) == (Fraction(-478), Fraction(1))
-
-
 @given(st.fractions(min_value=Fraction(-3), max_value=Fraction(3)).filter(lambda f: f != 0))
 def test_coeff_magnitude_law(x):
-    """a^2 + b^2 == (1 + 4/x^2)^(2m-1) exactly, every step."""
-    growth = 1 + 4 / (x * x)
-    for state in islice(arctan_coeff_states(x), 5):
-        assert state.a ** 2 + state.b ** 2 == growth ** (2 * state.m - 1)
-
-
-def test_two_term_states_initial_row():
-    u2 = u2_of(40, 6)
-    first = next(two_term_series_states(40, u2))
-    assert first.alpha == 2 * 40
-    assert first.beta == 1
-    assert first.gamma == 2 * u2
-    assert first.theta == 1
-
-
-def test_two_term_states_branches_stay_independent():
-    u2 = u2_of(5, 3)
-    rows = list(islice(two_term_series_states(5, u2), 4))
-    lead = list(islice(arctan_coeff_states(Fraction(1, 5)), 4))
-    close = list(islice(arctan_coeff_states(1 / u2), 4))
-    for row, a_state, b_state in zip(rows, lead, close):
-        assert (row.alpha, row.beta) == (a_state.a, a_state.b)
-        assert (row.gamma, row.theta) == (b_state.a, b_state.b)
+    """A^2 + B^2 == s^(2m-1), s = p^2 + 4q^2, exactly, every step."""
+    p, q = x.numerator, x.denominator
+    s = p * p + 4 * q * q
+    for m, (big_a, big_b) in enumerate(islice(_scaled_parts(p, q), 5), start=1):
+        assert big_a ** 2 + big_b ** 2 == s ** (2 * m - 1)
 
 
 def test_euler_matches_fast_in_the_limit():
@@ -152,6 +122,26 @@ def test_reference_pi_truncates():
         reference_pi(0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10**6).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q)))
+       .filter(lambda pq: 10 * pq[0] < 9 * pq[1]),
+       st.integers(0, 40))
+@example((2, 21), 1)    # no term survives: the tail bound r^2 alone, 93 % used
+@example((1, 11), 5)    # two summed terms, 20 % of the bound used
+def test_maclaurin_scaled_within_its_drift_bound(pq, digits):
+    """|_maclaurin_scaled(p, q, 10**D) - 10**D atan(p/q)| < J (1 + r) + r^2,
+    r = 1/(1 - x^2), J the count of j with 10**D x^(2j+1) >= 1."""
+    p, q = pq
+    x, scale = Fraction(p, q), 10**digits
+    r = 1 / (1 - x * x)
+    count = 0
+    while scale * x ** (2 * count + 1) >= 1:
+        count += 1
+    # Euler's term ratio stays below x^2/(1 + x^2) < 0.45: 4D + 60 terms pass D + 20 digits
+    atan = Fraction(fraction_to_decimal(arctan_euler_exact(x, 4 * digits + 60), digits + 10))
+    assert abs(_maclaurin_scaled(p, q, scale) - scale * atan) < count * (1 + r) + r * r
+
+
 def test_reference_pi_prefix_stability():
     # longer requests refine, never contradict, shorter ones
     long = str(reference_pi(120))
@@ -201,6 +191,10 @@ def test_convergence_scan_digits_increase():
     assert len(set(report.digits)) == len(report.digits)
     assert report.fitted_rate > 0
     assert str(report.measure) == "1.167513"
+    report = convergence_scan(3, 5, -239, 6, 200)
+    assert report.digits == (2, 4, 6, 8, 10, 13)
+    assert (str(report.fitted_rate), str(report.measure), str(report.predicted_rate)) == (
+        "2.50", "1.851128", "2.21")
 
 
 def test_convergence_scan_rate_against_prediction():
@@ -215,40 +209,3 @@ def test_convergence_scan_guards():
         convergence_scan(6, 40, u2, 2, 300)
     with pytest.raises(PrecisionError):
         convergence_scan(6, 40, u2, 60, 100)
-
-
-def test_convergence_csv_and_dict(tmp_path):
-    u2 = u2_of(5, 3)
-    report = convergence_scan(3, 5, u2, 6, 200)
-    path = tmp_path / "conv.csv"
-    write_convergence_csv(report, path)
-    lines = path.read_text(encoding="ascii").strip().splitlines()
-    assert lines[0] == "M,digits,delta"
-    assert len(lines) == 7
-    first = lines[1].split(",")
-    assert first[2] == ""
-    payload = convergence_report_dict(report)
-    json.dumps(payload)  # must be serializable as-is
-    assert payload["k"] == 3
-
-
-def test_convergence_report_dict_is_pinned():
-    report = convergence_scan(3, 5, -239, 6, 200)
-    assert json.dumps(convergence_report_dict(report)) == (
-        '{"k": 3, "u1": "5", "u2": "-239", "precision": 200, '
-        '"orders": [1, 2, 3, 4, 5, 6], "digits": [2, 4, 6, 8, 10, 13], '
-        '"fitted_rate": "2.50", "measure": "1.851128", "predicted_rate": "2.21"}')
-    # a u2 with a 50-digit denominator is named, not printed
-    wide = convergence_scan(6, 40, u2_of(40, 6), 3, 40)
-    assert convergence_report_dict(wide)["u2"] == "(large rational)"
-
-
-def test_convergence_report_dict_names_u2_past_the_int_text_limit():
-    # at k = 12 the parts of u2 run to about 6,700 digits, past the
-    # interpreter's default 4,300-digit int-to-str limit
-    u1 = u1_of_k(12)
-    u2 = u2_of(u1, 12)
-    assert u2.denominator.bit_length() * 0.30103 > 4300
-    payload = convergence_report_dict(convergence_scan(12, u1, u2, 3, 60))
-    assert payload["u2"] == "(large rational)"
-    assert payload["u1"] == str(u1)

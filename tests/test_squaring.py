@@ -141,7 +141,7 @@ def test_u2_from_the_state_one_squaring_short(u1, k):
     assert math.gcd(num, den) == 1
 
 
-def test_desk_scale_cap():
+def test_desk_scale_cap(monkeypatch):
     with pytest.raises(DomainError):
         state_at(2, DESK_SCALE_MAX_K + 1)
     with pytest.raises(DomainError):
@@ -149,9 +149,16 @@ def test_desk_scale_cap():
     # the gate is on k, although u2 needs the chain only up to k - 1
     with pytest.raises(DomainError):
         u2_of(2, DESK_SCALE_MAX_K + 1)
-    # the override lifts it
-    state = state_at(2, DESK_SCALE_MAX_K + 1, allow_huge=True)
-    assert state.x ** 2 + state.y ** 2 == 1
+    # the override lifts it; the integer parts stay on the unit circle
+    x, y, d = shared_parts(2, DESK_SCALE_MAX_K + 1, allow_huge=True)
+    assert x * x + y * y == d * d
+    # state_at forwards the override: at a lowered cap it refuses, then lifts
+    import machinlike.squaring as squaring
+    monkeypatch.setattr(squaring, "DESK_SCALE_MAX_K", 4)
+    with pytest.raises(DomainError):
+        state_at(2, 5)
+    state = state_at(2, 5, allow_huge=True)
+    assert state.n == 5 and state.x ** 2 + state.y ** 2 == 1
 
 
 def test_oracle_depth_limit():
