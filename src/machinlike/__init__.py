@@ -57,13 +57,11 @@ from .formulas import (
 )
 from .series import (
     ConvergenceReport,
-    arctan_auto,
     arctan_complex,
     arctan_euler_exact,
     arctan_fast,
     arctan_fast_exact,
     convergence_scan,
-    pi_two_term,
     reference_pi,
     series_error,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "TrigCheckResult",
     "UsageError",
     "ValidationResult",
-    "arctan_auto",
     "arctan_complex",
     "arctan_euler_exact",
     "arctan_fast",
@@ -115,7 +112,6 @@ __all__ = [
     "ladder_eval",
     "lehmer_measure",
     "parse_formula_file",
-    "pi_two_term",
     "rational_log10_abs",
     "read_fraction_file",
     "reference_pi",

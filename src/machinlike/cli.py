@@ -11,8 +11,9 @@ Subcommands::
                              [--x-min X] [--x-max X] [--out PATH]
     machinlike measure-sweep [--k-max N] [--out PATH]
 
-Every command prints a JSON summary to stdout; bulk artifacts (digit
-files, CSV tables) go to --out.  --u2-file without --k is a usage error.
+Every command prints its JSON summary to stdout whole or not at all, and
+bulk artifacts (digit files, CSV tables) to --out.  Fixed defaults live in
+the parser; _check_args refuses bad values (--u2-file without --k) up front.
 Exit codes: 0 success, 2 usage, 3 I/O, 4 domain or parse failure or out
 of memory, 5 verification failure (compute-pi: fewer digits than
 --precision with an auto-sized term count).
@@ -24,7 +25,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -52,45 +52,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DOMAIN = 4
 EXIT_VERIFY = 5
-
-
-@dataclass
-class RunConfig:
-    """Validated bundle of options for one invocation."""
-
-    command: str
-    k: int | None = None
-    precision: int = 100
-    terms: int | None = None
-    out: str | None = None
-    formula: str | None = None
-    fixture: str | None = None
-    u2_file: str | None = None
-    series: str = "fast"
-    samples: int = 41
-    x_min: Fraction | None = None
-    x_max: Fraction | None = None
-    k_max: int = 16
-    allow_huge: bool = False
-
-    def __post_init__(self):
-        if self.k is not None and not 2 <= self.k <= MAX_LADDER_K:
-            raise UsageError(f"--k must be in 2..{MAX_LADDER_K}, got {self.k}")
-        if self.u2_file is not None and self.k is None:
-            raise UsageError("--u2-file holds the u2 of one --k; it needs --k")
-        if self.precision < 20:
-            raise UsageError(f"--precision must be >= 20, got {self.precision}")
-        if self.terms is not None and self.terms < 1:
-            raise UsageError(f"--terms must be >= 1, got {self.terms}")
-        if not 2 <= self.k_max <= MAX_LADDER_K:
-            raise UsageError(f"--k-max must be in 2..{MAX_LADDER_K}, got {self.k_max}")
-
-
-def _parse_fraction_arg(text: str, flag: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{flag} expects a rational like -1/1000000 or 1e-6: {exc}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -136,6 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("error-curve", help="truncation error over an interval")
     common(p, terms=True, out=True)
+    p.set_defaults(terms=10)
     p.add_argument("--series", choices=("fast", "euler"), default="fast")
     p.add_argument("--samples", type=int, default=41)
     p.add_argument("--x-min", default="-1/1000000")
@@ -148,66 +110,81 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    options = dict(vars(args))
-    if args.command == "error-curve":
-        options["x_min"] = _parse_fraction_arg(args.x_min, "--x-min")
-        options["x_max"] = _parse_fraction_arg(args.x_max, "--x-max")
-    return RunConfig(**options)
+def _check_args(args: argparse.Namespace) -> None:
+    """Refuse the option values the parser lets through, before any work, and
+    read error-curve's bounds as Fractions.  The Namespace of a command holds
+    only that command's options."""
+    for flag in ("x_min", "x_max"):
+        if hasattr(args, flag):
+            try:
+                setattr(args, flag, Fraction(getattr(args, flag)))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise UsageError(f"--{flag.replace('_', '-')} expects a rational "
+                                 f"like -1/1000000 or 1e-6: {exc}")
+    k = getattr(args, "k", None)
+    if k is not None and not 2 <= k <= MAX_LADDER_K:
+        raise UsageError(f"--k must be in 2..{MAX_LADDER_K}, got {k}")
+    if getattr(args, "u2_file", None) is not None and k is None:
+        raise UsageError("--u2-file holds the u2 of one --k; it needs --k")
+    if getattr(args, "precision", 20) < 20:
+        raise UsageError(f"--precision must be >= 20, got {args.precision}")
+    if getattr(args, "terms", None) is not None and args.terms < 1:
+        raise UsageError(f"--terms must be >= 1, got {args.terms}")
+    if not 2 <= getattr(args, "k_max", 2) <= MAX_LADDER_K:
+        raise UsageError(f"--k-max must be in 2..{MAX_LADDER_K}, got {args.k_max}")
 
 
-def _check_desk_scale(cfg: RunConfig) -> None:
-    if cfg.k > DESK_SCALE_MAX_K and not cfg.allow_huge:
+def _check_desk_scale(args: argparse.Namespace) -> None:
+    if args.k > DESK_SCALE_MAX_K and not getattr(args, "allow_huge", False):
         # compute-pi needs u2 exactly and has no way past the cap
-        lift = ("" if cfg.command == "compute-pi" else
+        lift = ("" if args.command == "compute-pi" else
                 "; pass --allow-huge to proceed (expect long integer runtimes)")
-        raise UsageError(f"--k {cfg.k} exceeds the desk-scale cap {DESK_SCALE_MAX_K}{lift}")
+        raise UsageError(f"--k {args.k} exceeds the desk-scale cap {DESK_SCALE_MAX_K}{lift}")
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # formatted whole before the first byte goes out: a summary that cannot
+    # be written leaves stdout empty
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def cmd_generate(cfg: RunConfig) -> int:
-    k = cfg.k
-    _check_desk_scale(cfg)
+def cmd_generate(args: argparse.Namespace) -> int:
+    k = args.k
+    _check_desk_scale(args)
     u1 = u1_of_k(k)
-    u2 = squaring.u2_of(u1, k, allow_huge=cfg.allow_huge)
-    out = cfg.out or f"u2-k{k}.txt"
+    u2 = squaring.u2_of(u1, k, allow_huge=args.allow_huge)
+    out = args.out or f"u2-k{k}.txt"
     squaring.write_fraction_file(out, u2)
 
     formula = formulas.two_term_formula(k, u2_value=u2, u1=u1)
     report = formulas.lehmer_measure(formula)
-    check = formulas.validate_formula(formula, cfg.precision)
+    check = formulas.validate_formula(formula, args.precision)
 
-    num_digits = int_digit_count(u2.numerator)
-    den_digits = int_digit_count(u2.denominator)
     payload = {
         "k": k,
         "u1": u1,
-        "u2_num_digits": num_digits,
-        "u2_den_digits": den_digits,
+        "u2_num_digits": int_digit_count(u2.numerator),
+        "u2_den_digits": int_digit_count(u2.denominator),
         "e": str(report.e),
         "valid": check.valid,
         "residual": str(check.residual),
         "validation_precision": check.precision,
         "out": out,
     }
-    if num_digits + den_digits <= 60:
-        payload["u2"] = f"{u2.numerator}/{u2.denominator}"
+    if (text := formulas.full_text(u2)) is not None:
+        payload["u2"] = text
     _emit(payload)
     return EXIT_OK if check.valid else EXIT_VERIFY
 
 
-def _load_formula(cfg: RunConfig) -> formulas.MachinFormula:
-    if cfg.formula is not None:
-        return formulas.parse_formula_file(cfg.formula)
+def _load_formula(args: argparse.Namespace) -> formulas.MachinFormula:
+    if args.formula is not None:
+        return formulas.parse_formula_file(args.formula)
     table = formulas.fixtures()
-    if cfg.fixture not in table:
+    if args.fixture not in table:
         raise UsageError(
-            f"unknown fixture {cfg.fixture!r}; known: {', '.join(sorted(table))}")
-    return table[cfg.fixture]
+            f"unknown fixture {args.fixture!r}; known: {', '.join(sorted(table))}")
+    return table[args.fixture]
 
 
 def _auto_terms(formula: formulas.MachinFormula, precision: int) -> int:
@@ -215,19 +192,19 @@ def _auto_terms(formula: formulas.MachinFormula, precision: int) -> int:
     return max(series.auto_term_count(1 / beta, precision) for _, beta in formula.terms)
 
 
-def cmd_compute_pi(cfg: RunConfig) -> int:
-    precision = cfg.precision
-    if cfg.k is None:
-        formula = _load_formula(cfg)
+def cmd_compute_pi(args: argparse.Namespace) -> int:
+    precision = args.precision
+    if args.k is None:
+        formula = _load_formula(args)
     else:
-        _check_desk_scale(cfg)
-        u1 = u1_of_k(cfg.k)
-        if cfg.u2_file is not None:
-            u2 = squaring.read_fraction_file(cfg.u2_file)
+        _check_desk_scale(args)
+        u1 = u1_of_k(args.k)
+        if args.u2_file is not None:
+            u2 = squaring.read_fraction_file(args.u2_file)
         else:
-            u2 = squaring.u2_of(u1, cfg.k)
-        formula = formulas.two_term_formula(cfg.k, u2_value=u2, u1=u1)
-    terms = cfg.terms or _auto_terms(formula, precision)
+            u2 = squaring.u2_of(u1, args.k)
+        formula = formulas.two_term_formula(args.k, u2_value=u2, u1=u1)
+    terms = args.terms or _auto_terms(formula, precision)
     # pi is the sum at 4 * coeff; 8 spare digits keep rounding out of the digit file
     value = series.arctan_sum([(4 * c, beta) for c, beta in formula.terms],
                               precision + 8, terms)
@@ -243,13 +220,13 @@ def cmd_compute_pi(cfg: RunConfig) -> int:
         "coinciding_digits": matched,
         "ok": ok,
     }
-    if cfg.out:
+    if args.out:
         text = digits_prefix(value, precision + 1)
-        with open(cfg.out, "w", encoding="ascii") as fh:
+        with open(args.out, "w", encoding="ascii") as fh:
             fh.write("3." + text[1:] + "\n")
-        payload["out"] = cfg.out
+        payload["out"] = args.out
     _emit(payload)
-    if not ok and cfg.terms is None:
+    if not ok and args.terms is None:
         # an explicit --terms asks for the truncation; an auto-sized one
         # promised the digits
         print(f"compute-pi delivered {matched} of {precision} digits", file=sys.stderr)
@@ -273,11 +250,11 @@ def _measured_pair(k: int, allow_huge: bool) -> tuple[formulas.MachinFormula, st
     return formulas.two_term_formula(k, u2_value=stand_in, u1=u1), path
 
 
-def cmd_measure(cfg: RunConfig) -> int:
-    if cfg.k is None:
-        formula, path = _load_formula(cfg), "exact"
+def cmd_measure(args: argparse.Namespace) -> int:
+    if args.k is None:
+        formula, path = _load_formula(args), "exact"
     else:
-        formula, path = _measured_pair(cfg.k, cfg.allow_huge)
+        formula, path = _measured_pair(args.k, args.allow_huge)
     report = formulas.lehmer_measure(formula)
     contributions = [
         {"coefficient": coeff, "inverse_log10_cotangent": str(contrib)}
@@ -292,11 +269,11 @@ def cmd_measure(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    k = cfg.k
-    _check_desk_scale(cfg)
-    result = trigcheck.verify_k(k, precision=cfg.precision,
-                                allow_huge=cfg.allow_huge)
+def cmd_verify(args: argparse.Namespace) -> int:
+    k = args.k
+    _check_desk_scale(args)
+    result = trigcheck.verify_k(k, precision=args.precision,
+                                allow_huge=args.allow_huge)
     _emit(result.to_json_dict())
     if not result.ok:
         print(f"verification failed at k={k}", file=sys.stderr)
@@ -304,19 +281,18 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_error_curve(cfg: RunConfig) -> int:
-    if cfg.samples < 3:
-        raise UsageError(f"--samples must be >= 3, got {cfg.samples}")
-    terms = cfg.terms or 10
-    x_min, x_max = cfg.x_min, cfg.x_max
+def cmd_error_curve(args: argparse.Namespace) -> int:
+    if args.samples < 3:
+        raise UsageError(f"--samples must be >= 3, got {args.samples}")
+    x_min, x_max = args.x_min, args.x_max
     if x_min >= x_max:
         raise UsageError("--x-min must be below --x-max")
-    step = Fraction(x_max - x_min, cfg.samples - 1)
-    out = cfg.out or f"error-curve-{cfg.series}.csv"
+    step = Fraction(x_max - x_min, args.samples - 1)
+    out = args.out or f"error-curve-{args.series}.csv"
     rows = []
-    for i in range(cfg.samples):
+    for i in range(args.samples):
         x = x_min + i * step
-        err = series.series_error(x, terms, series=cfg.series)
+        err = series.series_error(x, args.terms, series=args.series)
         rows.append((x, err))
     with open(out, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
@@ -327,9 +303,9 @@ def cmd_error_curve(cfg: RunConfig) -> int:
             writer.writerow([f"{float(x):.6E}", text])
     peak = max(rows, key=lambda pair: pair[1])
     _emit({
-        "series": cfg.series,
-        "terms": terms,
-        "samples": cfg.samples,
+        "series": args.series,
+        "terms": args.terms,
+        "samples": args.samples,
         "x_min": str(x_min),
         "x_max": str(x_max),
         "peak_error": f"{peak[1]:.5E}",
@@ -338,10 +314,10 @@ def cmd_error_curve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_measure_sweep(cfg: RunConfig) -> int:
-    out = cfg.out or "measure-sweep.csv"
+def cmd_measure_sweep(args: argparse.Namespace) -> int:
+    out = args.out or "measure-sweep.csv"
     rows = []
-    for k in range(2, cfg.k_max + 1):
+    for k in range(2, args.k_max + 1):
         formula, path = _measured_pair(k, allow_huge=False)
         rows.append((k, formula.terms[0][1], formulas.lehmer_measure(formula).e, path))
     with open(out, "w", newline="", encoding="ascii") as fh:
@@ -350,7 +326,7 @@ def cmd_measure_sweep(cfg: RunConfig) -> int:
         for k, u1, e, path in rows:
             writer.writerow([k, u1, f"{e:.6f}", path])
     _emit({
-        "k_max": cfg.k_max,
+        "k_max": args.k_max,
         "rows": len(rows),
         "e_first": f"{rows[0][2]:.6f}",
         "e_last": f"{rows[-1][2]:.6f}",
@@ -376,8 +352,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        _check_args(args)
+        return _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -52,14 +52,19 @@ class MagnitudeOnly:
 Cotangent = Fraction | MagnitudeOnly
 
 
+def full_text(beta: Fraction) -> str | None:
+    """beta as num/den when its parts hold at most 60 digits together, else
+    None: how a cotangent is shown, generate's u2 included."""
+    digits = int_digit_count(beta.numerator) + int_digit_count(beta.denominator)
+    return format_rational(beta) if digits <= 60 else None
+
+
 def _shown(beta: Cotangent) -> str:
-    """beta in full up to 60 digits of parts, as generate shows u2, else its size."""
+    """beta in full when full_text allows, else its size."""
     if isinstance(beta, MagnitudeOnly):
         return str(beta)
     num, den = int_digit_count(beta.numerator), int_digit_count(beta.denominator)
-    if num + den <= 60:
-        return format_rational(beta)
-    return f"a rational of {num}/{den} digits"
+    return full_text(beta) or f"a rational of {num}/{den} digits"
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,9 @@ class MachinFormula:
                 raise DomainError(f"term {index}: coefficient must be an integer") from None
             if coeff == 0:
                 raise DomainError(f"term {index}: zero coefficient")
+            # 4300, the interpreter's default int-to-text limit: every coefficient prints
+            if (digits := int_digit_count(coeff)) > 4300:
+                raise DomainError(f"term {index}: coefficient of {digits} digits; at most 4300")
             exact = not isinstance(beta, MagnitudeOnly)
             if exact:
                 beta = Fraction(beta)

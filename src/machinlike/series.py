@@ -14,7 +14,7 @@ are integers obeying
 
 so every term is an exact integer ratio and each term contributes about
 log10(s/p^2) decimal digits.  One private generator runs this recurrence
-for the exact truncation, arctan_fast_exact.
+for the exact truncation behind arctan_fast_exact and series_error.
 
 arctan_fast sums the series in one fixed-point integer kernel instead:
 term m is -2*Im(c_m)/(2m-1) with c_m = w^(2m-1), w = x/(x + 2i) =
@@ -27,8 +27,9 @@ flooring never eats a delivered one.  One rule sizes every automatic term
 count, (digits + guard + 6)/log10(s/p^2) + 2 (auto_term_count), and one
 evaluator, arctan_sum, turns a formula's (coeff, beta) terms into
 sum coeff * atan(1/beta): compute-pi, validation, verification and
-pi_two_term all call it.  Euler's accelerated series (summed exactly) and
-a complex-arithmetic evaluation of the same sum serve as cross-checks.
+convergence_scan all call it.  Euler's accelerated series (summed
+exactly) and a complex-arithmetic evaluation of the same sum serve as
+cross-checks.
 One plain Maclaurin loop in integers, _maclaurin_scaled, shares no code
 with any of it and serves both independent references: the four-to-one
 arctangent pair behind reference_pi and the arctangent series_error
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .exactmath import (
@@ -51,6 +53,7 @@ from .exactmath import (
     complex_mul,
     fraction_to_decimal,
     guard_digits,
+    int_digit_count,
     int_log10,
     rational_log10_abs,
     round_sig,
@@ -106,17 +109,18 @@ def _arctan_scaled(x: Fraction, terms: int, bits: int) -> int:
 
 def arctan_fast(x: Fraction | int, terms: int, precision: int) -> Decimal:
     """Truncation of the fast series after ``terms`` terms, to ``precision``
-    significant digits, from the fixed-point kernel.  atan(0) is 0 by the
-    defined limit."""
+    significant digits, from the fixed-point kernel, at |x| <= 1.  atan(0)
+    is 0 by the defined limit."""
     x = Fraction(x)
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
     if x == 0:
         return Decimal(0)
-    # decimal orders between |x| and 1; past |x| = 1 the leading terms
-    # shrink like 1/|x| and rounding errors are damped only by 4/x^2
-    bit_gap = abs(x.numerator).bit_length() - x.denominator.bit_length()
-    orders = (int((abs(bit_gap) + 1) * _LOG10_2) + 1) * (3 if bit_gap > 0 else 1)
+    if abs(x) > 1:
+        raise DomainError("arctan_fast expects |x| <= 1; pass the cotangent's reciprocal")
+    # decimal orders between |x| and 1
+    gap = x.denominator.bit_length() - abs(x.numerator).bit_length()
+    orders = int((gap + 1) * _LOG10_2) + 1
     digits = precision + guard_digits() + orders + len(str(terms)) + 2
     bits = int(digits * _LOG2_10) + 1
     scaled = _arctan_scaled(x, terms, bits) * 10**digits >> bits
@@ -125,40 +129,45 @@ def arctan_fast(x: Fraction | int, terms: int, precision: int) -> Decimal:
     return round_sig(result, precision)
 
 
-def arctan_fast_exact(x: Fraction | int, terms: int) -> Fraction:
-    """The same truncation as arctan_fast, kept as an exact rational."""
-    x = Fraction(x)
-    if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
-    if x == 0:
-        return Fraction(0)
+def _fast_terms(x: Fraction):
+    """Yield the fast series' terms at x != 0 as exact rationals."""
     p, q = x.numerator, x.denominator
     s = p * p + 4 * q * q
     ppow, spow = p, s
     psq, ssq = p * p, s * s
-    total = Fraction(0)
-    for m, (big_a, _) in zip(range(1, terms + 1), _scaled_parts(p, q)):
-        total += Fraction(big_a * ppow, (2 * m - 1) * spow)
+    for m, (big_a, _) in enumerate(_scaled_parts(p, q), start=1):
+        yield Fraction(2 * big_a * ppow, (2 * m - 1) * spow)
         ppow *= psq
         spow *= ssq
-    return 2 * total
 
 
-def arctan_euler_exact(x: Fraction | int, terms: int) -> Fraction:
-    """Exact rational value of the Euler truncation.  The term ratio is
-    (2m/(2m+1)) * x^2/(1+x^2)."""
+def _euler_terms(x: Fraction):
+    """Yield Euler's terms at x != 0; the term ratio is (2m/(2m+1)) * x^2/(1+x^2)."""
+    ratio = x * x / (1 + x * x)
+    term = x / (1 + x * x)
+    for m in count(1):
+        yield term
+        term = term * 2 * m * ratio / (2 * m + 1)
+
+
+def _exact_truncation(series_terms, x: Fraction | int, terms: int) -> Fraction:
+    """The first ``terms`` of series_terms(x), summed exactly."""
     x = Fraction(x)
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
     if x == 0:
         return Fraction(0)
-    ratio = x * x / (1 + x * x)
-    term = x / (1 + x * x)
-    total = term
-    for m in range(1, terms):
-        term = term * 2 * m * ratio / (2 * m + 1)
-        total += term
-    return total
+    return sum(islice(series_terms(x), terms), Fraction(0))
+
+
+def arctan_fast_exact(x: Fraction | int, terms: int) -> Fraction:
+    """The same truncation as arctan_fast, kept as an exact rational."""
+    return _exact_truncation(_fast_terms, x, terms)
+
+
+def arctan_euler_exact(x: Fraction | int, terms: int) -> Fraction:
+    """Exact rational value of the Euler truncation."""
+    return _exact_truncation(_euler_terms, x, terms)
 
 
 def arctan_complex(x: Fraction | int, terms: int, precision: int) -> Decimal:
@@ -237,10 +246,10 @@ def series_error(x: Fraction | int, terms: int, series: str = "fast") -> Decimal
     x = abs(x)    # every truncation is odd in x, so the error is even
     if x >= Fraction(9, 10):
         raise DomainError("the Maclaurin reference needs |x| < 0.9")
-    exact = arctan_fast_exact if series == "fast" else arctan_euler_exact
-    trunc = exact(x, terms)
+    summands = (_fast_terms if series == "fast" else _euler_terms)(x)
+    trunc = sum(islice(summands, terms), Fraction(0))
     # the first omitted term sets the scale of the answer
-    first_omitted = abs(exact(x, terms + 1) - trunc)
+    first_omitted = abs(next(summands))
     r = 1 / (1 - x * x)
     orders = -float(rational_log10_abs(x))
     # at most D/(2 log10(1/x)) + 1 nonzero terms at scale 10**D
@@ -295,47 +304,22 @@ def auto_term_count(x: Fraction, precision: int) -> int:
     return int((precision + guard_digits() + 6) / _term_rate(x.numerator, x.denominator)) + 2
 
 
-def arctan_auto(x: Fraction | int, precision: int) -> Decimal:
-    """Arctangent at an exact rational argument, |x| <= 1, with the term
-    count sized from the argument itself."""
-    x = Fraction(x)
-    if x == 0:
-        return Decimal(0)
-    if abs(x) > 1:
-        raise DomainError("arctan_auto expects |x| <= 1; pass the cotangent's reciprocal")
-    return arctan_fast(x, auto_term_count(x, precision), precision)
-
-
 def arctan_sum(pairs: Iterable[tuple[int, Fraction | int]], precision: int,
                terms: int | None = None) -> Decimal:
     """sum of coeff * atan(1/beta) over (coeff, beta) pairs, |beta| > 1, each
-    branch truncated after ``terms`` terms or, when terms is None, sized by
-    arctan_auto.  Branches are rounded to precision + the digits of the
+    branch truncated after ``terms`` terms or, when terms is None, after
+    auto_term_count's.  Branches are rounded to precision + the digits of the
     largest |coeff| + the guard digits, so no coefficient lifts its rounding
     past 10**-(precision + guard digits); the sum comes back at that width."""
     branches = [(coeff, 1 / Fraction(beta)) for coeff, beta in pairs]
-    work = precision + len(str(max(abs(coeff) for coeff, _ in branches))) + guard_digits()
+    work = (precision + int_digit_count(max(abs(coeff) for coeff, _ in branches))
+            + guard_digits())
     with working_context(work):
         total = Decimal(0)
         for coeff, x in branches:
-            branch = arctan_auto(x, work) if terms is None else arctan_fast(x, terms, work)
-            total += coeff * branch
+            branch_terms = auto_term_count(x, work) if terms is None else terms
+            total += coeff * arctan_fast(x, branch_terms, work)
     return total
-
-
-def pi_two_term(k: int, u1: Fraction | int, u2: Fraction | int, terms: int,
-                precision: int) -> Decimal:
-    """pi from the assembled identity pi = 4*(2^(k-1) atan(1/u1) + atan(1/u2)),
-    each branch truncated after ``terms`` terms by arctan_sum."""
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    try:
-        u1, u2 = Fraction(u1), Fraction(u2)
-    except TypeError:
-        raise DomainError("both cotangents must be exact rationals; "
-                          "magnitude-only stand-ins cannot drive the series") from None
-    return round_sig(arctan_sum(((2 ** (k + 1), u1), (4, u2)), precision, terms),
-                     precision)
 
 
 @dataclass(frozen=True, slots=True)
@@ -360,10 +344,17 @@ class ConvergenceReport:
 
 def convergence_scan(k: int, u1: Fraction | int, u2: Fraction | int,
                      max_terms: int, precision: int) -> ConvergenceReport:
-    """Measure how many digits each extra term buys, M = 1..max_terms."""
+    """Measure how many digits each extra term buys, M = 1..max_terms, from
+    pi = 4*(2^(k-1) atan(1/u1) + atan(1/u2)) summed by arctan_sum."""
+    if k < 2:
+        raise DomainError(f"k must be >= 2, got {k}")
     if max_terms < 3:
         raise DomainError(f"max_terms must be >= 3, got {max_terms}")
-    u1, u2 = Fraction(u1), Fraction(u2)
+    try:
+        u1, u2 = Fraction(u1), Fraction(u2)
+    except TypeError:
+        raise DomainError("both cotangents must be exact rationals; "
+                          "magnitude-only stand-ins cannot drive the series") from None
     with working_context(40):
         e = 1 / rational_log10_abs(u1, 30) + 1 / rational_log10_abs(u2, 30)
         predicted = Decimal("4.1") / e
@@ -372,9 +363,9 @@ def convergence_scan(k: int, u1: Fraction | int, u2: Fraction | int,
             f"precision {precision} cannot resolve {max_terms} terms at "
             f"~{predicted:.1f} digits/term; need {int(max_terms * float(predicted)) + 20}")
     reference = reference_pi(precision)
-    digits = []
-    for m in range(1, max_terms + 1):
-        digits.append(coinciding_digits(reference, pi_two_term(k, u1, u2, m, precision)))
+    pair = ((2 ** (k + 1), u1), (4, u2))
+    digits = [coinciding_digits(reference, round_sig(arctan_sum(pair, precision, m), precision))
+              for m in range(1, max_terms + 1)]
     window = (max_terms + 1) // 2
     tail = digits[-window:]
     with working_context(20):

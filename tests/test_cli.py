@@ -13,10 +13,8 @@ from machinlike.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
-    RunConfig,
     main,
 )
-from machinlike.errors import UsageError
 from machinlike.formulas import lehmer_measure, two_term_formula
 from machinlike.squaring import read_fraction_file, u2_of
 
@@ -46,17 +44,18 @@ def test_help_exits_clean(capsys):
     assert "generate" in out
 
 
-def test_run_config_rejects_bad_values():
-    with pytest.raises(UsageError):
-        RunConfig(command="generate", k=1)
-    with pytest.raises(UsageError):
-        RunConfig(command="generate", k=65)
-    with pytest.raises(UsageError):
-        RunConfig(command="compute-pi", precision=10)
-    with pytest.raises(UsageError):
-        RunConfig(command="compute-pi", terms=0)
-    with pytest.raises(UsageError):
-        RunConfig(command="measure-sweep", k_max=65)
+def test_main_rejects_bad_values_before_any_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv, message in [
+        (("generate", "--k", "1"), "--k must be in 2..64, got 1"),
+        (("generate", "--k", "65"), "--k must be in 2..64, got 65"),
+        (("compute-pi", "--k", "3", "--precision", "10"), "--precision must be >= 20, got 10"),
+        (("compute-pi", "--k", "3", "--terms", "0"), "--terms must be >= 1, got 0"),
+        (("measure-sweep", "--k-max", "65"), "--k-max must be in 2..64, got 65"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"usage error: {message}\n"), argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_k3(tmp_path, capsys):
@@ -263,6 +262,23 @@ def test_rejected_cotangent_names_its_size_past_60_digits(tmp_path, capsys):
     short.write_text("1 * atan(7/5)\n", encoding="ascii")
     code, _, err = run(capsys, "measure", "--formula", str(short))
     assert code == EXIT_DOMAIN and "got 5/7" in err
+
+
+@pytest.mark.parametrize("command", ["compute-pi", "measure"])
+def test_coefficient_past_the_int_text_limit_is_one_line_refusal(tmp_path, capsys, command):
+    path = tmp_path / "wide.txt"
+    path.write_text("1" + "0" * 5000 + " * atan(1/5)\n", encoding="ascii")
+    code, out, err = run(capsys, command, "--formula", str(path))
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err
+    assert "5001 digits" in err
+
+
+def test_a_summary_that_cannot_be_written_leaves_stdout_empty(capsys):
+    from machinlike import cli
+    with pytest.raises(ValueError):
+        cli._emit({"ok": True, "wide": 10**5000})
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_ok(capsys):

@@ -3,10 +3,13 @@
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from machinlike.errors import DomainError, PrecisionError
-from machinlike.exactmath import digits_prefix, round_sig
+from machinlike.exactmath import digits_prefix, round_sig, working_context
 from machinlike.radical import MAX_LADDER_K, ladder_eval, u1_of_k
+from machinlike.series import reference_pi
+from machinlike.trigcheck import dec_sin_cos
 
 # floors of the ladder ratio, checked independently at high precision
 U1_TABLE = {2: 2, 3: 5, 4: 10, 5: 20, 6: 40, 7: 81, 8: 162, 9: 325,
@@ -64,3 +67,27 @@ def test_floor_gap_stays_in_unit_interval():
         point = ladder_eval(k, 60)
         eps = u1_of_k(k) - point.ratio
         assert Decimal(-1) < eps <= 0, k
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(2, MAX_LADDER_K),
+       # most draws sit at or near the k + 20 floor, where the fewest spare digits remain
+       extra=st.one_of(st.integers(0, 3), st.integers(0, 20), st.integers(0, 180)),
+       guard=st.integers(0, 10))
+def test_ladder_ratio_is_the_cotangent_to_its_last_digit(k, extra, guard):
+    """ladder_eval(k, p).ratio is cot(pi/2^(k+1)) within one unit in its p-th
+    significant digit, at every guard budget.  The reference comes from the
+    Maclaurin pi and the sine and cosine series, which share no code with
+    the ladder."""
+    precision = k + 20 + extra
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("MACHINLIKE_GUARD_DIGITS", str(guard))
+        ratio = ladder_eval(k, precision).ratio
+    work = precision + 10
+    with working_context(work + 5):
+        theta = reference_pi(work + 5) / 2 ** (k + 1)
+    sin, cos = dec_sin_cos(theta, work)
+    with working_context(work):
+        cot = cos / sin
+        unit = Decimal(1).scaleb(cot.adjusted() - precision + 1)
+        assert abs(ratio - cot) <= unit, (k, precision, guard)

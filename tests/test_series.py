@@ -14,13 +14,12 @@ from machinlike.exactmath import (
 from machinlike.series import (
     _maclaurin_scaled,
     _scaled_parts,
-    arctan_auto,
     arctan_complex,
     arctan_euler_exact,
     arctan_fast,
     arctan_fast_exact,
+    arctan_sum,
     convergence_scan,
-    pi_two_term,
     reference_pi,
     series_error,
 )
@@ -149,39 +148,46 @@ def test_reference_pi_prefix_stability():
     assert long.startswith(short)
 
 
-def test_arctan_auto_small_argument():
-    auto = arctan_auto(Fraction(1, 7), 60)
+def test_arctan_sum_sizes_a_small_argument():
+    auto = arctan_sum([(1, 7)], 60)
     explicit = arctan_fast(Fraction(1, 7), 60, 60)
     assert coinciding_digits(auto, explicit) >= 58
-
-
-def test_arctan_auto_rejects_wide_arguments():
+    # an explicit count of zero terms is refused, not taken for "size it"
     with pytest.raises(DomainError):
-        arctan_auto(Fraction(3, 2), 40)
-    assert arctan_auto(0, 40) == 0
+        arctan_sum([(1, 7)], 60, terms=0)
 
 
-def test_arctan_auto_huge_cotangent_path():
+def test_arctan_fast_rejects_wide_arguments():
+    with pytest.raises(DomainError):
+        arctan_fast(Fraction(3, 2), 10, 40)
+    with pytest.raises(DomainError):
+        arctan_sum([(1, Fraction(2, 3))], 40)
+    assert arctan_fast(0, 10, 40) == 0
+
+
+def test_arctan_sum_huge_cotangent_path():
     """Closing cotangents with thousands of digits take the floating
     branch; it must agree with the exact integer branch."""
     u2 = u2_of(1303, 11)
     assert len(str(abs(u2.numerator))) > 1500
-    auto = arctan_auto(1 / u2, 50)
+    auto = arctan_sum([(1, u2)], 50)
     exact = arctan_fast(1 / u2, 14, 50)
     assert coinciding_digits(auto, exact) >= 40
 
 
-def test_pi_two_term_k6():
+def test_arctan_sum_two_term_pair_k6():
     u2 = u2_of(40, 6)
-    value = pi_two_term(6, 40, u2, 31, 100)
+    value = round_sig(arctan_sum([(2**7, 40), (4, u2)], 100, 31), 100)
     assert coinciding_digits(value, reference_pi(110)) >= 100
 
 
-def test_pi_two_term_rejects_magnitude_stand_in():
+def test_convergence_scan_rejects_magnitude_stand_in():
     from machinlike.formulas import MagnitudeOnly
     stand_in = MagnitudeOnly(sign=-1, magnitude=Decimal("2.4e8"))
     with pytest.raises(DomainError):
-        pi_two_term(27, 85445659, stand_in, 10, 40)
+        convergence_scan(27, 85445659, stand_in, 10, 40)
+    with pytest.raises(DomainError):
+        convergence_scan(1, 2, 3, 10, 400)
 
 
 def test_convergence_scan_digits_increase():

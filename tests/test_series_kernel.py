@@ -1,7 +1,7 @@
 """Property tests of the fixed-point kernel behind arctan_fast.
 
 The kernel is checked against the exact rational truncation and, through
-pi_two_term, arctan_sum and the compute-pi and verify commands, against
+arctan_sum and the compute-pi and verify commands, against
 the Maclaurin reference pi; neither shares code with it.  Every property
 runs across the guard-digit budget, down to none.
 """
@@ -18,14 +18,14 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from machinlike import cli
-from machinlike.exactmath import coinciding_digits, fraction_to_decimal, int_log10
+from machinlike.exactmath import coinciding_digits, fraction_to_decimal, int_log10, round_sig
 from machinlike.formulas import fixtures
 from machinlike.radical import u1_of_k
 from machinlike.series import (
     _term_rate,
     arctan_fast,
     arctan_fast_exact,
-    pi_two_term,
+    arctan_sum,
     reference_pi,
 )
 from machinlike.squaring import u2_of
@@ -79,14 +79,15 @@ def _pair(k):
 
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(2, 12), precision=st.integers(20, 600))
-def test_pi_two_term_reaches_reference_pi_without_guard_digits(k, precision):
+def test_arctan_sum_two_term_pair_reaches_reference_pi_without_guard_digits(k, precision):
     u1, u2 = _pair(k)
     # the lead branch's error is multiplied by 4 * 2^(k-1)
     need = precision + k + 5
     terms = max(int(need / _term_rate(1, u1)),
                 int(need / _term_rate(u2.denominator, u2.numerator))) + 2
     with guard_digits_set_to(0):
-        value = pi_two_term(k, u1, u2, terms, precision)
+        value = round_sig(arctan_sum(((2 ** (k + 1), u1), (4, u2)), precision, terms),
+                          precision)
     # precision significant digits of pi are precision - 1 decimal places
     assert coinciding_digits(value, reference_pi(precision + 5)) >= precision - 1, (k, terms)
 
