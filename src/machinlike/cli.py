@@ -38,10 +38,12 @@ from .errors import (
     UsageError,
 )
 from .exactmath import (
+    RationalParts,
     coinciding_digits,
     digits_prefix,
     int_digit_count,
     int_log10,
+    reciprocal,
     working_context,
 )
 from .radical import MAX_LADDER_K, u1_of_k
@@ -189,7 +191,7 @@ def _load_formula(args: argparse.Namespace) -> formulas.MachinFormula:
 
 def _auto_terms(formula: formulas.MachinFormula, precision: int) -> int:
     """Truncation order that clears ``precision`` digits on every branch."""
-    return max(series.auto_term_count(1 / beta, precision) for _, beta in formula.terms)
+    return max(series.auto_term_count(reciprocal(beta), precision) for _, beta in formula.terms)
 
 
 def cmd_compute_pi(args: argparse.Namespace) -> int:
@@ -200,7 +202,8 @@ def cmd_compute_pi(args: argparse.Namespace) -> int:
         _check_desk_scale(args)
         u1 = u1_of_k(args.k)
         if args.u2_file is not None:
-            u2 = squaring.read_fraction_file(args.u2_file)
+            # the parts as written, with no gcd; generate writes them in lowest terms
+            u2 = RationalParts(*squaring.read_fraction_parts(args.u2_file))
         else:
             u2 = squaring.u2_of(u1, args.k)
         formula = formulas.two_term_formula(args.k, u2_value=u2, u1=u1)

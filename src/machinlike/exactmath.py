@@ -7,17 +7,23 @@ correct.  Anything exactly representable stays an ``int`` or ``Fraction``
 for as long as possible; ``Decimal`` enters only where a value is
 irrational or a quotient is finally needed.
 
-File text: ``parsed_lines`` holds the line rule of every input file, and
-only ``format_rational`` and ``parse_rational`` lift the int<->str digit limit.
+Integers to and from text: int_to_text and text_to_int convert in
+subquadratic time and under any int<->str digit limit, which the package
+never changes; ``parsed_lines`` holds the line rule of every input file.
+Rationals have three shapes here: a Fraction in lowest terms,
+coprime_fraction building one from parts known to be coprime with no gcd,
+and RationalParts, the parts as written, read with no gcd at all.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 import re
-import sys
 from contextlib import contextmanager
-from decimal import Context, Decimal, MAX_EMAX, MIN_EMIN, ROUND_DOWN, localcontext
+from dataclasses import dataclass
+from decimal import (
+    Context, Decimal, Inexact, MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, localcontext)
 from fractions import Fraction
 
 from .errors import DomainError, FormulaParseError
@@ -121,14 +127,14 @@ def int_log10(n: int, precision: int = 40) -> Decimal:
         return +(Decimal(top).log10() + (bits - window) * _LOG10_2)
 
 
-def rational_log10_abs(value: Fraction | int, precision: int = 40) -> Decimal:
-    """log10 |value| for a nonzero rational with possibly huge parts."""
-    frac = value if isinstance(value, Fraction) else Fraction(value)
-    if frac == 0:
+def rational_log10_abs(value: Fraction | int | RationalParts, precision: int = 40) -> Decimal:
+    """log10 |value| for a nonzero rational with possibly huge parts, read
+    from its numerator and denominator."""
+    if value.numerator == 0:
         raise DomainError("log10 of zero")
     with working_context(precision + guard_digits()):
-        return +(int_log10(frac.numerator, precision + 5)
-                 - int_log10(frac.denominator, precision + 5))
+        return +(int_log10(value.numerator, precision + 5)
+                 - int_log10(value.denominator, precision + 5))
 
 
 def int_digit_count(n: int) -> int:
@@ -188,41 +194,135 @@ def digits_prefix(value: Decimal, count: int) -> str:
     return digits.ljust(count, "0")
 
 
+# Conversion leaves: Decimal(int) pays a quadratic pass on 2048 bits at most,
+# and int(str) sees at most 640 digits, the lowest digit limit an
+# interpreter accepts; neither Decimal(int) nor str(Decimal) is limited.
+_LEAF_BITS = 2048
+_LEAF_DIGITS = 640
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+
+
+def int_to_text(n: int) -> str:
+    """str(n), in subquadratic time and under any int<->str digit limit.
+
+    n is split at powers 2^w down to 2048-bit pieces and rebuilt as one
+    exact Decimal, so libmpdec's number-theoretic multiply does the base
+    conversion; str(Decimal) then prints it in one linear pass.
+    """
+    powers = {}    # 2^w as a Decimal, kept for this call only
+
+    def power(w):
+        if w not in powers:
+            half = w >> 1
+            powers[w] = Decimal(1 << w) if w <= _LEAF_BITS else power(half) * power(w - half)
+        return powers[w]
+
+    def build(m, w):    # 0 <= m < 2^w
+        if w <= _LEAF_BITS:
+            return Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return build(hi, w - half) * power(half) + build(m - (hi << half), half)
+
+    with localcontext(_EXACT):
+        text = str(build(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text
+
+
+def text_to_int(text: str) -> int:
+    """int(text) for ``[+-]digits``, in subquadratic time and under any
+    int<->str digit limit.
+
+    The digits are split in halves down to 640-digit pieces, and each split
+    is rebuilt as hi * 10^w + lo = (hi * 5^w << w) + lo: one multiply and
+    one shift.
+    """
+    powers = {}    # 5^w, kept for this call only
+
+    def build(digits):
+        if len(digits) <= _LEAF_DIGITS:
+            return int(digits)
+        w = len(digits) >> 1
+        if w not in powers:
+            powers[w] = 5**w
+        return (build(digits[:-w]) * powers[w] << w) + build(digits[-w:])
+
+    signed = text[:1] in ("+", "-")
+    value = build(text[1:] if signed else text)
+    return -value if text[:1] == "-" else value
+
+
+class _CoprimeParts:
+    """Parts in lowest terms with a positive denominator.  Registered as a
+    numbers.Rational, whose parts are in lowest terms by contract, so that
+    Fraction(r) copies them as they are, with no gcd."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+
+numbers.Rational.register(_CoprimeParts)
+
+
+def coprime_fraction(num: int, den: int) -> Fraction:
+    """num/den as a Fraction, built with no gcd: the caller vouches that
+    gcd(num, den) == 1.  The sign may sit on either part."""
+    if den == 0:
+        raise DomainError("zero denominator")
+    if den < 0:
+        num, den = -num, -den
+    return Fraction(_CoprimeParts(num, den))
+
+
+@dataclass(frozen=True, slots=True)
+class RationalParts:
+    """An exact rational kept as the integer parts it was written with, not
+    reduced, so that reading it takes no gcd.  Like an int or a Fraction it
+    is read through ``numerator`` and ``denominator``; the sign sits on the
+    numerator."""
+
+    numerator: int
+    denominator: int
+
+    def __post_init__(self):
+        if self.denominator <= 0:
+            raise DomainError(f"denominator must be positive, got {self.denominator}")
+
+
+def reciprocal(value: Fraction | int | RationalParts) -> RationalParts:
+    """1/value from its parts, with no gcd: the parts swap places and the
+    sign stays on the numerator."""
+    num, den = value.numerator, value.denominator
+    if num == 0:
+        raise DomainError("reciprocal of zero")
+    return RationalParts(den if num > 0 else -den, abs(num))
+
+
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
-@contextmanager
-def _unlimited_int_text():
-    """Lift the int<->str digit limit (4300 by default) for the block only:
-    fraction and formula files carry integers of 10**5 digits and more."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
-def format_rational(value: Fraction) -> str:
+def format_rational(value: Fraction | RationalParts) -> str:
     """Render as num/den with the sign on the numerator, den always shown."""
-    with _unlimited_int_text():
-        return f"{value.numerator}/{value.denominator}"
+    return f"{int_to_text(value.numerator)}/{int_to_text(value.denominator)}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``[-]num[/den]``.  The sign belongs to the numerator only;
-    a signed or zero denominator is rejected."""
+def parse_rational_parts(text: str) -> tuple[int, int]:
+    """(num, den) of ``[+-]num[/den]`` as written, unreduced.  The sign
+    belongs to the numerator only; a signed or zero denominator is rejected."""
     match = _RATIONAL_RE.fullmatch(text.strip())
     if match is None:
         raise FormulaParseError(f"not a rational literal: {text.strip()!r}")
-    with _unlimited_int_text():
-        num, den = int(match.group(1)), int(match.group(2) or 1)
+    num, den = text_to_int(match.group(1)), text_to_int(match.group(2) or "1")
     if den == 0:
         raise FormulaParseError(f"zero denominator: {text.strip()!r}")
-    return Fraction(num, den)
+    return num, den
+
+
+def parse_rational(text: str) -> Fraction:
+    """``[+-]num[/den]`` in lowest terms; parse_rational_parts' rules."""
+    return Fraction(*parse_rational_parts(text))
 
 
 def parsed_lines(path, parse):

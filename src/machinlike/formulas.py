@@ -17,12 +17,15 @@ from pathlib import Path
 
 from .errors import DomainError, FormulaParseError, PrecisionError
 from .exactmath import (
+    RationalParts,
     format_rational,
     guard_digits,
     int_digit_count,
+    int_to_text,
     parse_rational,
     parsed_lines,
     rational_log10_abs,
+    reciprocal,
     round_sig,
     working_context,
 )
@@ -49,10 +52,11 @@ class MagnitudeOnly:
             raise DomainError(f"magnitude must be a positive finite Decimal, got {self.magnitude}")
 
 
-Cotangent = Fraction | MagnitudeOnly
+# exact as a Fraction, or as RationalParts when read from a file with no gcd
+Cotangent = Fraction | RationalParts | MagnitudeOnly
 
 
-def full_text(beta: Fraction) -> str | None:
+def full_text(beta: Fraction | RationalParts) -> str | None:
     """beta as num/den when its parts hold at most 60 digits together, else
     None: how a cotangent is shown, generate's u2 included."""
     digits = int_digit_count(beta.numerator) + int_digit_count(beta.denominator)
@@ -86,10 +90,13 @@ class MachinFormula:
             # 4300, the interpreter's default int-to-text limit: every coefficient prints
             if (digits := int_digit_count(coeff)) > 4300:
                 raise DomainError(f"term {index}: coefficient of {digits} digits; at most 4300")
-            exact = not isinstance(beta, MagnitudeOnly)
-            if exact:
-                beta = Fraction(beta)
-            if (abs(beta) if exact else beta.magnitude) <= 1:
+            if isinstance(beta, MagnitudeOnly):
+                inside = beta.magnitude <= 1
+            else:
+                if not isinstance(beta, RationalParts):
+                    beta = Fraction(beta)
+                inside = abs(beta.numerator) <= beta.denominator
+            if inside:
                 raise DomainError(f"term {index}: |cotangent| must exceed 1, got {_shown(beta)}")
             normalized.append((coeff, beta))
         if not normalized:
@@ -189,31 +196,33 @@ def two_term_formula(k: int, u2_value: Cotangent | None = None,
     )
 
 
+# built and validated once, at import: compute-pi --fixture looks one up per request
+_FIXTURES = {
+    formula.name: formula for formula in (
+        MachinFormula(((4, Fraction(5)), (-1, Fraction(239))), name="machin-1706"),
+        MachinFormula(((44, Fraction(57)), (7, Fraction(239)),
+                       (-12, Fraction(682)), (24, Fraction(12943))), name="kanada-a"),
+        MachinFormula(((12, Fraction(49)), (32, Fraction(57)),
+                       (-5, Fraction(239)), (12, Fraction(110443))), name="kanada-b"),
+        MachinFormula(((22, Fraction(26)), (-2, Fraction(2057)),
+                       (-5, Fraction(3240647, 38479))), name="lehmer-3term"),
+        MachinFormula(((183, Fraction(239)), (32, Fraction(1023)), (-68, Fraction(5832)),
+                       (12, Fraction(110443)), (-12, Fraction(4841182)),
+                       (-100, Fraction(6826318))), name="chienlih-6term"),
+    )
+}
+
+
 def fixtures() -> dict[str, MachinFormula]:
-    """Published formulas with known measures, keyed by short name.
+    """Published formulas with known measures, keyed by short name, in a
+    new dict on every call (the formulas themselves are immutable).
 
     machin-1706 is the classic 4 atan(1/5) - atan(1/239); the kanada pair
     is the self-check duo behind the 2002 trillion-digit run; lehmer-3term
     held the record measure of its era (its third cotangent is rational);
     chienlih-6term is a modern low-measure six-term identity.
     """
-    return {
-        "machin-1706": MachinFormula(
-            ((4, Fraction(5)), (-1, Fraction(239))), name="machin-1706"),
-        "kanada-a": MachinFormula(
-            ((44, Fraction(57)), (7, Fraction(239)),
-             (-12, Fraction(682)), (24, Fraction(12943))), name="kanada-a"),
-        "kanada-b": MachinFormula(
-            ((12, Fraction(49)), (32, Fraction(57)),
-             (-5, Fraction(239)), (12, Fraction(110443))), name="kanada-b"),
-        "lehmer-3term": MachinFormula(
-            ((22, Fraction(26)), (-2, Fraction(2057)),
-             (-5, Fraction(3240647, 38479))), name="lehmer-3term"),
-        "chienlih-6term": MachinFormula(
-            ((183, Fraction(239)), (32, Fraction(1023)), (-68, Fraction(5832)),
-             (12, Fraction(110443)), (-12, Fraction(4841182)),
-             (-100, Fraction(6826318))), name="chienlih-6term"),
-    }
+    return dict(_FIXTURES)
 
 
 _TERM_RE = re.compile(r"([+-]?\d+)\s*\*\s*atan\(\s*([+-]?\d+)\s*/\s*(\d+)\s*\)")
@@ -225,7 +234,7 @@ def format_formula(formula: MachinFormula) -> str:
         raise DomainError("cannot serialize a formula with magnitude-only terms")
     lines = []
     for coeff, beta in formula.terms:
-        lines.append(f"{coeff} * atan({format_rational(1 / beta)})")
+        lines.append(f"{int_to_text(coeff)} * atan({format_rational(reciprocal(beta))})")
     return "\n".join(lines) + "\n"
 
 

@@ -48,6 +48,7 @@ from itertools import count, islice
 
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .exactmath import (
+    RationalParts,
     coinciding_digits,
     complex_div,
     complex_mul,
@@ -56,6 +57,7 @@ from .exactmath import (
     int_digit_count,
     int_log10,
     rational_log10_abs,
+    reciprocal,
     round_sig,
     working_context,
 )
@@ -73,7 +75,7 @@ def _scaled_parts(p: int, q: int):
 _LOG10_2, _LOG2_10 = 0.3010299956639812, 3.321928094887362
 
 
-def _branch_float(x: Fraction, bits: int) -> tuple[int, int, int, int]:
+def _branch_float(x: Fraction | RationalParts, bits: int) -> tuple[int, int, int, int]:
     """(Re w, Im w, Re w^2, Im w^2) * 2^bits, each within a few units, from
     x rounded to X/2^bits: one division, however wide the parts of x."""
     xs = (x.numerator << bits) // x.denominator
@@ -83,7 +85,7 @@ def _branch_float(x: Fraction, bits: int) -> tuple[int, int, int, int]:
     return wr, wi, (wr * wr - wi * wi) >> bits, (2 * wr * wi) >> bits
 
 
-def _arctan_scaled(x: Fraction, terms: int, bits: int) -> int:
+def _arctan_scaled(x: Fraction | RationalParts, terms: int, bits: int) -> int:
     """2^bits times the fast series at x != 0 truncated after ``terms``
     terms, to within about 10*terms units (for |x| <= 1, where |w^2| <= 1/5
     damps every rounding error)."""
@@ -107,19 +109,21 @@ def _arctan_scaled(x: Fraction, terms: int, bits: int) -> int:
     return 2 * total
 
 
-def arctan_fast(x: Fraction | int, terms: int, precision: int) -> Decimal:
+def arctan_fast(x: Fraction | int | RationalParts, terms: int, precision: int) -> Decimal:
     """Truncation of the fast series after ``terms`` terms, to ``precision``
     significant digits, from the fixed-point kernel, at |x| <= 1.  atan(0)
-    is 0 by the defined limit."""
-    x = Fraction(x)
+    is 0 by the defined limit.  Only x's integer parts are read."""
+    if not isinstance(x, RationalParts):
+        x = Fraction(x)
+    p, q = x.numerator, x.denominator
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
-    if x == 0:
+    if p == 0:
         return Decimal(0)
-    if abs(x) > 1:
+    if abs(p) > q:
         raise DomainError("arctan_fast expects |x| <= 1; pass the cotangent's reciprocal")
     # decimal orders between |x| and 1
-    gap = x.denominator.bit_length() - abs(x.numerator).bit_length()
+    gap = q.bit_length() - abs(p).bit_length()
     orders = int((gap + 1) * _LOG10_2) + 1
     digits = precision + guard_digits() + orders + len(str(terms)) + 2
     bits = int(digits * _LOG2_10) + 1
@@ -299,19 +303,20 @@ def _term_rate(p: int, q: int) -> float:
     return 2 * t + math.log10(4 + 10.0 ** (-2 * min(t, 150.0)))
 
 
-def auto_term_count(x: Fraction, precision: int) -> int:
+def auto_term_count(x: Fraction | RationalParts, precision: int) -> int:
     """Terms that take the fast series at x past ``precision`` digits: the one rule."""
     return int((precision + guard_digits() + 6) / _term_rate(x.numerator, x.denominator)) + 2
 
 
-def arctan_sum(pairs: Iterable[tuple[int, Fraction | int]], precision: int,
+def arctan_sum(pairs: Iterable[tuple[int, Fraction | int | RationalParts]], precision: int,
                terms: int | None = None) -> Decimal:
     """sum of coeff * atan(1/beta) over (coeff, beta) pairs, |beta| > 1, each
     branch truncated after ``terms`` terms or, when terms is None, after
     auto_term_count's.  Branches are rounded to precision + the digits of the
     largest |coeff| + the guard digits, so no coefficient lifts its rounding
-    past 10**-(precision + guard digits); the sum comes back at that width."""
-    branches = [(coeff, 1 / Fraction(beta)) for coeff, beta in pairs]
+    past 10**-(precision + guard digits); the sum comes back at that width.
+    Each beta (an int, Fraction or RationalParts) is read by its parts alone."""
+    branches = [(coeff, reciprocal(beta)) for coeff, beta in pairs]
     work = (precision + int_digit_count(max(abs(coeff) for coeff, _ in branches))
             + guard_digits())
     with working_context(work):

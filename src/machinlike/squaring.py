@@ -6,7 +6,8 @@ unit circle, and the closing cotangent of the two-term identity is
 u2 = x(k)/(1 - y(k)).  Everything here is exact; no rounding ever enters.
 
 One integer loop, shared_parts, runs the chain: state_at reads it as
-Fractions and closing_parts holds the one closing rule.  init_state and
+Fractions and closing_parts holds the one closing rule, whose coprime
+parts u2_of turns into a Fraction with no gcd.  init_state and
 square_step are the plain Fraction reference it is tested against.
 """
 
@@ -17,11 +18,13 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, DegenerateFormulaError, DomainError, FormulaParseError
 from .exactmath import (
-    complex_add, complex_div, complex_mul, format_rational, parse_rational, parsed_lines)
+    complex_add, complex_div, complex_mul, coprime_fraction, format_rational,
+    parse_rational_parts, parsed_lines)
 
 # Above this depth the shared-denominator integers pass a million digits
-# (they double per step).  Fraction's gcd on u2's parts alone took 45 s at
-# k = 19 on a 2.1 GHz Xeon, and it grows fourfold or more per step.
+# (they double per step).  No gcd is taken on u2's parts, so the chain's
+# products and the text conversion set the cost, about 2.5 times more per
+# step: generate took 12 s and verify 22 s at k = 20 (2 vCPUs, Python 3.11).
 DESK_SCALE_MAX_K = 20
 
 # Deepest k verify runs the naive direct oracle at; its cost grows about
@@ -103,9 +106,10 @@ def closing_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple
 
 
 def u2_of(u1: Fraction | int, k: int, allow_huge: bool = False) -> Fraction:
-    """The closing cotangent in lowest terms; Fraction's gcd only confirms it."""
+    """The closing cotangent in lowest terms, built with no gcd: the parts
+    closing_parts returns are coprime by proof."""
     num, den, _ = closing_parts(u1, k, allow_huge)
-    return Fraction(num, den)
+    return coprime_fraction(num, den)
 
 
 def u2_direct_oracle(u1: Fraction | int, k: int, max_k: int = ORACLE_MAX_K) -> Fraction:
@@ -140,13 +144,18 @@ def write_fraction_file(path, value: Fraction) -> None:
         fh.write(format_rational(value) + "\n")
 
 
-def read_fraction_file(path) -> Fraction:
-    """Read a fraction file.
+def read_fraction_parts(path) -> tuple[int, int]:
+    """A fraction file's (num, den) as written, unreduced, with no gcd.
 
     Tolerates '#' comment lines, blank lines and a bare integer, but
     exactly one value line must remain.
     """
-    values = list(parsed_lines(path, parse_rational))
+    values = list(parsed_lines(path, parse_rational_parts))
     if len(values) != 1:
         raise FormulaParseError(f"expected exactly one fraction line, found {len(values)}")
     return values[0]
+
+
+def read_fraction_file(path) -> Fraction:
+    """A fraction file's value in lowest terms (see read_fraction_parts)."""
+    return Fraction(*read_fraction_parts(path))

@@ -22,6 +22,7 @@ from fractions import Fraction
 from .errors import DomainError, PrecisionError
 from .exactmath import (
     coinciding_digits,
+    coprime_fraction,
     digits_prefix,
     fraction_to_decimal,
     guard_digits,
@@ -187,7 +188,7 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
     u1 = u1_of_k(k)  # the ladder refuses k < 2
     num, den, d = squaring.closing_parts(u1, k, allow_huge)
     unit_exact = num * num + den * den == 2 * d * d
-    exact_u2 = Fraction(num, den)
+    exact_u2 = coprime_fraction(num, den)    # coprime by proof, as in u2_of
 
     trig = u2_trig(u1, k, precision)
     exact_dec = fraction_to_decimal(exact_u2, precision + 10)

@@ -87,6 +87,22 @@ def test_generate_round_trip_through_compute_pi(tmp_path, capsys):
     assert payload["coinciding_digits"] >= 80
 
 
+def test_compute_pi_reads_unreduced_u2_parts_to_the_same_digits(tmp_path, capsys):
+    reduced, tripled = tmp_path / "u2.txt", tmp_path / "u2-x3.txt"
+    payload_of(capsys, "generate", "--k", "8", "--out", str(reduced))
+    u2 = read_fraction_file(reduced)
+    tripled.write_text(f"{3 * u2.numerator}/{3 * u2.denominator}\n", encoding="ascii")
+    outputs = []
+    for path in (reduced, tripled):
+        digits = tmp_path / f"pi-{path.stem}.txt"
+        code, out, err = run(capsys, "compute-pi", "--k", "8", "--u2-file", str(path),
+                             "--precision", "300", "--out", str(digits))
+        assert (code, err) == (EXIT_OK, "")
+        outputs.append((out.replace(digits.name, "pi.txt"), digits.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])["ok"] is True
+
+
 def test_generate_respects_desk_scale(capsys):
     code, _, err = run(capsys, "generate", "--k", "25")
     assert code == EXIT_USAGE

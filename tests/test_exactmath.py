@@ -1,14 +1,20 @@
 """Numeric plumbing: contexts, conversions, digit bookkeeping."""
 
+import sys
+from contextlib import contextmanager
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from machinlike.errors import DomainError, FormulaParseError
 from machinlike.exactmath import (
+    _LEAF_BITS,
+    _LEAF_DIGITS,
+    RationalParts,
     coinciding_digits,
+    coprime_fraction,
     complex_add,
     complex_div,
     complex_mul,
@@ -18,9 +24,13 @@ from machinlike.exactmath import (
     guard_digits,
     int_digit_count,
     int_log10,
+    int_to_text,
     parse_rational,
+    parse_rational_parts,
     rational_log10_abs,
+    reciprocal,
     round_sig,
+    text_to_int,
     working_context,
 )
 
@@ -184,6 +194,77 @@ def test_parse_rational():
 @given(st.fractions())
 def test_rational_round_trip(value):
     assert parse_rational(format_rational(value)) == value
+
+
+def test_rational_parts_are_read_as_written():
+    assert parse_rational_parts("+6/4") == (6, 4)
+    assert parse_rational_parts(" -0042 ") == (-42, 1)
+    assert parse_rational("6/4") == Fraction(3, 2)
+    assert format_rational(RationalParts(-6, 4)) == "-6/4"
+    with pytest.raises(FormulaParseError):
+        parse_rational_parts("6/0")
+
+
+def test_reciprocal_swaps_parts_and_keeps_the_sign_on_top():
+    assert reciprocal(RationalParts(-6, 4)) == RationalParts(-4, 6)
+    assert reciprocal(Fraction(-239)) == RationalParts(-1, 239)
+    assert reciprocal(7) == RationalParts(1, 7)
+    with pytest.raises(DomainError):
+        reciprocal(0)
+    with pytest.raises(DomainError):
+        RationalParts(1, 0)
+
+
+def test_coprime_fraction_takes_the_parts_as_they_are():
+    value = coprime_fraction(7, -3)
+    assert (value.numerator, value.denominator) == (-7, 3)
+    assert value == Fraction(-7, 3) and hash(value) == hash(Fraction(-7, 3))
+    with pytest.raises(DomainError):
+        coprime_fraction(1, 0)
+
+
+@contextmanager
+def _no_int_text_limit():
+    """The reference str()/int() at any size, for the block only."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _around(width):
+    return [m * width + d for m in (1, 2, 3, 4, 7) for d in (-1, 0, 1)]
+
+
+# bit lengths at and next to each split width of int_to_text, and 0..2
+BIT_LENGTHS = st.sampled_from([0, 1, 2] + _around(_LEAF_BITS))
+# digit counts at and next to each split width of text_to_int
+DIGIT_COUNTS = st.sampled_from([1, 2] + _around(_LEAF_DIGITS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=BIT_LENGTHS.flatmap(lambda b: st.integers(1 << b >> 1, (1 << b) - 1)),
+       negative=st.booleans())
+def test_int_to_text_equals_str(n, negative):
+    n = -n if negative else n
+    text = int_to_text(n)
+    with _no_int_text_limit():
+        assert text == str(n)
+    assert text_to_int(text) == n
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=DIGIT_COUNTS.flatmap(lambda d: st.integers(10 ** d // 10, 10 ** d - 1)),
+       sign=st.sampled_from(["", "+", "-"]), zeros=st.integers(0, 3))
+def test_text_to_int_equals_int(n, sign, zeros):
+    with _no_int_text_limit():
+        text = sign + "0" * zeros + str(n)
+        assert text_to_int(text) == int(text)
 
 
 def test_complex_helpers_on_fractions():

@@ -2,14 +2,18 @@
 
 Parts reach past the interpreter's 4,300-digit int<->str limit, and the
 files carry signs, '#' comments, blank lines and bare integers; writing
-and reading must leave that limit as it was.
+and reading must leave that limit as it was, and work under any limit.
 """
 
+import json
+import os
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from machinlike.formulas import MachinFormula, format_formula, parse_formula_file
@@ -65,3 +69,56 @@ def test_formula_file_round_trip(terms, noise):
     assert parsed.terms == formula.terms
     assert parsed.name == "pair"
     assert _int_text_limit() == limit
+
+
+def test_huge_fraction_file_round_trips_without_touching_the_digit_limit(tmp_path, monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the library changed the int<->str digit limit")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+    value = Fraction(-(7 ** 118_300 + 1), 3 ** 209_590)   # 99,976 and 100,000 digits
+    path = tmp_path / "u2.txt"
+    write_fraction_file(path, value)
+    assert path.stat().st_size == 99_976 + 100_000 + 3
+    assert read_fraction_file(path) == value
+
+
+LOWEST_LIMIT_SCRIPT = """
+import sys
+from fractions import Fraction
+
+from machinlike.formulas import MachinFormula, format_formula, parse_formula_file
+
+assert sys.get_int_max_str_digits() == 640
+# parts of 1,000 and 955 digits and a coefficient of 700
+value = Fraction(10 ** 999 + 7, 3 ** 2000)
+formula = MachinFormula(((10 ** 699 + 1, Fraction(5)), (-1, value)))
+with open(sys.argv[1], "w", encoding="ascii") as fh:
+    fh.write(format_formula(formula))
+assert parse_formula_file(sys.argv[1]).terms == formula.terms
+"""
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no int<->str digit limit")
+def test_files_work_under_the_lowest_digit_limit(tmp_path):
+    env = dict(os.environ)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*args):
+        done = subprocess.run([sys.executable, "-X", "int_max_str_digits=640", *args],
+                              env=env, cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120)
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+        return done.stdout
+
+    # u2 at k = 12 has parts of about 6,700 digits
+    generated = json.loads(run("-m", "machinlike.cli", "generate", "--k", "12",
+                               "--out", "u2.txt"))
+    assert generated["valid"] is True and generated["u2_den_digits"] > 640
+    computed = json.loads(run("-m", "machinlike.cli", "compute-pi", "--k", "12",
+                              "--u2-file", "u2.txt"))
+    assert computed["ok"] is True
+    run("-c", LOWEST_LIMIT_SCRIPT, "formula.txt")

@@ -16,6 +16,8 @@ from machinlike.errors import (
     DomainError,
     FormulaParseError,
 )
+from machinlike.radical import u1_of_k
+from machinlike.trigcheck import verify_k
 from machinlike.squaring import (
     DESK_SCALE_MAX_K,
     ComplexRationalState,
@@ -139,6 +141,28 @@ def test_u2_from_the_state_one_squaring_short(u1, k):
     assert (x, d_k - y) == (num * den, den * den)
     # so (A + B)/(A - B) is already in lowest terms
     assert math.gcd(num, den) == 1
+
+
+def test_u2_of_and_verify_k_take_no_gcd_of_wide_operands(monkeypatch):
+    # Fraction(r) of a numbers.Rational copies its parts unreduced on every
+    # supported CPython; one that starts to re-reduce them fails here
+    # instead of slowing u2_of down by a giant gcd
+    u1 = u1_of_k(14)
+    wide = []
+    gcd = math.gcd
+
+    def counting_gcd(*args):
+        wide.extend(a for a in args if abs(a).bit_length() > 64)
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", counting_gcd)
+    u2 = u2_of(u1, 14)
+    result = verify_k(14)
+    assert wide == []
+    monkeypatch.undo()
+    # Fraction's == compares parts, so u2 is in lowest terms
+    assert u2 == Fraction(*closing_parts(u1, 14)[:2])
+    assert result.ok
 
 
 def test_desk_scale_cap(monkeypatch):
