@@ -147,7 +147,11 @@ def _check_desk_scale(args: argparse.Namespace) -> None:
 def _emit(payload: dict) -> None:
     # formatted whole before the first byte goes out: a summary that cannot
     # be written leaves stdout empty
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    try:
+        text = json.dumps(payload, indent=2)
+    except ValueError as exc:   # an int past the interpreter's int-to-text limit
+        raise DomainError(f"cannot write the JSON summary: {exc}") from None
+    sys.stdout.write(text + "\n")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -3,21 +3,18 @@
 The ladder a(1) = sqrt(2), a(k) = sqrt(2 + a(k-1)) climbs toward 2, and
 the companion ratio a(k)/sqrt(2 - a(k-1)) is the cotangent of a binary
 submultiple of the half turn.  Its floor is the integer u1 that anchors a
-two-term formula; the fractional part left behind decides how large the
-closing cotangent u2 will be.
+two-term formula.  ``u1_of_k`` proves that floor from an integer bracket of
+the ladder; ``ladder_eval``, the ladder in Decimal, checks it independently.
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from math import isqrt
 
 from .errors import DomainError, PrecisionError
 from .exactmath import guard_digits, round_sig, working_context
 
-# 2 - a(k-1) shrinks like 4**-k, so every unit of k costs about 0.6
-# digits of cancellation; past k = 64 the coefficient 2**(k-1) also stops
-# being a sane formula ingredient.
+# past k = 64 the coefficient 2**(k-1) stops being a sane formula ingredient
 MAX_LADDER_K = 64
 
 
@@ -44,7 +41,6 @@ def ladder_eval(k: int, precision: int) -> RadicalPoint:
         raise PrecisionError(
             f"precision {precision} is too small for k={k}; need at least {k + 20}")
     with working_context(precision + k + guard_digits()):
-        previous = None
         value = Decimal(2).sqrt()
         for _ in range(2, k + 1):
             previous = value
@@ -62,20 +58,23 @@ def ladder_eval(k: int, precision: int) -> RadicalPoint:
     )
 
 
-def u1_of_k(k: int) -> int:
-    """Integer cotangent at depth k: the floor of the ladder ratio.
+def _bracket(k: int) -> tuple[int, int, int]:
+    """F = 4k + 64 and lo <= a(k-1)*2^F < hi, isqrt rounding lo down and hi up."""
+    f = 4 * k + 64
+    lo = hi = 0                       # a(0) = 0 gives a(1) = sqrt(2)
+    for _ in range(k - 1):
+        lo, hi = isqrt(((2 << f) + lo) << f), isqrt(((2 << f) + hi) << f) + 1
+    return f, lo, hi
 
-    The floor is accepted only once two consecutive working precisions
-    agree on it, so a ratio grazing an integer cannot be mis-floored by
-    rounding.  The ratio itself is irrational, so the loop terminates.
-    """
-    precision = k + 40
-    last = None
-    for _ in range(8):
-        point = ladder_eval(k, precision)
-        floor = int(point.ratio)  # ratio > 1, truncation is the floor
-        if floor == last:
-            return floor
-        last = floor
-        precision *= 2
-    raise PrecisionError(f"floor of the k={k} ratio did not stabilize below {precision} digits")
+
+def u1_of_k(k: int) -> int:
+    """Integer cotangent at depth k: the floor of the ladder ratio, proved.
+    It is isqrt(floor((2 + a)/(2 - a))) at a = a(k-1), which grows with a,
+    so it is settled once both ends of ``_bracket`` give the same value."""
+    if not 2 <= k <= MAX_LADDER_K:
+        raise DomainError(f"k must be in [2, {MAX_LADDER_K}], got {k}")
+    f, lo, hi = _bracket(k)
+    u1 = isqrt(((2 << f) + lo) // ((2 << f) - lo))
+    if isqrt(((2 << f) + hi) // ((2 << f) - hi)) != u1:
+        raise PrecisionError(f"{f} bits do not pin the floor of the k={k} ratio")
+    return u1

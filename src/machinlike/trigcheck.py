@@ -185,7 +185,7 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
     term; and the assembled identity 4*(2^(k-1) atan(1/u1) + atan(1/u2))
     lands on the reference pi to within 10**-(precision-5).
     """
-    u1 = u1_of_k(k)  # the ladder refuses k < 2
+    u1 = u1_of_k(k)  # refuses k outside 2..MAX_LADDER_K
     num, den, d = squaring.closing_parts(u1, k, allow_huge)
     unit_exact = num * num + den * den == 2 * d * d
     exact_u2 = coprime_fraction(num, den)    # coprime by proof, as in u2_of

@@ -99,18 +99,24 @@ assert parse_formula_file(sys.argv[1]).terms == formula.terms
 """
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                    reason="this interpreter has no int<->str digit limit")
-def test_files_work_under_the_lowest_digit_limit(tmp_path):
+LOWEST_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                  reason="this interpreter has no int<->str digit limit")
+
+
+def _run_at_lowest_limit(cwd, *args):
+    """Run Python under the lowest int<->str digit limit, 640, with src/ importable."""
     env = dict(os.environ)
     env.pop("PYTHONINTMAXSTRDIGITS", None)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-X", "int_max_str_digits=640", *args],
+                          env=env, cwd=cwd, capture_output=True, text=True, timeout=120)
 
+
+@LOWEST_LIMIT
+def test_files_work_under_the_lowest_digit_limit(tmp_path):
     def run(*args):
-        done = subprocess.run([sys.executable, "-X", "int_max_str_digits=640", *args],
-                              env=env, cwd=tmp_path, capture_output=True, text=True,
-                              timeout=120)
+        done = _run_at_lowest_limit(tmp_path, *args)
         assert (done.returncode, done.stderr) == (0, ""), done.stderr
         return done.stdout
 
@@ -122,3 +128,15 @@ def test_files_work_under_the_lowest_digit_limit(tmp_path):
                               "--u2-file", "u2.txt"))
     assert computed["ok"] is True
     run("-c", LOWEST_LIMIT_SCRIPT, "formula.txt")
+
+
+@LOWEST_LIMIT
+def test_measure_refuses_a_coefficient_past_the_digit_limit_in_one_line(tmp_path):
+    # the file parses at any limit; the JSON summary would print the coefficient
+    (tmp_path / "wide.txt").write_text(f"{10 ** 699 + 1} * atan(1/5)\n-1 * atan(1/239)\n",
+                                       encoding="ascii")
+    done = _run_at_lowest_limit(tmp_path, "-m", "machinlike.cli", "measure",
+                                "--formula", "wide.txt")
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr.startswith("error: cannot write the JSON summary: ")
+    assert done.stderr.count("\n") == 1, done.stderr

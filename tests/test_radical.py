@@ -1,13 +1,14 @@
 """Nested radical ladder and the integer cotangent floors."""
 
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from machinlike.errors import DomainError, PrecisionError
 from machinlike.exactmath import digits_prefix, round_sig, working_context
-from machinlike.radical import MAX_LADDER_K, ladder_eval, u1_of_k
+from machinlike.radical import MAX_LADDER_K, _bracket, ladder_eval, u1_of_k
 from machinlike.series import reference_pi
 from machinlike.trigcheck import dec_sin_cos
 
@@ -51,6 +52,12 @@ def test_u1_table():
         assert u1_of_k(k) == expected, k
 
 
+def test_u1_of_k_domain():
+    for k in (1, MAX_LADDER_K + 1):
+        with pytest.raises(DomainError, match=rf"k must be in \[2, 64\], got {k}$"):
+            u1_of_k(k)
+
+
 def test_u1_of_k_27():
     assert u1_of_k(27) == 85445659
 
@@ -91,3 +98,25 @@ def test_ladder_ratio_is_the_cotangent_to_its_last_digit(k, extra, guard):
         cot = cos / sin
         unit = Decimal(1).scaleb(cot.adjusted() - precision + 1)
         assert abs(ratio - cot) <= unit, (k, precision, guard)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(2, MAX_LADDER_K),
+       # the bracket is narrower than one unit in the p-th digit once p > 1.2k + 20
+       extra=st.one_of(st.integers(0, 20), st.integers(0, 180)),
+       guard=st.integers(0, 10))
+def test_integer_bracket_holds_the_decimal_ladder(k, extra, guard):
+    """u1_of_k's floor is int(ladder_eval(k, p).ratio), and _bracket's
+    lo/2^F <= a(k-1) < hi/2^F holds for ladder_eval's a(k-1), within the one
+    unit in its p-th significant digit that it is rounded to.  The Decimal
+    ladder shares no code with the integer pass; the guard digits reach
+    only the Decimal side."""
+    precision = k + 20 + extra
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("MACHINLIKE_GUARD_DIGITS", str(guard))
+        point = ladder_eval(k, precision)
+        assert u1_of_k(k) == int(point.ratio), (k, precision, guard)
+    f, lo, hi = _bracket(k)
+    unit = Fraction(1, 10 ** (precision - 1))   # 1 <= a(k-1) < 2
+    previous = Fraction(point.previous)
+    assert Fraction(lo, 2 ** f) - unit <= previous < Fraction(hi, 2 ** f) + unit, (k, precision)
