@@ -35,7 +35,6 @@ from .squaring import (
     ComplexRationalState,
     closing_parts,
     init_state,
-    read_fraction_file,
     shared_parts,
     square_step,
     state_at,
@@ -113,7 +112,6 @@ __all__ = [
     "lehmer_measure",
     "parse_formula_file",
     "rational_log10_abs",
-    "read_fraction_file",
     "reference_pi",
     "round_sig",
     "series_error",

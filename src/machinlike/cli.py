@@ -5,7 +5,7 @@ Subcommands::
     machinlike generate      --k N [--precision P] [--out PATH] [--allow-huge]
     machinlike compute-pi    (--k N [--u2-file PATH] | --fixture NAME | --formula PATH)
                              [--terms M] [--precision P] [--out PATH]
-    machinlike measure       (--k N | --fixture NAME | --formula PATH) [--allow-huge]
+    machinlike measure       (--k N | --fixture NAME | --formula PATH)
     machinlike verify        --k N [--precision P] [--allow-huge]
     machinlike error-curve   [--series fast|euler] [--terms M] [--samples N]
                              [--x-min X] [--x-max X] [--out PATH]
@@ -25,7 +25,6 @@ import argparse
 import csv
 import json
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from . import formulas, series, squaring, trigcheck
@@ -42,9 +41,7 @@ from .exactmath import (
     coinciding_digits,
     digits_prefix,
     int_digit_count,
-    int_log10,
     reciprocal,
-    working_context,
 )
 from .radical import MAX_LADDER_K, u1_of_k
 from .squaring import DESK_SCALE_MAX_K
@@ -92,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u2-file", help="reload the closing cotangent of --k")
 
     p = sub.add_parser("measure", help="digits-per-term measure of a formula")
-    common(p, k=True, formula=True, allow_huge=True)
+    common(p, k=True, formula=True)
 
     p = sub.add_parser("verify", help="independent cross-checks at index k")
     common(p, k=True, precision=True, allow_huge=True)
@@ -204,13 +201,10 @@ def cmd_compute_pi(args: argparse.Namespace) -> int:
         formula = _load_formula(args)
     else:
         _check_desk_scale(args)
-        u1 = u1_of_k(args.k)
-        if args.u2_file is not None:
-            # the parts as written, with no gcd; generate writes them in lowest terms
-            u2 = RationalParts(*squaring.read_fraction_parts(args.u2_file))
-        else:
-            u2 = squaring.u2_of(u1, args.k)
-        formula = formulas.two_term_formula(args.k, u2_value=u2, u1=u1)
+        # the file's parts as written, with no gcd; generate writes them in lowest terms
+        u2 = (None if args.u2_file is None
+              else RationalParts(*squaring.read_fraction_parts(args.u2_file)))
+        formula = formulas.two_term_formula(args.k, u2_value=u2)
     terms = args.terms or _auto_terms(formula, precision)
     # pi is the sum at 4 * coeff; 8 spare digits keep rounding out of the digit file
     value = series.arctan_sum([(4 * c, beta) for c, beta in formula.terms],
@@ -241,27 +235,22 @@ def cmd_compute_pi(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _measured_pair(k: int, allow_huge: bool) -> tuple[formulas.MachinFormula, str]:
-    """The pair at k with u2 known by sign and size only: "exact" from the
-    chain's parts, with no gcd, up to the cap or with allow_huge, else "magnitude" from trig."""
+def _measured_pair(k: int) -> tuple[formulas.MachinFormula, str]:
+    """The pair at k: "exact" up to the desk-scale cap, else "magnitude",
+    with u2 known by sign and size from the trig closed form."""
+    if k <= DESK_SCALE_MAX_K:
+        return formulas.two_term_formula(k), "exact"
     u1 = u1_of_k(k)
-    if k <= DESK_SCALE_MAX_K or allow_huge:
-        num, den, _ = squaring.closing_parts(u1, k, allow_huge=True)
-        with working_context(40):
-            magnitude = Decimal(10) ** (int_log10(num) - int_log10(den))
-        sign, path = (-1 if (num < 0) != (den < 0) else 1), "exact"
-    else:
-        trig = trigcheck.u2_trig(u1, k, 40)
-        sign, magnitude, path = (-1 if trig < 0 else 1), abs(trig), "magnitude"
-    stand_in = formulas.MagnitudeOnly(sign=sign, magnitude=magnitude)
-    return formulas.two_term_formula(k, u2_value=stand_in, u1=u1), path
+    trig = trigcheck.u2_trig(u1, k, 40)
+    stand_in = formulas.MagnitudeOnly(sign=-1 if trig < 0 else 1, magnitude=abs(trig))
+    return formulas.two_term_formula(k, u2_value=stand_in, u1=u1), "magnitude"
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
     if args.k is None:
         formula, path = _load_formula(args), "exact"
     else:
-        formula, path = _measured_pair(args.k, args.allow_huge)
+        formula, path = _measured_pair(args.k)
     report = formulas.lehmer_measure(formula)
     contributions = [
         {"coefficient": coeff, "inverse_log10_cotangent": str(contrib)}
@@ -325,7 +314,7 @@ def cmd_measure_sweep(args: argparse.Namespace) -> int:
     out = args.out or "measure-sweep.csv"
     rows = []
     for k in range(2, args.k_max + 1):
-        formula, path = _measured_pair(k, allow_huge=False)
+        formula, path = _measured_pair(k)
         rows.append((k, formula.terms[0][1], formulas.lehmer_measure(formula).e, path))
     with open(out, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)

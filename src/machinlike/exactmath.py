@@ -320,17 +320,17 @@ def parse_rational_parts(text: str) -> tuple[int, int]:
     return num, den
 
 
-def parse_rational(text: str) -> Fraction:
-    """``[+-]num[/den]`` in lowest terms; parse_rational_parts' rules."""
-    return Fraction(*parse_rational_parts(text))
-
-
 def parsed_lines(path, parse):
     """``parse(line)`` for each stripped line of an ASCII input file that
-    is neither blank nor a '#' comment, in order.  A FormulaParseError
-    from ``parse`` is raised again with the line's number."""
-    with open(path, "r", encoding="ascii") as fh:
+    is neither blank nor a '#' comment, in order.  A non-ASCII byte, or a
+    FormulaParseError from ``parse``, is raised with the line's number."""
+    # latin-1 decodes every byte, so a bad one is found on its own line
+    with open(path, "r", encoding="latin-1") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                byte = next(c for c in raw if not c.isascii())
+                raise FormulaParseError(f"non-ASCII byte 0x{ord(byte):02x}; input files "
+                                        f"are ASCII", line=lineno)
             line = raw.strip()
             if line and not line.startswith("#"):
                 try:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DomainError, FormulaParseError, PrecisionError
 from .exactmath import (
@@ -22,11 +23,11 @@ from .exactmath import (
     guard_digits,
     int_digit_count,
     int_to_text,
-    parse_rational,
     parsed_lines,
     rational_log10_abs,
     reciprocal,
     round_sig,
+    text_to_int,
     working_context,
 )
 from .radical import u1_of_k
@@ -108,8 +109,7 @@ class MachinFormula:
         return all(not isinstance(beta, MagnitudeOnly) for _, beta in self.terms)
 
 
-@dataclass(frozen=True, slots=True)
-class MeasureReport:
+class MeasureReport(NamedTuple):
     """Lehmer's measure with its per-term breakdown.
 
     ``e`` is the 6-decimal rounding of the sum of ``contributions``;
@@ -121,8 +121,7 @@ class MeasureReport:
     contributions: tuple[Decimal, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     valid: bool
     residual: Decimal
     precision: int
@@ -243,10 +242,12 @@ def _parse_term(line: str) -> tuple[int, Fraction]:
     match = _TERM_RE.fullmatch(line)
     if match is None:
         raise FormulaParseError(f"unrecognized term: {line!r}")
-    arg = parse_rational(f"{match.group(2)}/{match.group(3)}")
-    if arg == 0:
+    coeff, num, den = map(text_to_int, match.groups())
+    if den == 0:
+        raise FormulaParseError(f"zero denominator: {'/'.join(match.groups()[1:])!r}")
+    if num == 0:
         raise FormulaParseError("zero arctangent argument")
-    return parse_rational(match.group(1)).numerator, 1 / arg
+    return coeff, Fraction(den, num)
 
 
 def parse_formula_file(path) -> MachinFormula:

@@ -7,9 +7,9 @@ two-term formula.  ``u1_of_k`` proves that floor from an integer bracket of
 the ladder; ``ladder_eval``, the ladder in Decimal, checks it independently.
 """
 
-from dataclasses import dataclass
 from decimal import Decimal
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError
 from .exactmath import guard_digits, round_sig, working_context
@@ -18,8 +18,7 @@ from .exactmath import guard_digits, round_sig, working_context
 MAX_LADDER_K = 64
 
 
-@dataclass(frozen=True, slots=True)
-class RadicalPoint:
+class RadicalPoint(NamedTuple):
     """Ladder snapshot at depth k, all fields to ``precision`` digits."""
 
     k: int

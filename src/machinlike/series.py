@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .exactmath import (
@@ -327,8 +327,7 @@ def arctan_sum(pairs: Iterable[tuple[int, Fraction | int | RationalParts]], prec
     return total
 
 
-@dataclass(frozen=True, slots=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Digits-per-term scan of a two-term pair.
 
     orders[i] is the truncation M, digits[i] the decimal places agreeing

@@ -13,8 +13,8 @@ square_step are the plain Fraction reference it is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DegenerateFormulaError, DomainError, FormulaParseError
 from .exactmath import (
@@ -32,8 +32,7 @@ DESK_SCALE_MAX_K = 20
 ORACLE_MAX_K = 12
 
 
-@dataclass(frozen=True, slots=True)
-class ComplexRationalState:
+class ComplexRationalState(NamedTuple):
     """z(n) = x + i*y after n-1 exact squarings; x*x + y*y == 1 always."""
 
     n: int
@@ -154,8 +153,3 @@ def read_fraction_parts(path) -> tuple[int, int]:
     if len(values) != 1:
         raise FormulaParseError(f"expected exactly one fraction line, found {len(values)}")
     return values[0]
-
-
-def read_fraction_file(path) -> Fraction:
-    """A fraction file's value in lowest terms (see read_fraction_parts)."""
-    return Fraction(*read_fraction_parts(path))

@@ -15,9 +15,9 @@ working precision until the requested digits survive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError
 from .exactmath import (
@@ -149,8 +149,7 @@ def u2_trig(u1: int, k: int, precision: int) -> Decimal:
         f"precision for u1={u1}, k={k}")
 
 
-@dataclass(frozen=True, slots=True)
-class TrigCheckResult:
+class TrigCheckResult(NamedTuple):
     """Everything verify_k measured for one k."""
 
     k: int
@@ -169,8 +168,8 @@ class TrigCheckResult:
 
     def to_json_dict(self) -> dict:
         """Every field in declaration order, Decimals as strings."""
-        view = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {name: str(v) if isinstance(v, Decimal) else v for name, v in view.items()}
+        return {name: str(v) if isinstance(v, Decimal) else v
+                for name, v in self._asdict().items()}
 
 
 def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheckResult:

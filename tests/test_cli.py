@@ -2,7 +2,6 @@
 
 import json
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,7 @@ from machinlike.cli import (
     main,
 )
 from machinlike.formulas import lehmer_measure, two_term_formula
-from machinlike.squaring import read_fraction_file, u2_of
+from machinlike.squaring import read_fraction_parts, u2_of
 
 U2_K6 = u2_of(40, 6)
 
@@ -65,7 +64,7 @@ def test_generate_k3(tmp_path, capsys):
     assert payload["u1"] == 5
     assert payload["u2"] == "-239/1"
     assert payload["valid"] is True
-    assert read_fraction_file(out) == Fraction(-239)
+    assert read_fraction_parts(out) == (-239, 1)
 
 
 def test_generate_k6_writes_exact_fraction(tmp_path, capsys):
@@ -74,14 +73,14 @@ def test_generate_k6_writes_exact_fraction(tmp_path, capsys):
     assert payload["e"] == "1.167513"
     assert (payload["u2_num_digits"], payload["u2_den_digits"]) == (52, 50)
     assert "u2" not in payload  # too wide for the summary line
-    assert read_fraction_file(out) == U2_K6
+    assert read_fraction_parts(out) == (U2_K6.numerator, U2_K6.denominator)
 
 
 def test_generate_round_trip_through_compute_pi(tmp_path, capsys):
     """generate writes u2; compute-pi must reload it bit for bit."""
     out = tmp_path / "u2.txt"
     payload_of(capsys, "generate", "--k", "6", "--out", str(out))
-    assert read_fraction_file(out) == U2_K6
+    assert read_fraction_parts(out) == (U2_K6.numerator, U2_K6.denominator)
     payload = payload_of(capsys, "compute-pi", "--k", "6",
                          "--u2-file", str(out), "--precision", "80")
     assert payload["coinciding_digits"] >= 80
@@ -90,8 +89,8 @@ def test_generate_round_trip_through_compute_pi(tmp_path, capsys):
 def test_compute_pi_reads_unreduced_u2_parts_to_the_same_digits(tmp_path, capsys):
     reduced, tripled = tmp_path / "u2.txt", tmp_path / "u2-x3.txt"
     payload_of(capsys, "generate", "--k", "8", "--out", str(reduced))
-    u2 = read_fraction_file(reduced)
-    tripled.write_text(f"{3 * u2.numerator}/{3 * u2.denominator}\n", encoding="ascii")
+    num, den = read_fraction_parts(reduced)
+    tripled.write_text(f"{3 * num}/{3 * den}\n", encoding="ascii")
     outputs = []
     for path in (reduced, tripled):
         digits = tmp_path / f"pi-{path.stem}.txt"
@@ -195,11 +194,21 @@ def test_measure_two_term(capsys):
 
 
 def test_measure_by_size_matches_the_exact_fraction(capsys):
-    # measure --k sizes u2 from the chain's parts without reducing them
-    for k in range(2, 13):
+    # measure --k scores the generated pair itself, to every printed digit
+    for k in range(2, 17):
         payload = payload_of(capsys, "measure", "--k", str(k))
+        report = lehmer_measure(two_term_formula(k))
         assert payload["path"] == "exact"
-        assert payload["e"] == str(lehmer_measure(two_term_formula(k)).e), k
+        assert payload["e"] == str(report.e), k
+        assert ([c["inverse_log10_cotangent"] for c in payload["contributions"]]
+                == [str(c) for c in report.contributions]), k
+
+
+def test_measure_has_no_allow_huge(capsys):
+    # past the cap measure takes the magnitude path; there is nothing to lift
+    code, out, err = run(capsys, "measure", "--k", "21", "--allow-huge")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "--allow-huge" in err
 
 
 def test_k_excludes_fixture_and_formula(tmp_path, capsys):
@@ -231,6 +240,20 @@ def test_measure_formula_parse_failure(tmp_path, capsys):
     code, _, err = run(capsys, "measure", "--formula", str(path))
     assert code == EXIT_DOMAIN
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("argv, text, line", [
+    (("measure", "--formula"), "# \u03c0/4\n4 * atan(1/5)\n1 * atan(-1/239)\n", 1),
+    (("compute-pi", "--formula"), "4 * atan(1/5)\n# \u03c0\n1 * atan(-1/239)\n", 2),
+    (("compute-pi", "--k", "3", "--u2-file"), "# u2 at k = 3\n-239/1\n# \u03c0/4\n", 3),
+], ids=["measure-formula", "compute-pi-formula", "compute-pi-u2-file"])
+def test_non_ascii_input_file_is_one_line_refusal(tmp_path, capsys, argv, text, line):
+    # UTF-8 pi is the bytes cf 80; CRLF endings keep their line numbers
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == f"error: line {line}: non-ASCII byte 0xcf; input files are ASCII\n"
 
 
 def _near_one_formula(tmp_path, exponent, flip=False):

@@ -138,8 +138,19 @@ def test_parse_formula_reports_line(tmp_path):
 def test_parse_formula_rejects_zero_numerator(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("4 * atan(0/5)\n", encoding="ascii")
-    with pytest.raises(FormulaParseError):
+    with pytest.raises(FormulaParseError) as info:
         parse_formula_file(path)
+    assert str(info.value) == "line 1: zero arctangent argument"
+
+
+def test_parse_formula_rejects_zero_denominator(tmp_path):
+    # checked before the numerator, so 0/0 is a zero denominator too
+    path = tmp_path / "f.txt"
+    for arg in ("1/0", "-0/0"):
+        path.write_text(f"# k = 3\n4 * atan({arg})\n", encoding="ascii")
+        with pytest.raises(FormulaParseError) as info:
+            parse_formula_file(path)
+        assert str(info.value) == f"line 2: zero denominator: {arg!r}"
 
 
 def test_parse_formula_empty(tmp_path):
