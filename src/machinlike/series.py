@@ -14,20 +14,25 @@ are integers obeying
 
 so every term is an exact integer ratio and each term contributes about
 log10(s/p^2) decimal digits.  One private generator runs this recurrence
-for the exact truncation behind arctan_fast_exact and series_error.
+for the exact truncation behind arctan_fast_exact and series_error, which
+sum their terms over one common denominator and reduce once.
 
 arctan_fast sums the series in one fixed-point integer kernel instead:
-term m is -2*Im(c_m)/(2m-1) with c_m = w^(2m-1), w = x/(x + 2i) =
-(p^2 - 2ipq)/s, so c_m is carried scaled by 2^F and multiplied by
-w^2 = p^2 (K - iC)/s^2 each step.  For small p and q that multiplier stays
-exact small integers; wider arguments are first rounded to F bits, making
-each step a multiply and a shift.  F counts the requested digits, the
-guard digits, log10(1/|x|) and the digits of the term count, so termwise
-flooring never eats a delivered one.  One rule sizes every automatic term
-count, (digits + guard + 6)/log10(s/p^2) + 2 (auto_term_count), and one
-evaluator, arctan_sum, turns a formula's (coeff, beta) terms into
-sum coeff * atan(1/beta): compute-pi, validation, verification and
-convergence_scan all call it.  Euler's accelerated series (summed
+term m is -2*y_m/(2m-1) with y_m = Im w^(2m-1), w = x/(x + 2i) =
+(p^2 - 2ipq)/s.  z = w^2 = p^2 (K - iC)/s^2 and its conjugate are the
+roots of t^2 - 2 Re(z) t + |z|^2, so y_m, scaled by 2^F, is carried by
+one real recurrence, y' = 2 Re(z) y - |z|^2 y_prev: two products a step.
+For small p and q the multipliers 2p^2 K/s^2 and p^4/s^2 stay exact
+small integers over s^2; wider arguments are first rounded to F bits, and
+each step cuts those multipliers to the width of the carried terms, so
+its products shrink with the terms.  The loop stops once the carried pair
+is (0, 0), after which every term is exactly 0.  F counts the requested
+digits, the guard digits, log10(1/|x|) and the digits of the term count,
+so termwise flooring never eats a delivered one.  One rule sizes every
+automatic term count, (digits + guard + 6)/log10(s/p^2) + 2
+(auto_term_count), and one evaluator, arctan_sum, turns a formula's
+(coeff, beta) terms into sum coeff * atan(1/beta): compute-pi,
+validation, verification and convergence_scan all call it.  Euler's accelerated series (summed
 exactly) and a complex-arithmetic evaluation of the same sum serve as
 cross-checks.
 One plain Maclaurin loop in integers, _maclaurin_scaled, shares no code
@@ -76,36 +81,69 @@ _LOG10_2, _LOG2_10 = 0.3010299956639812, 3.321928094887362
 
 
 def _branch_float(x: Fraction | RationalParts, bits: int) -> tuple[int, int, int, int]:
-    """(Re w, Im w, Re w^2, Im w^2) * 2^bits, each within a few units, from
+    """(Im w, Im w^3, 2 Re w^2, |w|^4) * 2^bits, each within 5 units, from
     x rounded to X/2^bits: one division, however wide the parts of x."""
     xs = (x.numerator << bits) // x.denominator
     den = xs * xs + (1 << 2 * bits + 2)    # (x^2 + 4) * 4^bits
-    wr = (xs * xs << bits) // den
+    wr = (xs * xs << bits) // den          # Re w = x^2/(x^2 + 4) = |w|^2
     wi = -((xs << 2 * bits + 1) // den)
-    return wr, wi, (wr * wr - wi * wi) >> bits, (2 * wr * wi) >> bits
+    zr, zi = (wr * wr - wi * wi) >> bits, (2 * wr * wi) >> bits
+    return wi, (wr * zi + wi * zr) >> bits, 2 * zr, (wr * wr) >> bits
 
 
 def _arctan_scaled(x: Fraction | RationalParts, terms: int, bits: int) -> int:
-    """2^bits times the fast series at x != 0 truncated after ``terms``
-    terms, to within about 10*terms units (for |x| <= 1, where |w^2| <= 1/5
-    damps every rounding error)."""
+    """2^bits times the fast series at x != 0, |x| <= 1, truncated after
+    ``terms`` terms, to within 2*terms + 2 ln(2*terms) + 6 units (so within
+    10*terms).
+
+    Term m is -2 y_m/(2m-1) with y_m = Im w^(2m-1).  z = w^2 and its
+    conjugate are the roots of t^2 - 2 Re(z) t + |z|^2, so one real
+    sequence carries the series: y_(m+1) = 2 Re(z) y_m - |z|^2 y_(m-1),
+    scaled by 2^bits, from y_1 and y_2.  For small p and q the multipliers
+    are exact integers over s^2: 2 Re(z) = 2p^2 K/s^2 and |z|^2 = p^4/s^2
+    (the module docstring's K and s).  Wider arguments take them rounded
+    to ``bits`` bits (_branch_float), and each step first cuts them to
+    L + 16 bits, L the bit length of the carried pair: a multiplier's
+    dropped bits, times a term below 2^L, move the step by under 2^-16
+    units, and the products shrink with the terms.
+
+    Error, in units of 2^-bits.  An error e put into y_j moves y_(j+n) by
+    e (z^(n+1) - zbar^(n+1))/(z - zbar), at most (n+1)|z|^n e; that term
+    is divided by 2(j+n) - 1 >= 2j - 1, and |z| <= 1/5 at |x| <= 1, so the
+    sum of y_m/(2m-1) moves by at most e/(2j-1) * sum (n+1)/5^n =
+    (25/16) e/(2j-1).  Each step puts in under 1 + 2^-15 (the floor and
+    both cuts), and y_2, formed on its own, counts as under 1.4 (3.2 when
+    rounded); with H = sum_(m<=terms) 1/(2m-1) <= 1 + ln(2*terms - 1)/2,
+    the floor of each y_m // (2m-1), m >= 2, and the factor 2, the exact
+    branch is off by under 2 (terms - 1) + (25/8)(H + 0.14).  The rounded
+    branch adds under 5/4 for x rounded to X/2^bits (the truncation's
+    slope is at most sum 2|w'| |w|^(2m-2) <= 5/4) and under (25/8)(0.6 +
+    0.25) for y_2 and for the multipliers' few units acting on terms that
+    shrink by |z| a step.  Both stay below the bound above.  Once the
+    carried pair is (0, 0), every later term is exactly 0, and the loop
+    stops."""
     p, q = x.numerator, x.denominator
     if 8 * max(abs(p).bit_length(), q.bit_length()) + 12 <= bits:
-        # s^2 fills at most half the scale: exact multiplier p^2 (K - iC)/s^2
-        psq = p * p
-        s = psq + 4 * q * q
+        # s^2 fills at most half the scale: exact multipliers over den = s^2
+        psq, qsq4 = p * p, 4 * q * q
+        s = psq + qsq4
         den = s * s
-        cr, ci = (psq << bits) // s, -((2 * p * q << bits) // s)
-        mr, mi = psq * (psq - 4 * q * q), -4 * psq * p * q
-        step = lambda v: v // den
+        y_prev = -((2 * p * q << bits) // s)
+        y = (2 * psq * p * q * (qsq4 - 3 * psq) << bits) // (s * den)
+        a, b = 2 * psq * (psq - qsq4), psq * psq
     else:
-        cr, ci, mr, mi = _branch_float(x, bits)
-        step = lambda v: v >> bits
-    total = 0
-    for m in range(1, terms + 1):
-        total -= ci // (2 * m - 1)
-        if m < terms:
-            cr, ci = step(cr * mr - ci * mi), step(cr * mi + ci * mr)
+        den = 0    # the rounded branch: shifts, not a division
+        y_prev, y, a, b = _branch_float(x, bits)
+    total = -y_prev - (y // 3 if terms > 1 else 0)
+    for n in range(5, 2 * terms, 2):    # term (n + 1)/2 is -2 y/n
+        if not (y or y_prev):
+            break
+        if den:
+            y_prev, y = y, (a * y - b * y_prev) // den
+        else:
+            cut = max(bits - 16 - max(y.bit_length(), y_prev.bit_length()), 0)
+            y_prev, y = y, ((a >> cut) * y - (b >> cut) * y_prev) >> bits - cut
+        total -= y // n
     return 2 * total
 
 
@@ -133,45 +171,58 @@ def arctan_fast(x: Fraction | int | RationalParts, terms: int, precision: int) -
     return round_sig(result, precision)
 
 
-def _fast_terms(x: Fraction):
-    """Yield the fast series' terms at x != 0 as exact rationals."""
+def _fast_chain(x: Fraction):
+    """Yield (n_m, f_m) for the fast series at x != 0: term m is
+    n_m/(f_1 ... f_m), and f_1 ... f_m = 1*3*...*(2m-1) * s^(2m-1)."""
     p, q = x.numerator, x.denominator
     s = p * p + 4 * q * q
-    ppow, spow = p, s
     psq, ssq = p * p, s * s
+    ppow, odd, f = p, 1, s    # p^(2m-1), 1*3*...*(2m-3), f_m
     for m, (big_a, _) in enumerate(_scaled_parts(p, q), start=1):
-        yield Fraction(2 * big_a * ppow, (2 * m - 1) * spow)
+        yield 2 * big_a * ppow * odd, f
         ppow *= psq
-        spow *= ssq
+        odd *= 2 * m - 1
+        f = (2 * m + 1) * ssq
 
 
-def _euler_terms(x: Fraction):
-    """Yield Euler's terms at x != 0; the term ratio is (2m/(2m+1)) * x^2/(1+x^2)."""
-    ratio = x * x / (1 + x * x)
-    term = x / (1 + x * x)
+def _euler_chain(x: Fraction):
+    """Yield (n_m, f_m) for Euler's series at x != 0: term m is
+    n_m/(f_1 ... f_m), and the term ratio is (2m/(2m+1)) * x^2/(1+x^2)."""
+    p, q = x.numerator, x.denominator
+    r = p * p + q * q
+    n, f = p * q, r
     for m in count(1):
-        yield term
-        term = term * 2 * m * ratio / (2 * m + 1)
+        yield n, f
+        n, f = n * 2 * m * p * p, (2 * m + 1) * r
 
 
-def _exact_truncation(series_terms, x: Fraction | int, terms: int) -> Fraction:
-    """The first ``terms`` of series_terms(x), summed exactly."""
+def _chained_sum(chain, terms: int) -> tuple[int, int]:
+    """(N, D), unreduced: the first ``terms`` terms of chain summed over
+    their common denominator D = f_1 ... f_terms, with no gcd."""
+    num, den = 0, 1
+    for n, f in islice(chain, terms):
+        num, den = num * f + n, den * f
+    return num, den
+
+
+def _exact_truncation(series_chain, x: Fraction | int, terms: int) -> Fraction:
+    """The first ``terms`` of series_chain(x), summed exactly with one reduction."""
     x = Fraction(x)
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
     if x == 0:
         return Fraction(0)
-    return sum(islice(series_terms(x), terms), Fraction(0))
+    return Fraction(*_chained_sum(series_chain(x), terms))
 
 
 def arctan_fast_exact(x: Fraction | int, terms: int) -> Fraction:
     """The same truncation as arctan_fast, kept as an exact rational."""
-    return _exact_truncation(_fast_terms, x, terms)
+    return _exact_truncation(_fast_chain, x, terms)
 
 
 def arctan_euler_exact(x: Fraction | int, terms: int) -> Fraction:
     """Exact rational value of the Euler truncation."""
-    return _exact_truncation(_euler_terms, x, terms)
+    return _exact_truncation(_euler_chain, x, terms)
 
 
 def arctan_complex(x: Fraction | int, terms: int, precision: int) -> Decimal:
@@ -250,10 +301,12 @@ def series_error(x: Fraction | int, terms: int, series: str = "fast") -> Decimal
     x = abs(x)    # every truncation is odd in x, so the error is even
     if x >= Fraction(9, 10):
         raise DomainError("the Maclaurin reference needs |x| < 0.9")
-    summands = (_fast_terms if series == "fast" else _euler_terms)(x)
-    trunc = sum(islice(summands, terms), Fraction(0))
+    chain = (_fast_chain if series == "fast" else _euler_chain)(x)
+    num, den = _chained_sum(chain, terms)
+    trunc = Fraction(num, den)
     # the first omitted term sets the scale of the answer
-    first_omitted = abs(next(summands))
+    n, f = next(chain)
+    first_omitted = RationalParts(abs(n), den * f)
     r = 1 / (1 - x * x)
     orders = -float(rational_log10_abs(x))
     # at most D/(2 log10(1/x)) + 1 nonzero terms at scale 10**D
