@@ -42,6 +42,7 @@ from .exactmath import (
     RationalParts,
     coinciding_digits,
     digits_prefix,
+    fraction_to_decimal,
     int_digit_count,
     reciprocal,
 )
@@ -288,6 +289,15 @@ def _write_csv(out: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _sci7(x: Fraction) -> str:
+    """x to seven digits, d.ddddddE+XX, rounded from the exact x: no float
+    underflows a tiny x to 0, and the exponent keeps at least two digits."""
+    if x == 0:
+        return "0.000000E+00"
+    mantissa, exponent = f"{fraction_to_decimal(x, 7):.6E}".split("E")
+    return f"{mantissa}E{int(exponent):+03d}"
+
+
 def cmd_error_curve(args: argparse.Namespace) -> int:
     x_min, x_max = args.x_min, args.x_max
     step = Fraction(x_max - x_min, args.samples - 1)
@@ -296,7 +306,7 @@ def cmd_error_curve(args: argparse.Namespace) -> int:
             for x in (x_min + i * step for i in range(args.samples))]
     # Decimal zero formats with a stray exponent; pin it by hand
     _write_csv(out, ["x", "abs_error"],
-               ((f"{float(x):.6E}", "0.00000E+00" if err == 0 else f"{err:.5E}")
+               ((_sci7(x), "0.00000E+00" if err == 0 else f"{err:.5E}")
                 for x, err in rows))
     peak = max(rows, key=lambda pair: pair[1])
     _emit({

@@ -59,7 +59,12 @@ def square_step(state: ComplexRationalState) -> ComplexRationalState:
     return ComplexRationalState(n=state.n + 1, x=(x - y) * (x + y), y=2 * x * y)
 
 
-def _check_depth(k: int, allow_huge: bool, least: int = 1) -> None:
+def _checked_start(u1: Fraction | int, k: int, allow_huge: bool,
+                   least: int = 1) -> ComplexRationalState:
+    """z(1) for the chain behind k.  Refuses k below ``least``, past the
+    desk-scale cap without allow_huge, or whose chain, to depth
+    k - least + 1, passes the memory budget (the model is in shared_parts'
+    docstring); every message names k."""
     if k < least:
         raise DomainError(f"k must be >= {least}, got {k}")
     if k > DESK_SCALE_MAX_K and not allow_huge:
@@ -67,6 +72,16 @@ def _check_depth(k: int, allow_huge: bool, least: int = 1) -> None:
             f"k={k} exceeds the desk-scale cap of {DESK_SCALE_MAX_K}: the iteration "
             f"integers double per step, reaching millions of digits past k=20 (pass "
             f"allow_huge=True, as in u2_of(u1, k, allow_huge=True), to proceed anyway)")
+    start = init_state(u1)
+    # like every rational point of the unit circle, z(1) has one reduced denominator
+    part_bits = start.x.denominator.bit_length() << (k - least)
+    peak = part_bits // 8 * _PEAK_BYTES_PER_PART_BYTE
+    if peak > _MEMORY_BUDGET:
+        raise DomainError(
+            f"k={k} needs squaring-chain parts of about {part_bits:.2e} bits, "
+            f"an estimated {peak / 2**30:.3g} GiB at peak, past the "
+            f"{_MEMORY_BUDGET // 2**30} GiB memory budget")
+    return start
 
 
 def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple[int, int, int]:
@@ -86,17 +101,8 @@ def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple[
     without allow_huge.  On the ladder's u1 that admits the pair through
     k = 27 (an estimated 4.1 GiB) and refuses it from k = 28 (8.6 GiB).
     """
-    _check_depth(k, allow_huge)
-    start = init_state(u1)
-    # like every rational point of the unit circle, z(1) has one reduced denominator
+    start = _checked_start(u1, k, allow_huge)
     x, y, d = start.x.numerator, start.y.numerator, start.x.denominator
-    part_bits = d.bit_length() << (k - 1)
-    peak = part_bits // 8 * _PEAK_BYTES_PER_PART_BYTE
-    if peak > _MEMORY_BUDGET:
-        raise DomainError(
-            f"the squaring chain to depth {k} needs parts of about {part_bits:.2e} bits, "
-            f"an estimated {peak / 2**30:.3g} GiB at peak, past the "
-            f"{_MEMORY_BUDGET // 2**30} GiB memory budget")
     for _ in range(k - 1):
         x, y = (x - y) * (x + y), 2 * x * y
         d *= d
@@ -118,7 +124,7 @@ def closing_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple
     opposite parity, so the parts are coprime, and (A + B)^2 + (A - B)^2 = 2D^2.
     The sign of u2 may sit on either part.
     """
-    _check_depth(k, allow_huge, least=2)
+    _checked_start(u1, k, allow_huge, least=2)
     a, b, d = shared_parts(u1, k - 1, allow_huge)
     if a == b:
         raise DegenerateFormulaError("y(k) = 1 leaves the closing cotangent undefined")

@@ -3,9 +3,10 @@
 With phi = 2^(k-1) * atan(2*u1/(u1^2 - 1)), the closing cotangent is
 exactly cos(phi)/(1 - sin(phi)).  Evaluating that in plain decimal
 trigonometry and comparing against the exact rational from the squaring
-chain catches errors in either path; the two computations share nothing
-but the integer u1.  The exact (sin phi, cos phi) is state_at's (y, x),
-and verify_k reads the chain through squaring.closing_parts.
+chain catches errors in either path.  The trigonometry shares the
+Maclaurin loop and reference pi with series and never touches the
+squaring chain.  The exact (sin phi, cos phi) is state_at's (y, x), and
+verify_k reads the chain through squaring.closing_parts.
 
 The 1 - sin(phi) denominator is brutally ill-conditioned on purpose:
 sin(phi) approaches 1 like 2/u2^2, so roughly 2*log10|u2| digits die in
@@ -35,44 +36,36 @@ from .radical import u1_of_k
 
 
 def dec_arctan(x: Decimal, precision: int) -> Decimal:
-    """Arctangent of a Decimal by argument halving plus Maclaurin.
+    """Arctangent of a Decimal, summed by series._maclaurin_scaled.
 
-    |x| > 1 goes through atan(x) = pi/2 - atan(1/x); the remaining
-    argument is halved via x -> x/(1 + sqrt(1 + x^2)) until |x| <= 0.1,
-    where the alternating series loses nothing to cancellation.
+    x is read as its exact ratio p/q, which atan(x) = pi/2 - atan(1/x) and
+    atan(x) = pi/4 - atan((1 - x)/(1 + x)) bring to at most 1/2.  There
+    r = 1/(1 - x^2) <= 4/3 and at most J < 1.7 D + 1 terms survive at scale
+    10**D, so the loop's stated drift, J (1 + r) + r^2 units of 10**-D, is
+    under 4 D + 5 units.  The result is at least min(0.9 |x|, 0.4), so at
+    D = work + 10 + max(-x.adjusted(), 0) that drift is at most
+    (4 D + 5) * 10**-10 of the last working digit.
     """
+    if x == 0:
+        return Decimal(0)
     work = precision + guard_digits()
+    places = work + 10 + max(-x.adjusted(), 0)
+    p, q = x.copy_abs().as_integer_ratio()
+    flip, shift = p > q, False
+    if flip:
+        p, q = q, p
+    if 2 * p > q:
+        shift, p, q = True, q - p, q + p
+    scaled = series._maclaurin_scaled(p, q, 10**places)
     with working_context(work):
-        x = +x
-        if x == 0:
-            return Decimal(0)
-        sign = 1
-        if x < 0:
-            sign, x = -1, -x
-        flip = False
-        if x > 1:
-            flip, x = True, 1 / x
-        halvings = 0
-        while x > Decimal("0.1"):
-            x = x / (1 + (1 + x * x).sqrt())
-            halvings += 1
-        xsq = x * x
-        power = x
-        total = Decimal(0)
-        n = 1
-        limit = Decimal(1).scaleb(-work - 5)
-        while True:
-            term = power / n
-            total = total + term if n % 4 == 1 else total - term
-            if term < limit:
-                break
-            power *= xsq
-            n += 2
-        total *= Decimal(2) ** halvings
-        if flip:
-            total = series.reference_pi(work) / 2 - total
-        result = sign * total
-    return round_sig(result, precision)
+        total = Decimal(scaled).scaleb(-places)
+        if flip or shift:
+            pi = series.reference_pi(work)
+            if shift:
+                total = pi / 4 - total
+            if flip:
+                total = pi / 2 - total
+    return round_sig(total if x > 0 else total.copy_negate(), precision)
 
 
 def dec_sin_cos(theta: Decimal, precision: int) -> tuple[Decimal, Decimal]:

@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from machinlike import trigcheck
+from machinlike import squaring, trigcheck
 from machinlike.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -14,6 +14,7 @@ from machinlike.cli import (
     EXIT_VERIFY,
     main,
 )
+from machinlike.errors import ConsistencyError
 from machinlike.formulas import lehmer_measure, two_term_formula
 from machinlike.squaring import read_fraction_parts, u2_of
 
@@ -155,7 +156,7 @@ def test_allow_huge_past_the_memory_budget_is_refused_before_any_work(
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, command, "--k", "40", "--allow-huge")
     assert (code, out) == (EXIT_DOMAIN, "")
-    assert err.startswith("error: ") and "memory budget" in err and err.count("\n") == 1
+    assert err.startswith("error: k=40 ") and "memory budget" in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
@@ -370,6 +371,14 @@ def test_verify_failure_exits_5(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--k", "6", "--precision", "60")
     assert code == EXIT_VERIFY
     assert json.loads(out)["ok"] is False
+    # an internal contradiction is exit 5 too, with no summary
+    def contradiction(u1, k):
+        raise ConsistencyError("imaginary residue 1 in the closing arctangent argument")
+
+    monkeypatch.setattr(squaring, "u2_direct_oracle", contradiction)
+    code, out, err = run(capsys, "verify", "--k", "6")
+    assert (code, out) == (EXIT_VERIFY, "")
+    assert err.startswith("verification error: ") and err.count("\n") == 1
 
 
 def test_error_curve_zero_row_and_symmetry(tmp_path, capsys):
@@ -406,6 +415,13 @@ def test_error_curve_accepts_scientific_bounds(tmp_path, capsys):
     payload = payload_of(capsys, "error-curve", "--x-min=-1e-7",
                          "--x-max", "1e-7", "--samples", "3", "--out", str(out))
     assert payload["x_min"] == "-1/10000000"
+    assert out.read_text(encoding="ascii").splitlines()[1].startswith("-1.000000E-07,")
+    # x is written from the exact Fraction, far below a float's range too
+    payload_of(capsys, "error-curve", "--x-min=-1e-400", "--x-max", "1e-400",
+               "--samples", "3", "--out", str(out))
+    assert out.read_text(encoding="ascii").splitlines() == [
+        "x,abs_error", "-1.000000E-400,4.54131E-8408",
+        "0.000000E+00,0.00000E+00", "1.000000E-400,4.54131E-8408"]
 
 
 def test_measure_sweep_decreasing(tmp_path, capsys):

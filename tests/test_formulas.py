@@ -70,6 +70,11 @@ def test_formula_rejects_bad_terms():
     with pytest.raises(DomainError) as info:
         MachinFormula(terms=((1.5, Fraction(5)),))
     assert "coefficient" in str(info.value)
+    # a stand-in is shown as itself
+    with pytest.raises(DomainError, match=r"got MagnitudeOnly\(sign=-1, magnitude=Decimal\('0.5'\)\)"):
+        MachinFormula(terms=((1, MagnitudeOnly(sign=-1, magnitude=Decimal("0.5"))),))
+    with pytest.raises(DomainError, match="k must be >= 2, got 1"):
+        two_term_formula(1)
 
 
 def test_magnitude_only_terms():

@@ -186,10 +186,13 @@ def test_desk_scale_cap(monkeypatch):
 
 
 def test_memory_budget_holds_under_allow_huge():
-    # the ladder's pair at k = 28 runs the chain to depth 27: about 8.6 GiB
-    with pytest.raises(DomainError, match="memory budget"):
+    # the ladder's pair at k = 28 runs the chain to depth 27: about 8.6 GiB;
+    # each refusal names the k it was given
+    with pytest.raises(DomainError, match="^k=28 .*8.59 GiB.*memory budget"):
         u2_of(u1_of_k(28), 28, allow_huge=True)
-    with pytest.raises(DomainError, match="memory budget"):
+    with pytest.raises(DomainError, match="^k=28 .*17.2 GiB.*memory budget"):
+        state_at(u1_of_k(28), 28, allow_huge=True)
+    with pytest.raises(DomainError, match="^k=40 .*memory budget"):
         shared_parts(2, 40, allow_huge=True)
     # a wide u1 meets the budget under the desk-scale cap too
     with pytest.raises(DomainError, match="memory budget"):
@@ -199,6 +202,8 @@ def test_memory_budget_holds_under_allow_huge():
 def test_oracle_depth_limit():
     with pytest.raises(DomainError):
         u2_direct_oracle(5, 13)
+    with pytest.raises(DomainError, match="u1 must exceed 1, got 1"):
+        u2_direct_oracle(1, 3)
     assert u2_direct_oracle(5, 13, max_k=13) == u2_of(5, 13)
 
 

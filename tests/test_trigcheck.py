@@ -5,6 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from machinlike.errors import DomainError
 from machinlike.exactmath import (
@@ -13,7 +14,7 @@ from machinlike.exactmath import (
     round_sig,
     working_context,
 )
-from machinlike.series import reference_pi
+from machinlike.series import arctan_fast, auto_term_count, reference_pi
 from machinlike import squaring
 from machinlike.cli import EXIT_VERIFY, main
 from machinlike.squaring import DESK_SCALE_MAX_K, state_at, u2_of
@@ -33,6 +34,8 @@ ATAN_2 = Decimal("1.10714871779409050301706546017853704007")
 ATAN_M3_7 = Decimal("-0.4048917862850834233120729290094426165519")
 
 
+# atan(1) and atan(7) + atan(1/7) reach pi/4 and pi/2 through the exact
+# rational steps, so these two check reference pi's assembly, not the series
 def test_dec_arctan_unit():
     value = dec_arctan(Decimal(1), 40)
     with working_context(50):
@@ -59,6 +62,54 @@ def test_dec_arctan_reciprocal_identity():
         total = dec_arctan(Decimal(7), 45) + dec_arctan(1 / Decimal(7), 45)
         half_pi = reference_pi(55) / 2
     assert coinciding_digits(total, half_pi) >= 40
+
+
+def test_dec_arctan_far_ends():
+    # a tiny x keeps every digit it has; a huge one is +-pi/2 to the last digit
+    assert dec_arctan(Decimal("1e-1000"), 40) == Decimal("1e-1000")
+    x = Decimal("-1.234567890123456789012345678901234567891e-1000")
+    assert dec_arctan(x, 40) == x
+    with working_context(60):
+        half_pi = round_sig(reference_pi(60) / 2, 40)
+    assert dec_arctan(Decimal("1e300"), 40) == half_pi
+    assert dec_arctan(Decimal("-1e300"), 40) == half_pi.copy_negate()
+
+
+@st.composite
+def atan_arguments(draw):
+    """A terminating decimal on one of dec_arctan's three branches: |x| <= 1/2
+    (down to 1e-70), 1/2 < |x| <= 1, and |x| > 1 (up to 1e41)."""
+    branch = draw(st.sampled_from(("direct", "shifted", "flipped")))
+    digits = draw(st.integers(1, 50))
+    unit = 10**digits
+    if branch == "direct":
+        mantissa, scale = draw(st.integers(1, unit // 2)), draw(st.integers(0, 40))
+    elif branch == "shifted":
+        mantissa, scale = draw(st.integers(unit // 2 + 1, unit)), 0
+    else:
+        mantissa, scale = draw(st.integers(unit + 1, 10 * unit)), -draw(st.integers(0, 40))
+    # from text, so no context rounds the mantissa
+    return Decimal(f"{draw(st.sampled_from((1, -1))) * mantissa}E{-digits - scale}")
+
+
+def fast_arctan(x: Fraction, precision: int) -> Decimal:
+    """atan(x) from the fast series kernel, through +-pi/2 - atan(1/x) past |x| = 1."""
+    if abs(x) <= 1:
+        return arctan_fast(x, auto_term_count(x, precision), precision)
+    with working_context(precision + 5):
+        half_pi = reference_pi(precision + 5) / 2
+        return (half_pi if x > 0 else -half_pi) - fast_arctan(1 / x, precision)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=atan_arguments(), precision=st.integers(5, 120))
+def test_dec_arctan_matches_the_fast_kernel(x, precision):
+    # correctly rounded to precision digits: within half a unit of the last
+    # one, against the kernel read 15 digits further
+    value = dec_arctan(x, precision)
+    reference = fast_arctan(Fraction(x), precision + 15)
+    unit = Fraction(10) ** (value.adjusted() - precision + 1)
+    assert abs(Fraction(value) - Fraction(reference)) * 100 <= 51 * unit, (x, precision)
 
 
 def test_dec_sin_cos_at_one():
