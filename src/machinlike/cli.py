@@ -24,9 +24,9 @@ of memory, 5 verification failure (compute-pi: fewer digits than
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import formulas, series, squaring, trigcheck
@@ -139,6 +139,8 @@ def _check_args(args: argparse.Namespace) -> None:
             raise UsageError(f"--{dest.replace('_', '-')} must be {span}, got {value}")
     if hasattr(args, "x_min") and args.x_min >= args.x_max:
         raise UsageError("--x-min must be below --x-max")
+    if hasattr(args, "x_min") and max(-args.x_min, args.x_max) >= series.SERIES_ERROR_X_BOUND:
+        raise UsageError(f"error-curve needs |x| < {series.SERIES_ERROR_X_BOUND} on its interval")
     fixture = getattr(args, "fixture", None)
     if fixture is not None and fixture not in (table := formulas.fixtures()):
         raise UsageError(f"unknown fixture {fixture!r}; known: {', '.join(sorted(table))}")
@@ -229,8 +231,7 @@ def cmd_compute_pi(args: argparse.Namespace) -> int:
         count = value.adjusted() + 1 + precision
         digits = (digits_prefix(value, count) if count > 0 else "").rjust(precision + 1, "0")
         sign = "-" if value < 0 else ""
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(f"{sign}{digits[:-precision]}.{digits[-precision:]}\n")
+        _write_lines(args.out, [f"{sign}{digits[:-precision]}.{digits[-precision:]}"])
         payload["out"] = args.out
     _emit(payload)
     if not ok and args.terms is None:
@@ -282,20 +283,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_csv(out: str, header: list[str], rows) -> None:
-    with open(out, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_lines(path: str, lines) -> None:
+    """``lines`` to ``path`` in ASCII, each ended by "\n" on every platform."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
-def _sci7(x: Fraction) -> str:
-    """x to seven digits, d.ddddddE+XX, rounded from the exact x: no float
-    underflows a tiny x to 0, and the exponent keeps at least two digits."""
-    if x == 0:
-        return "0.000000E+00"
-    mantissa, exponent = f"{fraction_to_decimal(x, 7):.6E}".split("E")
-    return f"{mantissa}E{int(exponent):+03d}"
+def _sci(value: Fraction | Decimal, digits: int) -> str:
+    """value to ``digits`` significant digits, d.dddE+XX, rounded half even
+    from the exact value: no float underflows a tiny value to 0, and the
+    exponent keeps at least two digits, zero's too."""
+    rounded = fraction_to_decimal(value, digits)
+    exponent = rounded.adjusted() if rounded else 0
+    return f"{rounded.scaleb(-exponent):.{digits - 1}f}E{exponent:+03d}"
 
 
 def cmd_error_curve(args: argparse.Namespace) -> int:
@@ -304,10 +304,7 @@ def cmd_error_curve(args: argparse.Namespace) -> int:
     out = args.out or f"error-curve-{args.series}.csv"
     rows = [(x, series.series_error(x, args.terms, series=args.series))
             for x in (x_min + i * step for i in range(args.samples))]
-    # Decimal zero formats with a stray exponent; pin it by hand
-    _write_csv(out, ["x", "abs_error"],
-               ((_sci7(x), "0.00000E+00" if err == 0 else f"{err:.5E}")
-                for x, err in rows))
+    _write_lines(out, ["x,abs_error", *(f"{_sci(x, 7)},{_sci(err, 6)}" for x, err in rows)])
     peak = max(rows, key=lambda pair: pair[1])
     _emit({
         "series": args.series,
@@ -315,7 +312,7 @@ def cmd_error_curve(args: argparse.Namespace) -> int:
         "samples": args.samples,
         "x_min": str(x_min),
         "x_max": str(x_max),
-        "peak_error": f"{peak[1]:.5E}",
+        "peak_error": _sci(peak[1], 6),
         "out": out,
     })
     return EXIT_OK
@@ -327,13 +324,12 @@ def cmd_measure_sweep(args: argparse.Namespace) -> int:
     for k in range(2, args.k_max + 1):
         formula, path = _measured_pair(k)
         rows.append((k, formula.terms[0][1], formulas.lehmer_measure(formula).e, path))
-    _write_csv(out, ["k", "u1", "e", "path"],
-               ((k, u1, f"{e:.6f}", path) for k, u1, e, path in rows))
+    _write_lines(out, ["k,u1,e,path", *(",".join(map(str, row)) for row in rows)])
     _emit({
         "k_max": args.k_max,
         "rows": len(rows),
-        "e_first": f"{rows[0][2]:.6f}",
-        "e_last": f"{rows[-1][2]:.6f}",
+        "e_first": str(rows[0][2]),
+        "e_last": str(rows[-1][2]),
         "out": out,
     })
     return EXIT_OK

@@ -124,6 +124,7 @@ class MeasureReport(NamedTuple):
 class ValidationResult(NamedTuple):
     valid: bool
     residual: Decimal
+    threshold: Decimal
     precision: int
 
 
@@ -153,24 +154,25 @@ def lehmer_measure(formula: MachinFormula) -> MeasureReport:
 
 
 def validate_formula(formula: MachinFormula, precision: int) -> ValidationResult:
-    """Evaluate the formula's right side and compare against pi/4.
+    """Evaluate 4 times the formula's right side and compare against pi.
 
-    The threshold |residual| < 10**-(precision - 5) leaves room for the
+    The threshold |4*sum - pi| < 10**-(precision - 5) leaves room for the
     evaluation's own rounding while catching any wrong formula, whose
-    residual would be astronomically larger.
+    residual, 4*sum - pi, would be astronomically larger.
     """
     if precision < 20:
         raise PrecisionError(f"validation precision must be >= 20, got {precision}")
     if not formula.exact():
         raise DomainError("cannot validate a formula with magnitude-only terms")
-    total = series.arctan_sum(formula.terms, precision)
+    total = series.arctan_sum([(4 * coeff, beta) for coeff, beta in formula.terms], precision)
     work = precision + guard_digits()
     with working_context(work):
-        residual = total - series.reference_pi(work) / 4
+        residual = total - series.reference_pi(work)
     threshold = Decimal(1).scaleb(-(precision - 5))
     return ValidationResult(
         valid=abs(residual) < threshold,
-        residual=round_sig(residual, 10) if residual else Decimal(0),
+        residual=round_sig(residual, 10),
+        threshold=threshold,
         precision=precision,
     )
 

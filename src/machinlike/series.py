@@ -271,6 +271,10 @@ def _maclaurin_scaled(p: int, q: int, scale: int) -> int:
     return total
 
 
+# series_error sums its Maclaurin reference only below this |x|
+SERIES_ERROR_X_BOUND = Fraction(9, 10)
+
+
 def series_error(x: Fraction | int, terms: int, series: str = "fast") -> Decimal:
     """|atan(x) - truncation| for the fast or euler series.
 
@@ -287,8 +291,8 @@ def series_error(x: Fraction | int, terms: int, series: str = "fast") -> Decimal
     if x == 0:
         return Decimal(0)
     x = abs(x)    # every truncation is odd in x, so the error is even
-    if x >= Fraction(9, 10):
-        raise DomainError("the Maclaurin reference needs |x| < 0.9")
+    if x >= SERIES_ERROR_X_BOUND:
+        raise DomainError(f"the Maclaurin reference needs |x| < {SERIES_ERROR_X_BOUND}")
     chain = (_fast_chain if series == "fast" else _euler_chain)(x)
     num, den = _chained_sum(chain, terms)
     trunc = Fraction(num, den)

@@ -6,7 +6,8 @@ trigonometry and comparing against the exact rational from the squaring
 chain catches errors in either path.  The trigonometry shares the
 Maclaurin loop and reference pi with series and never touches the
 squaring chain.  The exact (sin phi, cos phi) is state_at's (y, x), and
-verify_k reads the chain through squaring.closing_parts.
+verify_k reads the chain through squaring.closing_parts and checks the
+pair's identity through formulas.validate_formula, the check generate runs.
 
 The 1 - sin(phi) denominator is brutally ill-conditioned on purpose:
 sin(phi) approaches 1 like 2/u2^2, so roughly 2*log10|u2| digits die in
@@ -31,7 +32,7 @@ from .exactmath import (
     round_sig,
     working_context,
 )
-from . import series, squaring
+from . import formulas, series, squaring
 from .radical import u1_of_k
 
 
@@ -174,8 +175,8 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
     check at k); the trig closed form agrees with the exact
     u2 = (A + B)/(A - B) to at least precision - k - 10 digits; up to
     ORACLE_MAX_K the direct complex-rational oracle reproduces it term for
-    term; and the assembled identity 4*(2^(k-1) atan(1/u1) + atan(1/u2))
-    lands on the reference pi to within 10**-(precision-5).
+    term; and the identity pi = 4*(2^(k-1) atan(1/u1) + atan(1/u2)) passes
+    formulas.validate_formula, the check generate runs.
     """
     u1 = u1_of_k(k)  # refuses k outside 2..MAX_LADDER_K
     num, den, d = squaring.closing_parts(u1, k, allow_huge)
@@ -191,18 +192,13 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
     if k <= squaring.ORACLE_MAX_K:
         oracle_matched = squaring.u2_direct_oracle(u1, k) == exact_u2
 
-    # 4*(2^(k-1) atan(1/u1) + atan(1/u2)), the coefficients taken times 4
-    total = series.arctan_sum(((2 ** (k + 1), u1), (4, exact_u2)), precision)
-    work = precision + guard_digits()
-    with working_context(work):
-        residual = abs(total - series.reference_pi(work))
-    threshold = Decimal(1).scaleb(-(precision - 5))
+    identity = formulas.validate_formula(formulas.two_term_formula(k, exact_u2, u1), precision)
 
     leading = digits_prefix(exact_dec, 20)
     if exact_u2 < 0:
         leading = "-" + leading
     ok = (unit_exact and agreement >= required
-          and oracle_matched is not False and residual < threshold)
+          and oracle_matched is not False and identity.valid)
     return TrigCheckResult(
         k=k,
         u1=u1,
@@ -213,8 +209,8 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
         required_digits=required,
         unit_circle_exact=unit_exact,
         oracle_matched=oracle_matched,
-        identity_residual=round_sig(residual, 10) if residual != 0 else Decimal(0),
-        identity_threshold=threshold,
+        identity_residual=abs(identity.residual),
+        identity_threshold=identity.threshold,
         precision=precision,
         ok=ok,
     )

@@ -61,6 +61,11 @@ def test_main_rejects_bad_values_before_any_work(tmp_path, monkeypatch, capsys):
         (("compute-pi", "--k", "25", "--precision", "10"), "--precision must be >= 20, got 10"),
         (("error-curve", "--samples", "2"), "--samples must be >= 3, got 2"),
         (("error-curve", "--x-min", "1/2", "--x-max", "1/4"), "--x-min must be below --x-max"),
+        # refused before the samples at x = 0 and 0.475 are computed
+        (("error-curve", "--x-min", "0", "--x-max", "0.95", "--samples", "3"),
+         "error-curve needs |x| < 9/10 on its interval"),
+        (("error-curve", "--x-min=-9/10", "--x-max", "0"),
+         "error-curve needs |x| < 9/10 on its interval"),
         (("compute-pi", "--fixture", "nope"), "unknown fixture 'nope'; known: chienlih-6term, "
                                               "kanada-a, kanada-b, lehmer-3term, machin-1706"),
     ]:
@@ -138,6 +143,9 @@ def test_compute_pi_defaults(tmp_path, capsys):
 @pytest.mark.parametrize("text, written", [
     ("1 * atan(1/2)", "1.854590436003224464857024925844"),
     ("-1 * atan(1/10)", "-0.398674609964648109513784479512"),
+    # 4e-40 truncates to all zeros at 30 places, its sign kept
+    (f"1 * atan(1/{10**40})", "0." + "0" * 30),
+    (f"-1 * atan(1/{10**40})", "-0." + "0" * 30),
 ])
 def test_compute_pi_digit_file_holds_the_value_itself(tmp_path, capsys, text, written):
     """The digit file is 4 * the formula's sum truncated to --precision
@@ -393,6 +401,12 @@ def test_error_curve_zero_row_and_symmetry(tmp_path, capsys):
     assert middle == ["0.000000E+00", "0.00000E+00"]
     # symmetric interval, even error curve
     assert lines[1].split(",")[1] == lines[-1].split(",")[1]
+    assert b"\r" not in out.read_bytes()
+    # the error's exponent has two digits, as x's does
+    payload = payload_of(capsys, "error-curve", "--x-min", "0", "--x-max", "1/2",
+                         "--terms", "1", "--samples", "3", "--out", str(out))
+    assert payload["peak_error"] == "6.94063E-03"
+    assert out.read_text(encoding="ascii").splitlines()[2] == "2.500000E-01,1.17518E-03"
 
 
 def test_error_curve_euler_peak(tmp_path, capsys):
@@ -429,6 +443,7 @@ def test_measure_sweep_decreasing(tmp_path, capsys):
     payload = payload_of(capsys, "measure-sweep", "--k-max", "12",
                          "--out", str(out))
     assert payload["rows"] == 11
+    assert b"\r" not in out.read_bytes()
     lines = out.read_text(encoding="ascii").strip().splitlines()[1:]
     values = [Decimal(line.split(",")[2]) for line in lines]
     assert values == sorted(values, reverse=True)

@@ -116,6 +116,8 @@ def test_int_log10_small_and_huge():
 def test_int_log10_zero():
     with pytest.raises(DomainError):
         int_log10(0)
+    with pytest.raises(DomainError):
+        rational_log10_abs(Fraction(0))
 
 
 def test_rational_log10_abs():
@@ -149,6 +151,9 @@ def test_coinciding_digits_examples():
     # agreement of equal values is capped by stored resolution
     assert coinciding_digits(Decimal("3.14"), Decimal("3.14")) == 2
     assert coinciding_digits(Decimal("3"), Decimal("3")) == 0
+    for bad in (Decimal("NaN"), Decimal("-Infinity")):
+        with pytest.raises(DomainError):
+            coinciding_digits(Decimal(1), bad)
 
 
 def test_coinciding_digits_power_of_ten_gap():
@@ -172,6 +177,9 @@ def test_digits_prefix():
     assert digits_prefix(Decimal(0), 4) == "0000"
     with pytest.raises(DomainError):
         digits_prefix(Decimal(1), 0)
+    for bad in (Decimal("NaN"), Decimal("Infinity")):
+        with pytest.raises(DomainError):
+            digits_prefix(bad, 3)
 
 
 def test_digits_prefix_truncates_not_rounds():

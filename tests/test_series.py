@@ -111,6 +111,8 @@ def test_series_error_domain():
         series_error(Fraction(1, 10**6), 10, series="maclaurin")
     with pytest.raises(DomainError):
         series_error(Fraction(95, 100), 10)
+    with pytest.raises(DomainError):
+        series_error(Fraction(1, 5), 0)
 
 
 def test_reference_pi_truncates():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from machinlike.errors import DomainError
+from machinlike.errors import DomainError, PrecisionError
 from machinlike.exactmath import (
     coinciding_digits,
     fraction_to_decimal,
@@ -161,13 +161,23 @@ def test_u2_trig_retries_when_1_minus_sin_cancels(monkeypatch):
     assert abs(Fraction(trig) - exact) <= abs(exact) / 10**99
 
 
-def test_u2_trig_domain():
+def test_u2_trig_domain(monkeypatch):
+    import machinlike.trigcheck as trigcheck
     with pytest.raises(DomainError):
         u2_trig(1, 3, 40)
     with pytest.raises(DomainError):
         u2_trig(5, 0, 40)
     with pytest.raises(DomainError):
         u2_trig(5, 3, 4)
+    # sin(phi) = 1 exactly: 1 - sin(phi) cancels at every working precision
+    monkeypatch.setattr(trigcheck, "dec_sin_cos", lambda theta, precision: (Decimal(1), Decimal(0)))
+    with pytest.raises(PrecisionError, match="kept outrunning the working precision"):
+        u2_trig(5, 3, 40)
+    # 1 - sin(phi) = 1e-41 is resolved, and below 10**-40
+    near_one = Decimal("0." + "9" * 41)
+    monkeypatch.setattr(trigcheck, "dec_sin_cos", lambda theta, precision: (near_one, Decimal(0)))
+    with pytest.raises(PrecisionError, match=r"1 - sin\(phi\) is below 10\*\*-40"):
+        u2_trig(5, 3, 40)
 
 
 def test_rational_sin_cos_k3():
