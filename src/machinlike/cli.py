@@ -39,8 +39,10 @@ from .errors import (
     UsageError,
 )
 from .exactmath import (
+    _EXACT,
     RationalParts,
     coinciding_digits,
+    coprime_fraction,
     digits_prefix,
     fraction_to_decimal,
     int_digit_count,
@@ -165,7 +167,9 @@ def _emit(payload: dict) -> None:
 def cmd_generate(args: argparse.Namespace) -> int:
     k = args.k
     u1 = u1_of_k(k)
-    u2 = squaring.u2_of(u1, k, allow_huge=args.allow_huge)
+    # past its first steps the chain runs in Decimal, whose parts print in one pass
+    num, den, _ = squaring.closing_parts(u1, k, args.allow_huge, _EXACT)
+    u2 = coprime_fraction(num, den)
     out = args.out or f"u2-k{k}.txt"
     squaring.write_fraction_file(out, u2)
 
@@ -206,9 +210,10 @@ def cmd_compute_pi(args: argparse.Namespace) -> int:
     if args.k is None:
         formula = _load_formula(args)
     else:
-        # the file's parts as written, with no gcd; generate writes them in lowest terms
+        # the file's parts as written, as Decimals, with no gcd; generate
+        # writes them in lowest terms
         u2 = (None if args.u2_file is None
-              else RationalParts(*squaring.read_fraction_parts(args.u2_file)))
+              else RationalParts(*squaring.read_fraction_parts(args.u2_file, _EXACT)))
         formula = formulas.two_term_formula(args.k, u2_value=u2)
     terms = args.terms or _auto_terms(formula, precision)
     # pi is the sum at 4 * coeff; 8 spare digits keep rounding out of the digit file

@@ -7,6 +7,19 @@ correct.  Anything exactly representable stays an ``int`` or ``Fraction``
 for as long as possible; ``Decimal`` enters only where a value is
 irrational or a quotient is finally needed.
 
+Integer parts come in two kinds: an ``int``, or an integral ``Decimal`` of
+exponent 0.  The squaring chain moves its parts to Decimal once they pass
+a few thousand bits, since libmpdec multiplies them with a number-theoretic
+transform and prints and parses them in one linear pass, so fraction files
+are written with str and read with Decimal(text).  The part readers
+(int_digit_count, int_log10, reciprocal, coprime_fraction and the private
+_part_abs, _bit_length and _scaled_floor) take either kind and return
+exactly what the int code returns.  They keep clear of three traps:
+abs(), unary - and unary + round a Decimal to the ambient context (28
+digits by default); Decimal // truncates toward zero where int // floors;
+and int() of a huge Decimal is quadratic.  No code here changes the
+ambient or global decimal context.
+
 Integers to and from text: int_to_text and text_to_int convert in
 subquadratic time and under any int<->str digit limit, which the package
 never changes; ``parsed_lines`` holds the line rule of every input file.
@@ -23,7 +36,8 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import (
-    Context, Decimal, Inexact, MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, localcontext)
+    Context, Decimal, Inexact, MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, ROUND_FLOOR,
+    localcontext)
 from fractions import Fraction
 
 from .errors import DomainError, FormulaParseError
@@ -31,6 +45,8 @@ from .errors import DomainError, FormulaParseError
 DEFAULT_GUARD_DIGITS = 10
 
 _LOG10_2 = Decimal("0.30102999566398119521373889472449302676818988146210854131042746112852790792954564")
+# integer arithmetic on Decimals: a result that would need rounding raises
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
 def guard_digits() -> int:
@@ -108,23 +124,96 @@ def fraction_to_decimal(value: Fraction | int, precision: int) -> Decimal:
     return round_sig(dec, precision)
 
 
-def int_log10(n: int, precision: int = 40) -> Decimal:
+# A Decimal part this short is read as an int: converting it is cheap, and
+# every reader then runs the int code itself.
+_SHORT_DIGITS = 600
+
+
+def _as_int(n: int | Decimal) -> int:
+    """An int part as it is; an integral Decimal through its text, since
+    int() of a huge Decimal is quadratic."""
+    return n if isinstance(n, int) else text_to_int(format(n, "f"))
+
+
+def _part_abs(n: int | Decimal) -> int | Decimal:
+    """|n|, exact: a Decimal's abs() would round to the ambient context."""
+    return n.copy_abs() if isinstance(n, Decimal) else abs(n)
+
+
+def _negated(n: int | Decimal) -> int | Decimal:
+    return n.copy_negate() if isinstance(n, Decimal) else -n
+
+
+def _scaled_floor(num: int | Decimal, den: int | Decimal, shift: int) -> int:
+    """floor(num * 2**shift / den) for den > 0, as int // gives it.
+
+    Decimal parts take one quotient rounded to 30 digits past its integer
+    part.  Its five roundings move it by under 10**(2 - prec) of its size,
+    so when a slack of 100 times that cannot move its floor, that floor
+    is the answer.  Otherwise (a quotient within 10**-26 of an integer)
+    the quotient is formed exactly, with the remainder's sign turning
+    Decimal's truncation toward zero into a floor.
+    """
+    if isinstance(num, int) and isinstance(den, int):
+        return (num << shift) // den if shift >= 0 else num // (den << -shift)
+    num, den = Decimal(num), Decimal(den)    # an int here is short: den = 1
+    digits = max(num.adjusted() - den.adjusted() + int(shift * 0.30103), 0) + 30
+    ctx = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    quotient = ctx.divide(ctx.multiply(ctx.plus(num), ctx.power(2, shift)), ctx.plus(den))
+    slack = quotient.copy_abs().scaleb(4 - digits, ctx)
+    low = ctx.subtract(quotient, slack).to_integral_value(ROUND_FLOOR)
+    if low == ctx.add(quotient, slack).to_integral_value(ROUND_FLOOR):
+        return _as_int(low)
+    with localcontext(_EXACT) as exact:
+        if shift >= 0:
+            num *= exact.power(2, shift)
+        else:
+            den *= exact.power(2, -shift)
+        whole, rest = divmod(num, den)
+    return _as_int(whole) - (rest < 0)
+
+
+def _leading_bits(n: int | Decimal, window: int) -> tuple[int, int]:
+    """(shift, |n| >> shift) with shift = max(bits - window, 0), bits the
+    bit length of |n|: the top ``window`` bits and the power of two below
+    them."""
+    if isinstance(n, Decimal):
+        if n.adjusted() >= _SHORT_DIGITS + window // 3:
+            # 10**adjusted <= |n| < 10**(adjusted + 1), so this leaves
+            # window + 1 to window + 7 bits above the shift
+            shift = int(n.adjusted() * 3.321928094887362) - window - 1
+            top = _scaled_floor(n.copy_abs(), 1, -shift)
+            extra = top.bit_length() - window
+            return shift + extra, top >> extra
+        n = _as_int(n)
+    n = abs(n)
+    shift = max(n.bit_length() - window, 0)
+    return shift, n >> shift
+
+
+def _bit_length(n: int | Decimal) -> int:
+    """The bit length of |n|, as int.bit_length gives it."""
+    if isinstance(n, int):
+        return n.bit_length()
+    shift, top = _leading_bits(n, 64)
+    return shift + top.bit_length()
+
+
+def int_log10(n: int | Decimal, precision: int = 40) -> Decimal:
     """log10 of |n| for integers too large to convert to Decimal whole.
 
     Only the top bits carry information beyond the power-of-two offset,
     so the cost is a shift plus a small logarithm: O(len(n)) instead of
-    the quadratic base conversion Decimal(n).log10() would trigger.
+    the quadratic base conversion Decimal(n).log10() would trigger.  A
+    Decimal n gives the same value, from the same top bits.
     """
     if n == 0:
         raise DomainError("log10 of zero")
-    n = abs(n)
-    bits = n.bit_length()
-    window = int((precision + 4) * 3.33) + 8
+    shift, top = _leading_bits(n, int((precision + 4) * 3.33) + 8)
     with working_context(precision + guard_digits()):
-        if bits <= window:
-            return +Decimal(n).log10()
-        top = n >> (bits - window)
-        return +(Decimal(top).log10() + (bits - window) * _LOG10_2)
+        if not shift:
+            return +Decimal(top).log10()
+        return +(Decimal(top).log10() + shift * _LOG10_2)
 
 
 def rational_log10_abs(value: Fraction | int | RationalParts, precision: int = 40) -> Decimal:
@@ -137,10 +226,12 @@ def rational_log10_abs(value: Fraction | int | RationalParts, precision: int = 4
                  - int_log10(value.denominator, precision + 5))
 
 
-def int_digit_count(n: int) -> int:
+def int_digit_count(n: int | Decimal) -> int:
     """Number of decimal digits of |n|, without materializing the string."""
     if n == 0:
         return 1
+    if isinstance(n, Decimal):
+        return n.adjusted() + 1
     n = abs(n)
     if n.bit_length() <= 128:
         return len(str(n))
@@ -199,7 +290,6 @@ def digits_prefix(value: Decimal, count: int) -> str:
 # interpreter accepts; neither Decimal(int) nor str(Decimal) is limited.
 _LEAF_BITS = 2048
 _LEAF_DIGITS = 640
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
 def int_to_text(n: int) -> str:
@@ -266,13 +356,17 @@ class _CoprimeParts:
 numbers.Rational.register(_CoprimeParts)
 
 
-def coprime_fraction(num: int, den: int) -> Fraction:
+def coprime_fraction(num: int | Decimal, den: int | Decimal) -> Fraction | RationalParts:
     """num/den as a Fraction, built with no gcd: the caller vouches that
-    gcd(num, den) == 1.  The sign may sit on either part."""
+    gcd(num, den) == 1.  The sign may sit on either part.  Decimal parts
+    stay Decimals, in RationalParts with the sign moved to the numerator:
+    a Fraction would need int() of them."""
     if den == 0:
         raise DomainError("zero denominator")
     if den < 0:
-        num, den = -num, -den
+        num, den = _negated(num), _negated(den)
+    if isinstance(num, Decimal) or isinstance(den, Decimal):
+        return RationalParts(num, den)
     return Fraction(_CoprimeParts(num, den))
 
 
@@ -281,10 +375,10 @@ class RationalParts:
     """An exact rational kept as the integer parts it was written with, not
     reduced, so that reading it takes no gcd.  Like an int or a Fraction it
     is read through ``numerator`` and ``denominator``; the sign sits on the
-    numerator."""
+    numerator.  The parts are ints or integral Decimals of exponent 0."""
 
-    numerator: int
-    denominator: int
+    numerator: int | Decimal
+    denominator: int | Decimal
 
     def __post_init__(self):
         if self.denominator <= 0:
@@ -297,24 +391,29 @@ def reciprocal(value: Fraction | int | RationalParts) -> RationalParts:
     num, den = value.numerator, value.denominator
     if num == 0:
         raise DomainError("reciprocal of zero")
-    return RationalParts(den if num > 0 else -den, abs(num))
+    return RationalParts(den if num > 0 else _negated(den), _part_abs(num))
 
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def format_rational(value: Fraction | RationalParts) -> str:
-    """Render as num/den with the sign on the numerator, den always shown."""
-    return f"{int_to_text(value.numerator)}/{int_to_text(value.denominator)}"
+    """Render as num/den with the sign on the numerator, den always shown.
+    A Decimal part is printed by str, in one linear pass."""
+    return "/".join(str(part) if isinstance(part, Decimal) else int_to_text(part)
+                    for part in (value.numerator, value.denominator))
 
 
-def parse_rational_parts(text: str) -> tuple[int, int]:
+def parse_rational_parts(text: str, context: Context | None = None) -> tuple:
     """(num, den) of ``[+-]num[/den]`` as written, unreduced.  The sign
-    belongs to the numerator only; a signed or zero denominator is rejected."""
+    belongs to the numerator only; a signed or zero denominator is rejected.
+    The parts are ints, or with a ``context`` Decimals made by its
+    create_decimal, which parses them in one linear pass."""
     match = _RATIONAL_RE.fullmatch(text.strip())
     if match is None:
         raise FormulaParseError(f"not a rational literal: {text.strip()!r}")
-    num, den = text_to_int(match.group(1)), text_to_int(match.group(2) or "1")
+    part = text_to_int if context is None else context.create_decimal
+    num, den = part(match.group(1)), part(match.group(2) or "1")
     if den == 0:
         raise FormulaParseError(f"zero denominator: {text.strip()!r}")
     return num, den

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, FormulaParseError, PrecisionError
 from .exactmath import (
+    _part_abs,
     RationalParts,
     format_rational,
     guard_digits,
@@ -96,7 +97,7 @@ class MachinFormula:
             else:
                 if not isinstance(beta, RationalParts):
                     beta = Fraction(beta)
-                inside = abs(beta.numerator) <= beta.denominator
+                inside = _part_abs(beta.numerator) <= beta.denominator
             if inside:
                 raise DomainError(f"term {index}: |cotangent| must exceed 1, got {_shown(beta)}")
             normalized.append((coeff, beta))

@@ -53,6 +53,10 @@ from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .exactmath import (
+    _as_int,
+    _bit_length,
+    _part_abs,
+    _scaled_floor,
     RationalParts,
     coinciding_digits,
     complex_div,
@@ -83,7 +87,7 @@ _LOG10_2, _LOG2_10 = 0.3010299956639812, 3.321928094887362
 def _branch_float(x: Fraction | RationalParts, bits: int) -> tuple[int, int, int, int]:
     """(Im w, Im w^3, 2 Re w^2, |w|^4) * 2^bits, each within 5 units, from
     x rounded to X/2^bits: one division, however wide the parts of x."""
-    xs = (x.numerator << bits) // x.denominator
+    xs = _scaled_floor(x.numerator, x.denominator, bits)
     den = xs * xs + (1 << 2 * bits + 2)    # (x^2 + 4) * 4^bits
     wr = (xs * xs << bits) // den          # Re w = x^2/(x^2 + 4) = |w|^2
     wi = -((xs << 2 * bits + 1) // den)
@@ -123,8 +127,9 @@ def _arctan_scaled(x: Fraction | RationalParts, terms: int, bits: int) -> int:
     carried pair is (0, 0), every later term is exactly 0, and the loop
     stops."""
     p, q = x.numerator, x.denominator
-    if 8 * max(abs(p).bit_length(), q.bit_length()) + 12 <= bits:
+    if 8 * max(_bit_length(p), _bit_length(q)) + 12 <= bits:
         # s^2 fills at most half the scale: exact multipliers over den = s^2
+        p, q = _as_int(p), _as_int(q)
         psq, qsq4 = p * p, 4 * q * q
         s = psq + qsq4
         den = s * s
@@ -158,10 +163,10 @@ def arctan_fast(x: Fraction | int | RationalParts, terms: int, precision: int) -
         raise DomainError(f"terms must be >= 1, got {terms}")
     if p == 0:
         return Decimal(0)
-    if abs(p) > q:
+    if _part_abs(p) > q:
         raise DomainError("arctan_fast expects |x| <= 1; pass the cotangent's reciprocal")
     # decimal orders between |x| and 1
-    gap = q.bit_length() - abs(p).bit_length()
+    gap = _bit_length(q) - _bit_length(p)
     orders = int((gap + 1) * _LOG10_2) + 1
     digits = precision + guard_digits() + orders + len(str(terms)) + 2
     bits = int(digits * _LOG2_10) + 1

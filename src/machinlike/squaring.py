@@ -5,32 +5,48 @@ k-1 times lands on z(k) = x(k) + i*y(k), still rational and still on the
 unit circle, and the closing cotangent of the two-term identity is
 u2 = x(k)/(1 - y(k)).  Everything here is exact; no rounding ever enters.
 
-One integer loop, shared_parts, runs the chain: state_at reads it as
-Fractions and closing_parts holds the one closing rule, whose coprime
-parts u2_of turns into a Fraction with no gcd.  init_state and
-square_step are the plain Fraction reference it is tested against.
+One loop, shared_parts, runs the chain on integer parts.  With no
+context they stay ints throughout; under an exact Decimal context they
+start as ints and move to Decimal once they pass _DECIMAL_BITS, where
+libmpdec's number-theoretic multiply beats Python's, and a Decimal part
+prints and parses in one linear pass.  state_at reads the all-int chain
+as Fractions, and closing_parts holds the one closing rule, whose coprime
+parts u2_of turns into a Fraction with no gcd.  generate runs the chain
+under the exact context and writes its u2 file from the Decimal parts
+with str; compute-pi --u2-file reads them back as Decimals.  init_state
+and square_step are the plain Fraction reference it is tested against.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DegenerateFormulaError, DomainError, FormulaParseError
 from .exactmath import (
-    complex_add, complex_div, complex_mul, coprime_fraction, format_rational,
+    RationalParts, complex_add, complex_div, complex_mul, coprime_fraction, format_rational,
     parse_rational_parts, parsed_lines)
 
 # Above this depth the shared-denominator integers pass a million digits
-# (they double per step).  No gcd is taken on u2's parts, so the chain's
-# products and the text conversion set the cost, about 2.5 times more per
-# step: generate took 12 s and verify 22 s at k = 20 (2 vCPUs, Python 3.11).
+# (they double per step).  No gcd is taken on u2's parts, so generate's
+# Decimal chain sets its cost, about 2.1 times more per step, and verify's
+# all-int chain and Fraction checks about 3 times: at k = 20 generate took
+# 0.9 s, compute-pi --u2-file 0.22 s and verify 19 s (2 vCPUs, Python 3.11).
 DESK_SCALE_MAX_K = 20
 
 # The memory ceiling of shared_parts, which even allow_huge does not lift
 # (the model is in its docstring).
 _MEMORY_BUDGET = 6 * 2**30
-_PEAK_BYTES_PER_PART_BYTE = 20
+_PEAK_BYTES_PER_PART_BYTE = 19
+
+# shared_parts' switch to Decimal, on the bit length of its common
+# denominator: best of 5, ms, for the chain behind generate at k = 13/14/15/16
+# (2 vCPUs, Python 3.11), all-int 1.1/3.4/19/39 against 2.4/4.7-4.9/12/20-21
+# switching at 512 to 4,096 bits, and 2.7/5.5/13/21 at 8,192.  Below k = 15 the
+# int chain is faster, but its parts then cost 5-90 ms more to print and parse.
+_DECIMAL_BITS = 2048
 
 # Deepest k verify runs the naive direct oracle at; its cost grows about
 # fourfold per step (32 ms at k = 12, 0.14 s at k = 13, 2 vCPUs, Python 3.11).
@@ -84,7 +100,13 @@ def _checked_start(u1: Fraction | int, k: int, allow_huge: bool,
     return start
 
 
-def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple[int, int, int]:
+def _under(context: Context | None):
+    """The block's arithmetic under ``context``; with None, ints need none."""
+    return nullcontext() if context is None else localcontext(context)
+
+
+def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
+                 context: Context | None = None) -> tuple:
     """Integer fast path: (X, Y, D) with x(k) = X/D and y(k) = Y/D.
 
     The squaring step maps (X, Y, D) to ((X-Y)(X+Y), 2XY, D*D), so one
@@ -92,20 +114,29 @@ def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple[
     The triple is unreduced apart from the single common factor the
     initial state sheds (2 for odd integer u1).
 
+    With no ``context`` the parts stay ints.  Under an exact Decimal
+    context (prec=MAX_PREC, Inexact trapped) they start as ints and move
+    to Decimal once D passes _DECIMAL_BITS.
+
     D is z(1)'s denominator raised to 2**(k-1), so the parts at depth k
     have about bits(z(1)'s denominator) * 2**(k-1) bits.  generate's peak
-    RSS above the interpreter's was about 20 bytes per byte of one such
-    part (k = 17/18/19, chains to depth 16/17/18: 2.5/5.0/12.3 MiB over a
-    16 MiB base, 2 vCPUs, Python 3.11).  A chain whose estimate passes
-    _MEMORY_BUDGET (6 GiB) raises DomainError before it starts, with or
-    without allow_huge.  On the ladder's u1 that admits the pair through
-    k = 27 (an estimated 4.1 GiB) and refuses it from k = 28 (8.6 GiB).
+    RSS above the interpreter's, on its Decimal chain, was about 18 bytes
+    per byte of one such part (k = 17/18/19, chains to depth 16/17/18:
+    2.0/4.8/10.5 MiB over a 16.6 MiB base; 18.0-18.2 at k = 20/21/22;
+    2 vCPUs, Python 3.11); verify's all-int chain took up to about 16,
+    and the model takes 19.  A chain whose estimate passes _MEMORY_BUDGET (6 GiB)
+    raises DomainError before it starts, with or without allow_huge.  On
+    the ladder's u1 that admits the pair through k = 27 (an estimated
+    3.9 GiB) and refuses it from k = 28 (8.2 GiB).
     """
     start = _checked_start(u1, k, allow_huge)
     x, y, d = start.x.numerator, start.y.numerator, start.x.denominator
-    for _ in range(k - 1):
-        x, y = (x - y) * (x + y), 2 * x * y
-        d *= d
+    with _under(context):
+        for _ in range(k - 1):
+            if context is not None and isinstance(d, int) and d.bit_length() > _DECIMAL_BITS:
+                x, y, d = Decimal(x), Decimal(y), Decimal(d)
+            x, y = (x - y) * (x + y), 2 * x * y
+            d *= d
     return x, y, d
 
 
@@ -115,20 +146,22 @@ def state_at(u1: Fraction | int, k: int, allow_huge: bool = False) -> ComplexRat
     return ComplexRationalState(n=k, x=Fraction(x, d), y=Fraction(y, d))
 
 
-def closing_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple[int, int, int]:
+def closing_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
+                  context: Context | None = None) -> tuple:
     """(A + B, A - B, D) with z(k-1) = (A + iB)/D, one squaring short of k.
 
     The last squaring gives x(k) = (A - B)(A + B)/D^2 and, as A^2 + B^2 = D^2,
     1 - y(k) = (A - B)^2/D^2.  So u2 = (A + B)/(A - B): the enormous common
     factor A - B cancels by algebra, not by a gcd.  A and B are coprime with
     opposite parity, so the parts are coprime, and (A + B)^2 + (A - B)^2 = 2D^2.
-    The sign of u2 may sit on either part.
+    The sign of u2 may sit on either part.  A ``context`` is shared_parts'.
     """
     _checked_start(u1, k, allow_huge, least=2)
-    a, b, d = shared_parts(u1, k - 1, allow_huge)
+    a, b, d = shared_parts(u1, k - 1, allow_huge, context)
     if a == b:
         raise DegenerateFormulaError("y(k) = 1 leaves the closing cotangent undefined")
-    return a + b, a - b, d
+    with _under(context):
+        return a + b, a - b, d
 
 
 def u2_of(u1: Fraction | int, k: int, allow_huge: bool = False) -> Fraction:
@@ -164,19 +197,20 @@ def u2_direct_oracle(u1: Fraction | int, k: int, max_k: int = ORACLE_MAX_K) -> F
     return 1 / arg[0]
 
 
-def write_fraction_file(path, value: Fraction) -> None:
+def write_fraction_file(path, value: Fraction | RationalParts) -> None:
     """One line, ``[-]num/den`` in ASCII decimal, newline terminated."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(format_rational(value) + "\n")
 
 
-def read_fraction_parts(path) -> tuple[int, int]:
-    """A fraction file's (num, den) as written, unreduced, with no gcd.
+def read_fraction_parts(path, context: Context | None = None) -> tuple:
+    """A fraction file's (num, den) as written, unreduced, with no gcd: ints,
+    or with a ``context`` Decimals (parse_rational_parts).
 
     Tolerates '#' comment lines, blank lines and a bare integer, but
     exactly one value line must remain.
     """
-    values = list(parsed_lines(path, parse_rational_parts))
+    values = list(parsed_lines(path, lambda line: parse_rational_parts(line, context)))
     if len(values) != 1:
         raise FormulaParseError(f"expected exactly one fraction line, found {len(values)}")
     return values[0]

@@ -21,7 +21,8 @@ from machinlike.squaring import read_fraction_parts, u2_of
 U2_K6 = u2_of(40, 6)
 
 
-def run(capsys, *argv):
+def run(capsys, *argv, main=main):
+    """``main`` runs argv; a test that patches a freshly imported cli passes its main."""
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
@@ -484,7 +485,7 @@ def test_compute_pi_explicit_short_truncation_reports_not_ok(capsys):
 def test_compute_pi_auto_terms_shortfall_exits_5(capsys, monkeypatch):
     from machinlike import cli
     monkeypatch.setattr(cli, "_auto_terms", lambda formula, precision: 2)
-    code, out, err = run(capsys, "compute-pi", "--k", "3", "--precision", "50")
+    code, out, err = run(capsys, "compute-pi", "--k", "3", "--precision", "50", main=cli.main)
     assert code == EXIT_VERIFY
     payload = json.loads(out)
     assert payload["ok"] is False and payload["coinciding_digits"] < 50
@@ -497,6 +498,6 @@ def test_out_of_memory_exits_4_with_one_line(capsys, monkeypatch):
     def exhausted(cfg):
         raise MemoryError
     monkeypatch.setitem(cli._DISPATCH, "verify", exhausted)
-    code, out, err = run(capsys, "verify", "--k", "3")
+    code, out, err = run(capsys, "verify", "--k", "3", main=cli.main)
     assert code == EXIT_DOMAIN
     assert out == "" and err.count("\n") == 1 and "out of memory" in err

@@ -1,0 +1,179 @@
+"""Integer parts held as Decimals: generate's chain, its u2 file, and the
+part readers that compute-pi and validation read them through.
+
+Past its first steps, generate's squaring chain runs in Decimal under an
+exact context, and compute-pi --u2-file reads the file back as Decimals.
+Every reader must give on Decimal(n) exactly what it gives on the int n,
+so that every output stays byte-identical to the all-int route.
+"""
+
+import contextlib
+import io
+import random
+from decimal import Decimal, getcontext
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from machinlike import cli
+from machinlike.errors import DomainError
+from machinlike.exactmath import (
+    _EXACT,
+    _bit_length,
+    _scaled_floor,
+    RationalParts,
+    coprime_fraction,
+    format_rational,
+    int_digit_count,
+    int_log10,
+    int_to_text,
+    reciprocal,
+)
+from machinlike.formulas import MachinFormula
+from machinlike.radical import u1_of_k
+from machinlike.series import _arctan_scaled, _branch_float, arctan_fast, auto_term_count
+from machinlike.squaring import closing_parts, read_fraction_parts, u2_of
+
+
+def _dec(n: int) -> Decimal:
+    """n as an exact Decimal of exponent 0, as the chain and the file reader make them."""
+    return Decimal(int_to_text(n))
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def test_generate_writes_the_all_int_chains_u2_at_every_desk_k(tmp_path):
+    for k in range(2, 17):
+        path = tmp_path / f"u2-k{k}.txt"
+        code, _ = _run(["generate", "--k", str(k), "--out", str(path)])
+        assert code == 0
+        expected = format_rational(u2_of(u1_of_k(k), k)) + "\n"
+        assert path.read_text(encoding="ascii") == expected, k
+
+
+def test_the_chain_moves_to_decimal_once_its_parts_pass_2048_bits():
+    small = closing_parts(40, 6, context=_EXACT)    # 176-bit parts stay ints
+    assert small == closing_parts(40, 6) and all(type(part) is int for part in small)
+    big = closing_parts(u1_of_k(12), 12, context=_EXACT)
+    assert all(isinstance(part, Decimal) for part in big)
+    assert [str(part) for part in big] == [int_to_text(part) for part in
+                                           closing_parts(u1_of_k(12), 12)]
+
+
+def _digits(count: int, seed: int) -> int:
+    return random.Random(seed).randrange(10 ** (count - 1), 10 ** count)
+
+
+# random integers of 1 to 20,000 digits, and values just either side of
+# powers of 10 and of 2, where a reader's rounded shortcut must give way
+MAGNITUDES = st.one_of(
+    st.builds(_digits, st.integers(1, 20_000), st.integers(0, 2**32)),
+    st.builds(lambda e, d: 10**e + d, st.integers(1, 20_000), st.integers(-2, 2)),
+    st.builds(lambda e, d: 2**e + d, st.integers(2, 66_000), st.integers(-2, 2)),
+)
+SIGNED = st.tuples(MAGNITUDES, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=SIGNED)
+def test_single_part_readers_match_the_int_code(n):
+    d = _dec(n)
+    assert int_digit_count(d) == int_digit_count(n)
+    assert int_log10(d, 45) == int_log10(n, 45)
+    # the bit lengths behind the series' exact/rounded branch choice
+    assert _bit_length(d) == n.bit_length()
+    assert _scaled_floor(d, 1, -(n.bit_length() // 2)) == n >> (n.bit_length() // 2)
+
+
+def test_readers_past_two_million_digits():
+    # a default Context cannot scale by 2 million orders; k = 20 parts have 3 million digits
+    n = 10**2_500_000 + 1
+    d = Decimal("1" + "0" * 2_499_999 + "1")
+    assert int_digit_count(d) == 2_500_001
+    assert int_log10(d, 45) == int_log10(n, 45)
+    assert _bit_length(d) == n.bit_length()
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=SIGNED, b=MAGNITUDES, bits=st.integers(1, 4_000))
+def test_rational_readers_match_the_int_code(a, b, bits):
+    exact, dec = RationalParts(a, b), RationalParts(_dec(a), _dec(b))
+    assert reciprocal(dec) == reciprocal(exact)
+    inside = []
+    for beta in (exact, dec):
+        try:
+            MachinFormula(((1, beta),))
+        except DomainError:
+            inside.append(True)
+        else:
+            inside.append(False)
+    assert inside[0] == inside[1] == (abs(a) <= b)
+    small = exact if abs(a) <= b else reciprocal(exact)
+    small_dec = dec if abs(a) <= b else reciprocal(dec)
+    assert _branch_float(small_dec, bits) == _branch_float(small, bits)
+    assert _scaled_floor(small_dec.numerator, small_dec.denominator, bits) == \
+        (small.numerator << bits) // small.denominator
+    if small.numerator:
+        assert auto_term_count(small_dec, 200) == auto_term_count(small, 200)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=SIGNED.filter(lambda n: abs(n) < 10**2_000), b=MAGNITUDES.filter(lambda n: n < 10**2_000),
+       step=st.integers(-1, 1))
+def test_kernel_takes_the_same_branch_on_decimal_parts(a, b, step):
+    if a == 0:
+        a = 1
+    p, q = sorted((abs(a), b))
+    p = -p if a < 0 else p
+    # the scale at the exact/rounded threshold of _arctan_scaled, and next to it
+    bits = 8 * max(p.bit_length(), q.bit_length()) + 12 + step
+    exact = RationalParts(p, q)
+    assert _arctan_scaled(RationalParts(_dec(p), _dec(q)), 3, bits) == \
+        _arctan_scaled(exact, 3, bits)
+
+
+def test_a_40_digit_part_one_past_its_denominator():
+    den = 10**39 + 12_345
+    # abs() would round both to 28 digits, where they are equal
+    outside = RationalParts(_dec(-(den + 1)), _dec(den))
+    MachinFormula(((1, outside),))
+    assert reciprocal(outside) == RationalParts(-den, den + 1)
+    assert coprime_fraction(_dec(den + 1), _dec(-den)) == RationalParts(-(den + 1), den)
+    with pytest.raises(DomainError):
+        MachinFormula(((1, RationalParts(_dec(-(den - 1)), _dec(den))),))
+    x = reciprocal(outside)
+    assert arctan_fast(x, 5, 60) == arctan_fast(Fraction(-den, den + 1), 5, 60)
+
+
+def test_a_negative_u2_floors_its_quotient(tmp_path):
+    # every ladder u2 is negative; x = 1/u2 must be floored, not truncated
+    path = tmp_path / "u2.txt"
+    assert _run(["generate", "--k", "13", "--out", str(path)])[0] == 0
+    parts = read_fraction_parts(path, _EXACT)
+    assert parts[0] < 0 and isinstance(parts[0], Decimal)
+    x_dec = reciprocal(RationalParts(*parts))
+    x_int = reciprocal(RationalParts(*read_fraction_parts(path)))
+    for bits in (700, 701, 4_000):
+        assert _branch_float(x_dec, bits) == _branch_float(x_int, bits)
+        truncated = -(-(x_int.numerator << bits) // x_int.denominator)
+        assert _scaled_floor(x_dec.numerator, x_dec.denominator, bits) == truncated - 1
+    code, text = _run(["compute-pi", "--k", "13", "--u2-file", str(path), "--precision", "200"])
+    assert code == 0 and '"ok": true' in text
+
+
+def test_generate_and_compute_pi_leave_the_decimal_context_alone(tmp_path):
+    context = getcontext()
+    before = (context.prec, context.rounding, context.Emax, context.Emin,
+              dict(context.traps), dict(context.flags))
+    path = str(tmp_path / "u2.txt")
+    assert _run(["generate", "--k", "14", "--out", path])[0] == 0
+    assert _run(["compute-pi", "--k", "14", "--u2-file", path])[0] == 0
+    context = getcontext()
+    assert (context.prec, context.rounding, context.Emax, context.Emin,
+            dict(context.traps), dict(context.flags)) == before

@@ -186,11 +186,11 @@ def test_desk_scale_cap(monkeypatch):
 
 
 def test_memory_budget_holds_under_allow_huge():
-    # the ladder's pair at k = 28 runs the chain to depth 27: about 8.6 GiB;
+    # the ladder's pair at k = 28 runs the chain to depth 27: about 8.2 GiB;
     # each refusal names the k it was given
-    with pytest.raises(DomainError, match="^k=28 .*8.59 GiB.*memory budget"):
+    with pytest.raises(DomainError, match="^k=28 .*8.16 GiB.*memory budget"):
         u2_of(u1_of_k(28), 28, allow_huge=True)
-    with pytest.raises(DomainError, match="^k=28 .*17.2 GiB.*memory budget"):
+    with pytest.raises(DomainError, match="^k=28 .*16.3 GiB.*memory budget"):
         state_at(u1_of_k(28), 28, allow_huge=True)
     with pytest.raises(DomainError, match="^k=40 .*memory budget"):
         shared_parts(2, 40, allow_huge=True)
@@ -210,7 +210,8 @@ def test_oracle_depth_limit():
 def test_degenerate_state_rejected(monkeypatch):
     import machinlike.squaring as squaring
     # no rational u1 reaches A == B (that is z(k-1) = e^(i pi/4)); fake the chain
-    monkeypatch.setattr(squaring, "shared_parts", lambda u1, k, allow_huge=False: (3, 3, 5))
+    monkeypatch.setattr(squaring, "shared_parts",
+                        lambda u1, k, allow_huge=False, context=None: (3, 3, 5))
     with pytest.raises(DegenerateFormulaError):
         closing_parts(5, 3)
 
