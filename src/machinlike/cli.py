@@ -168,8 +168,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     k = args.k
     u1 = u1_of_k(k)
     # past its first steps the chain runs in Decimal, whose parts print in one pass
-    num, den, _ = squaring.closing_parts(u1, k, args.allow_huge, _EXACT)
-    u2 = coprime_fraction(num, den)
+    u2 = coprime_fraction(*squaring.closing_parts(u1, k, args.allow_huge, _EXACT))
     out = args.out or f"u2-k{k}.txt"
     squaring.write_fraction_file(out, u2)
 

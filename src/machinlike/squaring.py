@@ -5,16 +5,17 @@ k-1 times lands on z(k) = x(k) + i*y(k), still rational and still on the
 unit circle, and the closing cotangent of the two-term identity is
 u2 = x(k)/(1 - y(k)).  Everything here is exact; no rounding ever enters.
 
-One loop, shared_parts, runs the chain on integer parts.  With no
-context they stay ints throughout; under an exact Decimal context they
-start as ints and move to Decimal once they pass _DECIMAL_BITS, where
-libmpdec's number-theoretic multiply beats Python's, and a Decimal part
-prints and parses in one linear pass.  state_at reads the all-int chain
-as Fractions, and closing_parts holds the one closing rule, whose coprime
-parts u2_of turns into a Fraction with no gcd.  generate runs the chain
-under the exact context and writes its u2 file from the Decimal parts
-with str; compute-pi --u2-file reads them back as Decimals.  init_state
-and square_step are the plain Fraction reference it is tested against.
+One loop, shared_parts, squares z's two integer numerators.  No loop
+squares their common denominator D, z(1)'s reduced denominator to the
+2**(k-1); _denominator gives it where a value needs it.  With no context
+the parts stay ints; under an exact Decimal context they move to Decimal
+past _DECIMAL_BITS, where libmpdec's number-theoretic multiply beats
+Python's and a part prints and parses in one linear pass.  state_at
+reads the all-int chain as Fractions, and closing_parts holds the one
+closing rule, whose coprime parts u2_of turns into a Fraction with no
+gcd.  generate runs the chain under the exact context and writes its u2
+file with str, which compute-pi --u2-file reads back as Decimals.
+init_state and square_step are the plain Fraction reference.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from .exactmath import (
     RationalParts, complex_add, complex_div, complex_mul, coprime_fraction, format_rational,
     parse_rational_parts, parsed_lines)
 
-# Above this depth the shared-denominator integers pass a million digits
-# (they double per step).  No gcd is taken on u2's parts, so generate's
-# Decimal chain sets its cost, about 2.1 times more per step, and verify's
-# all-int chain and Fraction checks about 3 times: at k = 20 generate took
-# 0.9 s, compute-pi --u2-file 0.22 s and verify 19 s (2 vCPUs, Python 3.11).
+# Above this depth the chain's integers pass a million digits (they
+# double per step).  No gcd is taken on u2's parts, so generate's Decimal
+# chain sets its cost, about 2 times more per step, and verify's all-int
+# chain and exact checks 3 to 4 times: at k = 20 generate took 0.65 s,
+# compute-pi --u2-file 0.20 s and verify 15 s (2 vCPUs, Python 3.11).
 DESK_SCALE_MAX_K = 20
 
 # The memory ceiling of shared_parts, which even allow_huge does not lift
@@ -41,11 +42,11 @@ DESK_SCALE_MAX_K = 20
 _MEMORY_BUDGET = 6 * 2**30
 _PEAK_BYTES_PER_PART_BYTE = 19
 
-# shared_parts' switch to Decimal, on the bit length of its common
-# denominator: best of 5, ms, for the chain behind generate at k = 13/14/15/16
-# (2 vCPUs, Python 3.11), all-int 1.1/3.4/19/39 against 2.4/4.7-4.9/12/20-21
-# switching at 512 to 4,096 bits, and 2.7/5.5/13/21 at 8,192.  Below k = 15 the
-# int chain is faster, but its parts then cost 5-90 ms more to print and parse.
+# shared_parts' switch to Decimal, on the model's bit length of its
+# parts: best of 5, ms, for the chain behind generate at k = 13/14/15/16
+# (2 vCPUs, Python 3.11), all-int 1.5/5.4/15/38 against 2.0-2.2/4.9-5.0/7.2-9.6/18-22
+# switching at 512 to 4,096 bits, and 2.4/5.4/7.9/19 at 8,192.  At k = 13 the int
+# chain is faster, but its parts then cost 5-90 ms more to print and parse.
 _DECIMAL_BITS = 2048
 
 # Deepest k verify runs the naive direct oracle at; its cost grows about
@@ -75,80 +76,79 @@ def square_step(state: ComplexRationalState) -> ComplexRationalState:
     return ComplexRationalState(n=state.n + 1, x=(x - y) * (x + y), y=2 * x * y)
 
 
-def _checked_start(u1: Fraction | int, k: int, allow_huge: bool,
-                   least: int = 1) -> ComplexRationalState:
-    """z(1) for the chain behind k.  Refuses k below ``least``, past the
-    desk-scale cap without allow_huge, or whose chain, to depth
-    k - least + 1, passes the memory budget (the model is in shared_parts'
-    docstring); every message names k."""
-    if k < least:
-        raise DomainError(f"k must be >= {least}, got {k}")
-    if k > DESK_SCALE_MAX_K and not allow_huge:
-        raise DomainError(
-            f"k={k} exceeds the desk-scale cap of {DESK_SCALE_MAX_K}: the iteration "
-            f"integers double per step, reaching millions of digits past k=20 (pass "
-            f"allow_huge=True, as in u2_of(u1, k, allow_huge=True), to proceed anyway)")
-    start = init_state(u1)
-    # like every rational point of the unit circle, z(1) has one reduced denominator
-    part_bits = start.x.denominator.bit_length() << (k - least)
-    peak = part_bits // 8 * _PEAK_BYTES_PER_PART_BYTE
-    if peak > _MEMORY_BUDGET:
-        raise DomainError(
-            f"k={k} needs squaring-chain parts of about {part_bits:.2e} bits, "
-            f"an estimated {peak / 2**30:.3g} GiB at peak, past the "
-            f"{_MEMORY_BUDGET // 2**30} GiB memory budget")
-    return start
-
-
 def _under(context: Context | None):
     """The block's arithmetic under ``context``; with None, ints need none."""
     return nullcontext() if context is None else localcontext(context)
 
 
 def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
-                 context: Context | None = None) -> tuple:
-    """Integer fast path: (X, Y, D) with x(k) = X/D and y(k) = Y/D.
+                 context: Context | None = None, *, _least: int = 1) -> tuple:
+    """Integer fast path: (X, Y) with z(k) = (X + iY)/D.
 
-    The squaring step maps (X, Y, D) to ((X-Y)(X+Y), 2XY, D*D), so one
-    denominator serves both parts and no per-step gcd is ever taken.
-    The triple is unreduced apart from the single common factor the
-    initial state sheds (2 for odd integer u1).
+    The squaring step maps (X, Y) to ((X-Y)(X+Y), 2XY) and D to D*D, so
+    no per-step gcd is ever taken, and the loop leaves D to _denominator.
+    The pair is unreduced apart from the single common factor the initial
+    state sheds (2 for odd integer u1).  k past the desk-scale cap is
+    refused without allow_huge.  closing_parts passes _least=2: the chain
+    stops at z(k-1), and k below 2 is refused.  Every message names k.
 
     With no ``context`` the parts stay ints.  Under an exact Decimal
     context (prec=MAX_PREC, Inexact trapped) they start as ints and move
-    to Decimal once D passes _DECIMAL_BITS.
+    to Decimal once the model's size of D, below, passes _DECIMAL_BITS.
 
-    D is z(1)'s denominator raised to 2**(k-1), so the parts at depth k
-    have about bits(z(1)'s denominator) * 2**(k-1) bits.  generate's peak
-    RSS above the interpreter's, on its Decimal chain, was about 18 bytes
-    per byte of one such part (k = 17/18/19, chains to depth 16/17/18:
-    2.0/4.8/10.5 MiB over a 16.6 MiB base; 18.0-18.2 at k = 20/21/22;
-    2 vCPUs, Python 3.11); verify's all-int chain took up to about 16,
-    and the model takes 19.  A chain whose estimate passes _MEMORY_BUDGET (6 GiB)
-    raises DomainError before it starts, with or without allow_huge.  On
-    the ladder's u1 that admits the pair through k = 27 (an estimated
-    3.9 GiB) and refuses it from k = 28 (8.2 GiB).
+    The parts at depth n have about bits(z(1)'s denominator) * 2**(n-1)
+    bits.  generate's peak RSS above the interpreter's, on its Decimal
+    chain, was 15-17 bytes per byte of one such part (k = 17..22, chains
+    to depth 16..21: 1.9/4.4/9.6/20.5/41.8/86.4 MiB over a 16.5 MiB base;
+    2 vCPUs, Python 3.11), and verify's, with its all-int chain and
+    checks, 8-13 (k = 17..20); the model takes 19.  A chain whose
+    estimate passes _MEMORY_BUDGET (6 GiB) raises DomainError before it
+    starts, with or without allow_huge.  On the ladder's u1 that admits
+    the pair through k = 27 (an estimated 3.9 GiB) and refuses it from
+    k = 28 (8.2 GiB).
     """
-    start = _checked_start(u1, k, allow_huge)
-    x, y, d = start.x.numerator, start.y.numerator, start.x.denominator
+    if k < _least:
+        raise DomainError(f"k must be >= {_least}, got {k}")
+    if k > DESK_SCALE_MAX_K and not allow_huge:
+        raise DomainError(
+            f"k={k} exceeds the desk-scale cap of {DESK_SCALE_MAX_K}: the iteration "
+            f"integers double per step, reaching millions of digits past k=20 (pass "
+            f"allow_huge=True, as in u2_of(u1, k, allow_huge=True), to proceed anyway)")
+    start = init_state(u1)
+    x, y = start.x.numerator, start.y.numerator
+    # like every rational point of the unit circle, z(1) has one reduced denominator
+    bits = start.x.denominator.bit_length()
+    part_bits = bits << (k - _least)
+    peak = part_bits // 8 * _PEAK_BYTES_PER_PART_BYTE
+    if peak > _MEMORY_BUDGET:
+        raise DomainError(
+            f"k={k} needs squaring-chain parts of about {part_bits:.2e} bits, "
+            f"an estimated {peak / 2**30:.3g} GiB at peak, past the "
+            f"{_MEMORY_BUDGET // 2**30} GiB memory budget")
     with _under(context):
-        for _ in range(k - 1):
-            if context is not None and isinstance(d, int) and d.bit_length() > _DECIMAL_BITS:
-                x, y, d = Decimal(x), Decimal(y), Decimal(d)
+        for _ in range(k - _least):
+            if context is not None and isinstance(x, int) and bits > _DECIMAL_BITS:
+                x, y = Decimal(x), Decimal(y)
             x, y = (x - y) * (x + y), 2 * x * y
-            d *= d
-    return x, y, d
+            bits *= 2
+    return x, y
+
+
+def _denominator(u1: Fraction | int, k: int) -> int:
+    """shared_parts' D at k: z(1)'s reduced denominator to the 2**(k-1)."""
+    return init_state(u1).x.denominator ** (1 << (k - 1))
 
 
 def state_at(u1: Fraction | int, k: int, allow_huge: bool = False) -> ComplexRationalState:
     """z(k), z(1) raised to the 2**(k-1): the integer chain read as Fractions."""
-    x, y, d = shared_parts(u1, k, allow_huge)
+    x, y = shared_parts(u1, k, allow_huge)
+    d = _denominator(u1, k)
     return ComplexRationalState(n=k, x=Fraction(x, d), y=Fraction(y, d))
 
 
 def closing_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
                   context: Context | None = None) -> tuple:
-    """(A + B, A - B, D) with z(k-1) = (A + iB)/D, one squaring short of k.
+    """(A + B, A - B) with z(k-1) = (A + iB)/D, one squaring short of k.
 
     The last squaring gives x(k) = (A - B)(A + B)/D^2 and, as A^2 + B^2 = D^2,
     1 - y(k) = (A - B)^2/D^2.  So u2 = (A + B)/(A - B): the enormous common
@@ -156,19 +156,17 @@ def closing_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
     opposite parity, so the parts are coprime, and (A + B)^2 + (A - B)^2 = 2D^2.
     The sign of u2 may sit on either part.  A ``context`` is shared_parts'.
     """
-    _checked_start(u1, k, allow_huge, least=2)
-    a, b, d = shared_parts(u1, k - 1, allow_huge, context)
+    a, b = shared_parts(u1, k, allow_huge, context, _least=2)
     if a == b:
         raise DegenerateFormulaError("y(k) = 1 leaves the closing cotangent undefined")
     with _under(context):
-        return a + b, a - b, d
+        return a + b, a - b
 
 
 def u2_of(u1: Fraction | int, k: int, allow_huge: bool = False) -> Fraction:
     """The closing cotangent in lowest terms, built with no gcd: the parts
     closing_parts returns are coprime by proof."""
-    num, den, _ = closing_parts(u1, k, allow_huge)
-    return coprime_fraction(num, den)
+    return coprime_fraction(*closing_parts(u1, k, allow_huge))
 
 
 def u2_direct_oracle(u1: Fraction | int, k: int, max_k: int = ORACLE_MAX_K) -> Fraction:

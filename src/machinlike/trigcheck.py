@@ -169,18 +169,18 @@ class TrigCheckResult(NamedTuple):
 def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheckResult:
     """Run every independent check on the pair generated at k.
 
-    squaring.closing_parts runs the chain once, to (A + B, A - B, D) from
+    squaring.closing_parts runs the chain once, to (A + B, A - B) from
     the state (A + iB)/D at k - 1.  Checks: (A + B)^2 + (A - B)^2 == 2D^2,
-    which is the unit circle A^2 + B^2 == D^2 there (equivalent to the
-    check at k); the trig closed form agrees with the exact
-    u2 = (A + B)/(A - B) to at least precision - k - 10 digits; up to
-    ORACLE_MAX_K the direct complex-rational oracle reproduces it term for
-    term; and the identity pi = 4*(2^(k-1) atan(1/u1) + atan(1/u2)) passes
+    with D from a closed form the chain never touches, is the unit circle
+    A^2 + B^2 == D^2 there (equivalent to the check at k); the trig closed
+    form agrees with u2 = (A + B)/(A - B) to at least precision - k - 10
+    digits; up to ORACLE_MAX_K the direct oracle reproduces it term for
+    term; and pi = 4*(2^(k-1) atan(1/u1) + atan(1/u2)) passes
     formulas.validate_formula, the check generate runs.
     """
     u1 = u1_of_k(k)  # refuses k outside 2..MAX_LADDER_K
-    num, den, d = squaring.closing_parts(u1, k, allow_huge)
-    unit_exact = num * num + den * den == 2 * d * d
+    num, den = squaring.closing_parts(u1, k, allow_huge)
+    unit_exact = num * num + den * den == 2 * squaring._denominator(u1, k - 1) ** 2
     exact_u2 = coprime_fraction(num, den)    # coprime by proof, as in u2_of
 
     trig = u2_trig(u1, k, precision)

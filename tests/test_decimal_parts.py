@@ -64,6 +64,11 @@ def test_the_chain_moves_to_decimal_once_its_parts_pass_2048_bits():
     assert all(isinstance(part, Decimal) for part in big)
     assert [str(part) for part in big] == [int_to_text(part) for part in
                                            closing_parts(u1_of_k(12), 12)]
+    # on the ladder's u1 the parts change kind between k = 9 and 10; generate's
+    # u2 below that stays a Fraction, which perfbench's wrong-u2-file test adds to
+    for k in range(2, 17):
+        kinds = {type(part) for part in closing_parts(u1_of_k(k), k, context=_EXACT)}
+        assert kinds == ({int} if k <= 9 else {Decimal}), k
 
 
 def _digits(count: int, seed: int) -> int:

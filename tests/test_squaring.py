@@ -21,6 +21,7 @@ from machinlike.trigcheck import verify_k
 from machinlike.squaring import (
     DESK_SCALE_MAX_K,
     ComplexRationalState,
+    _denominator,
     closing_parts,
     init_state,
     read_fraction_parts,
@@ -67,7 +68,7 @@ def test_k3_chain_values():
     state = state_at(5, 3)
     assert (state.x, state.y) == (Fraction(-239, 28561), Fraction(28560, 28561))
     # z(2) = (119 + 120i)/169, so u2 = (119 + 120)/(119 - 120)
-    assert closing_parts(5, 3) == (239, -1, 169)
+    assert closing_parts(5, 3) == (239, -1) and _denominator(5, 2) == 169
 
 
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=7))
@@ -101,7 +102,8 @@ def test_shared_parts_match_state():
         state = init_state(u1)
         for _ in range(k - 1):
             state = square_step(state)
-        x_num, y_num, den = shared_parts(u1, k)
+        x_num, y_num = shared_parts(u1, k)
+        den = _denominator(u1, k)
         assert Fraction(x_num, den) == state.x
         assert Fraction(y_num, den) == state.y
         assert x_num * x_num + y_num * y_num == den * den
@@ -109,7 +111,8 @@ def test_shared_parts_match_state():
 
 
 def test_closing_parts_reduce_to_u2():
-    num, den, d = closing_parts(40, 6)
+    num, den = closing_parts(40, 6)
+    d = _denominator(40, 5)
     assert Fraction(num, den) == U2_K6
     # coprime by proof, so the parts are u2's reduced parts up to sign
     assert (abs(num), abs(den)) == (abs(U2_K6.numerator), U2_K6.denominator)
@@ -118,7 +121,7 @@ def test_closing_parts_reduce_to_u2():
 
 def test_final_reduction_halves_digit_counts():
     # x(k) and 1 - y(k) share the factor A - B that closing_parts never forms
-    x, _, _ = shared_parts(40, 6)
+    x, _ = shared_parts(40, 6)
     assert len(str(abs(x))) > 90
     assert len(str(abs(U2_K6.numerator))) == 52
     assert len(str(U2_K6.denominator)) == 50
@@ -133,11 +136,19 @@ u1_values = st.one_of(
 @settings(deadline=None, max_examples=60)
 @given(u1_values, st.integers(min_value=2, max_value=9))
 def test_u2_from_the_state_one_squaring_short(u1, k):
-    num, den, d = closing_parts(u1, k)
+    num, den = closing_parts(u1, k)
+    d = _denominator(u1, k - 1)
     assert Fraction(num, den) == u2_of(u1, k) == u2_direct_oracle(u1, k)
     assert num * num + den * den == 2 * d * d
+    # the chain's parts over the closed-form D are the plain Fraction reference's
+    # (a rational u1's reduced denominator is not (u1^2 + 1)/2)
+    x, y = shared_parts(u1, k)
+    d_k = _denominator(u1, k)
+    state = init_state(u1)
+    for _ in range(k - 1):
+        state = square_step(state)
+    assert (Fraction(x, d_k), Fraction(y, d_k)) == (state.x, state.y)
     # x(k) and D^2 - y(k) of the full chain at k carry the extra factor A - B
-    x, y, d_k = shared_parts(u1, k)
     assert (x, d_k - y) == (num * den, den * den)
     # so (A + B)/(A - B) is already in lowest terms
     assert math.gcd(num, den) == 1
@@ -161,7 +172,7 @@ def test_u2_of_and_verify_k_take_no_gcd_of_wide_operands(monkeypatch):
     assert wide == []
     monkeypatch.undo()
     # Fraction's == compares parts, so u2 is in lowest terms
-    assert u2 == Fraction(*closing_parts(u1, 14)[:2])
+    assert u2 == Fraction(*closing_parts(u1, 14))
     assert result.ok
 
 
@@ -174,7 +185,8 @@ def test_desk_scale_cap(monkeypatch):
     with pytest.raises(DomainError):
         u2_of(2, DESK_SCALE_MAX_K + 1)
     # the override lifts it; the integer parts stay on the unit circle
-    x, y, d = shared_parts(2, DESK_SCALE_MAX_K + 1, allow_huge=True)
+    x, y = shared_parts(2, DESK_SCALE_MAX_K + 1, allow_huge=True)
+    d = _denominator(2, DESK_SCALE_MAX_K + 1)
     assert x * x + y * y == d * d
     # state_at forwards the override: at a lowered cap it refuses, then lifts
     import machinlike.squaring as squaring
@@ -211,7 +223,7 @@ def test_degenerate_state_rejected(monkeypatch):
     import machinlike.squaring as squaring
     # no rational u1 reaches A == B (that is z(k-1) = e^(i pi/4)); fake the chain
     monkeypatch.setattr(squaring, "shared_parts",
-                        lambda u1, k, allow_huge=False, context=None: (3, 3, 5))
+                        lambda u1, k, allow_huge=False, context=None, _least=1: (3, 3))
     with pytest.raises(DegenerateFormulaError):
         closing_parts(5, 3)
 
