@@ -168,7 +168,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     k = args.k
     u1 = u1_of_k(k)
     # past its first steps the chain runs in Decimal, whose parts print in one pass
-    u2 = coprime_fraction(*squaring.closing_parts(u1, k, args.allow_huge, _EXACT))
+    u2 = coprime_fraction(*squaring.closing_parts(u1, k, args.allow_huge))
     out = args.out or f"u2-k{k}.txt"
     squaring.write_fraction_file(out, u2)
 
@@ -253,7 +253,7 @@ def _measured_pair(k: int) -> tuple[formulas.MachinFormula, str]:
         return formulas.two_term_formula(k), "exact"
     u1 = u1_of_k(k)
     trig = trigcheck.u2_trig(u1, k, 40)
-    stand_in = formulas.MagnitudeOnly(sign=-1 if trig < 0 else 1, magnitude=abs(trig))
+    stand_in = formulas.MagnitudeOnly(sign=-1 if trig < 0 else 1, magnitude=trig.copy_abs())
     return formulas.two_term_formula(k, u2_value=stand_in, u1=u1), "magnitude"
 
 

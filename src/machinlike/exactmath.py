@@ -94,30 +94,35 @@ def round_sig(value: Decimal, precision: int) -> Decimal:
         return +value
 
 
-def fraction_to_decimal(value: Fraction | int, precision: int) -> Decimal:
+def fraction_to_decimal(value: Fraction | int | RationalParts, precision: int) -> Decimal:
     """``value`` as a Decimal correct to ``precision`` significant digits.
 
     The quotient is formed by one scaled integer division, so the cost
     stays close to linear in the operand size even when numerator and
     denominator run to millions of digits (a direct Decimal conversion
-    of the parts would pay a quadratic base-conversion toll).
+    of the parts would pay a quadratic base-conversion toll).  Parts of
+    either kind take the same digit budget; Decimal parts are divided by
+    divide_int under _EXACT.
     """
-    frac = value if isinstance(value, Fraction) else Fraction(value)
-    if frac == 0:
+    if not isinstance(value, RationalParts):
+        value = Fraction(value)
+    num, den = value.numerator, value.denominator
+    if num == 0:
         return Decimal(0)
-    num, den = abs(frac.numerator), frac.denominator
     work = precision + guard_digits()
     # ~floor(log10(num/den)); an error of +-2 here only shifts the digit
     # budget, never the value
-    mag = int((num.bit_length() - den.bit_length()) * 0.30102999566398)
+    mag = int((_bit_length(num) - _bit_length(den)) * 0.30102999566398)
     shift = work - mag + 3
-    if shift >= 0:
-        scaled = (num * 10**shift) // den
+    size = _part_abs(num)
+    if isinstance(size, int) and isinstance(den, int):
+        scaled = (size * 10**shift) // den if shift >= 0 else size // (den * 10**-shift)
     else:
-        scaled = num // (den * 10**-shift)
+        with localcontext(_EXACT) as exact:
+            scaled = exact.divide_int(exact.scaleb(size, shift), den)
     with working_context(work):
         dec = Decimal(scaled).scaleb(-shift)
-    if frac < 0:
+    if num < 0:
         # copy_negate flips the sign without touching the active context;
         # a bare unary minus would round to its 28-digit default
         dec = dec.copy_negate()

@@ -5,36 +5,35 @@ k-1 times lands on z(k) = x(k) + i*y(k), still rational and still on the
 unit circle, and the closing cotangent of the two-term identity is
 u2 = x(k)/(1 - y(k)).  Everything here is exact; no rounding ever enters.
 
-One loop, shared_parts, squares z's two integer numerators.  No loop
-squares their common denominator D, z(1)'s reduced denominator to the
-2**(k-1); _denominator gives it where a value needs it.  With no context
-the parts stay ints; under an exact Decimal context they move to Decimal
-past _DECIMAL_BITS, where libmpdec's number-theoretic multiply beats
-Python's and a part prints and parses in one linear pass.  state_at
-reads the all-int chain as Fractions, and closing_parts holds the one
-closing rule, whose coprime parts u2_of turns into a Fraction with no
-gcd.  generate runs the chain under the exact context and writes its u2
-file with str, which compute-pi --u2-file reads back as Decimals.
-init_state and square_step are the plain Fraction reference.
+One loop, shared_parts, squares z's two integer numerators under an
+exact Decimal context.  They start as ints and move to Decimal past
+_DECIMAL_BITS, where libmpdec's number-theoretic multiply beats Python's
+and a part prints and parses in one linear pass.  No loop squares their
+common denominator D, z(1)'s reduced denominator to the 2**(k-1);
+_denominator gives it, of the parts' kind, where a value needs it.
+closing_parts holds the one closing rule.  generate and verify read its
+parts as they are; state_at and u2_of read them as Fractions, with no gcd
+on u2's coprime parts.  generate writes its u2 file with str, which
+compute-pi --u2-file reads back as Decimals.  init_state and square_step
+are the plain Fraction reference.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DegenerateFormulaError, DomainError, FormulaParseError
 from .exactmath import (
-    RationalParts, complex_add, complex_div, complex_mul, coprime_fraction, format_rational,
-    parse_rational_parts, parsed_lines)
+    _EXACT, RationalParts, _as_int, complex_add, complex_div, complex_mul, coprime_fraction,
+    format_rational, parse_rational_parts, parsed_lines)
 
 # Above this depth the chain's integers pass a million digits (they
-# double per step).  No gcd is taken on u2's parts, so generate's Decimal
-# chain sets its cost, about 2 times more per step, and verify's all-int
-# chain and exact checks 3 to 4 times: at k = 20 generate took 0.65 s,
-# compute-pi --u2-file 0.20 s and verify 15 s (2 vCPUs, Python 3.11).
+# double per step).  No gcd is taken on u2's parts, so the Decimal chain
+# sets the cost, about 2 times more per step: at k = 20 generate took
+# 0.81 s, compute-pi --u2-file 0.20 s and verify, which squares the parts
+# once more for its unit-circle check, 1.8 s (2 vCPUs, Python 3.11).
 DESK_SCALE_MAX_K = 20
 
 # The memory ceiling of shared_parts, which even allow_huge does not lift
@@ -76,13 +75,8 @@ def square_step(state: ComplexRationalState) -> ComplexRationalState:
     return ComplexRationalState(n=state.n + 1, x=(x - y) * (x + y), y=2 * x * y)
 
 
-def _under(context: Context | None):
-    """The block's arithmetic under ``context``; with None, ints need none."""
-    return nullcontext() if context is None else localcontext(context)
-
-
 def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
-                 context: Context | None = None, *, _least: int = 1) -> tuple:
+                 *, _least: int = 1) -> tuple:
     """Integer fast path: (X, Y) with z(k) = (X + iY)/D.
 
     The squaring step maps (X, Y) to ((X-Y)(X+Y), 2XY) and D to D*D, so
@@ -92,18 +86,20 @@ def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
     refused without allow_huge.  closing_parts passes _least=2: the chain
     stops at z(k-1), and k below 2 is refused.  Every message names k.
 
-    With no ``context`` the parts stay ints.  Under an exact Decimal
-    context (prec=MAX_PREC, Inexact trapped) they start as ints and move
-    to Decimal once the model's size of D, below, passes _DECIMAL_BITS.
+    The loop runs under exactmath._EXACT (prec=MAX_PREC, Inexact
+    trapped).  The parts start as ints and move to integral Decimals once
+    the model's size of D, below, passes _DECIMAL_BITS.  A caller combines
+    Decimal parts only under _EXACT: the default context rounds them to
+    28 digits, or overflows.
 
     The parts at depth n have about bits(z(1)'s denominator) * 2**(n-1)
     bits.  generate's peak RSS above the interpreter's, on its Decimal
     chain, was 15-17 bytes per byte of one such part (k = 17..22, chains
     to depth 16..21: 1.9/4.4/9.6/20.5/41.8/86.4 MiB over a 16.5 MiB base;
-    2 vCPUs, Python 3.11), and verify's, with its all-int chain and
-    checks, 8-13 (k = 17..20); the model takes 19.  A chain whose
-    estimate passes _MEMORY_BUDGET (6 GiB) raises DomainError before it
-    starts, with or without allow_huge.  On the ladder's u1 that admits
+    2 vCPUs, Python 3.11), and verify's, with its unit-circle check,
+    15-17 (k = 17..20: 2.1/4.5/9.4/18.6 MiB over 16.6 MiB); the model
+    takes 19.  A chain whose estimate passes _MEMORY_BUDGET (6 GiB)
+    raises DomainError before it starts, with or without allow_huge.  On the ladder's u1 that admits
     the pair through k = 27 (an estimated 3.9 GiB) and refuses it from
     k = 28 (8.2 GiB).
     """
@@ -125,48 +121,53 @@ def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
             f"k={k} needs squaring-chain parts of about {part_bits:.2e} bits, "
             f"an estimated {peak / 2**30:.3g} GiB at peak, past the "
             f"{_MEMORY_BUDGET // 2**30} GiB memory budget")
-    with _under(context):
+    with localcontext(_EXACT):
         for _ in range(k - _least):
-            if context is not None and isinstance(x, int) and bits > _DECIMAL_BITS:
+            if isinstance(x, int) and bits > _DECIMAL_BITS:
                 x, y = Decimal(x), Decimal(y)
             x, y = (x - y) * (x + y), 2 * x * y
             bits *= 2
     return x, y
 
 
-def _denominator(u1: Fraction | int, k: int) -> int:
-    """shared_parts' D at k: z(1)'s reduced denominator to the 2**(k-1)."""
-    return init_state(u1).x.denominator ** (1 << (k - 1))
+def _denominator(u1: Fraction | int, k: int) -> int | Decimal:
+    """shared_parts' D at k: z(1)'s reduced denominator to the 2**(k-1), of
+    the kind of the chain's parts at k (an exact Decimal once they moved)."""
+    den = init_state(u1).x.denominator
+    if k < 2 or den.bit_length() << (k - 2) <= _DECIMAL_BITS:
+        return den ** (1 << (k - 1))
+    with localcontext(_EXACT) as exact:
+        return exact.power(Decimal(den), 1 << (k - 1))
 
 
 def state_at(u1: Fraction | int, k: int, allow_huge: bool = False) -> ComplexRationalState:
-    """z(k), z(1) raised to the 2**(k-1): the integer chain read as Fractions."""
-    x, y = shared_parts(u1, k, allow_huge)
-    d = _denominator(u1, k)
+    """z(k), z(1) raised to the 2**(k-1): the chain's parts read as Fractions."""
+    x, y = map(_as_int, shared_parts(u1, k, allow_huge))
+    d = _as_int(_denominator(u1, k))
     return ComplexRationalState(n=k, x=Fraction(x, d), y=Fraction(y, d))
 
 
-def closing_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
-                  context: Context | None = None) -> tuple:
+def closing_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple:
     """(A + B, A - B) with z(k-1) = (A + iB)/D, one squaring short of k.
 
     The last squaring gives x(k) = (A - B)(A + B)/D^2 and, as A^2 + B^2 = D^2,
     1 - y(k) = (A - B)^2/D^2.  So u2 = (A + B)/(A - B): the enormous common
     factor A - B cancels by algebra, not by a gcd.  A and B are coprime with
     opposite parity, so the parts are coprime, and (A + B)^2 + (A - B)^2 = 2D^2.
-    The sign of u2 may sit on either part.  A ``context`` is shared_parts'.
+    The sign of u2 may sit on either part.  The parts are shared_parts':
+    ints, or integral Decimals to combine only under exactmath._EXACT.
     """
-    a, b = shared_parts(u1, k, allow_huge, context, _least=2)
+    a, b = shared_parts(u1, k, allow_huge, _least=2)
     if a == b:
         raise DegenerateFormulaError("y(k) = 1 leaves the closing cotangent undefined")
-    with _under(context):
+    with localcontext(_EXACT):
         return a + b, a - b
 
 
 def u2_of(u1: Fraction | int, k: int, allow_huge: bool = False) -> Fraction:
     """The closing cotangent in lowest terms, built with no gcd: the parts
     closing_parts returns are coprime by proof."""
-    return coprime_fraction(*closing_parts(u1, k, allow_huge))
+    return coprime_fraction(*map(_as_int, closing_parts(u1, k, allow_huge)))
 
 
 def u2_direct_oracle(u1: Fraction | int, k: int, max_k: int = ORACLE_MAX_K) -> Fraction:

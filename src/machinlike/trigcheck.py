@@ -5,9 +5,11 @@ exactly cos(phi)/(1 - sin(phi)).  Evaluating that in plain decimal
 trigonometry and comparing against the exact rational from the squaring
 chain catches errors in either path.  The trigonometry shares the
 Maclaurin loop and reference pi with series and never touches the
-squaring chain.  The exact (sin phi, cos phi) is state_at's (y, x), and
-verify_k reads the chain through squaring.closing_parts and checks the
-pair's identity through formulas.validate_formula, the check generate runs.
+squaring chain.  The exact (sin phi, cos phi) is state_at's (y, x).
+verify_k reads generate's chain through squaring.closing_parts, Decimal
+parts and all, squares them for the unit circle under exactmath._EXACT,
+and checks the pair's identity through formulas.validate_formula, the
+check generate runs.
 
 The 1 - sin(phi) denominator is brutally ill-conditioned on purpose:
 sin(phi) approaches 1 like 2/u2^2, so roughly 2*log10|u2| digits die in
@@ -17,12 +19,14 @@ working precision until the requested digits survive.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, PrecisionError
 from .exactmath import (
+    _EXACT,
+    _as_int,
     coinciding_digits,
     coprime_fraction,
     digits_prefix,
@@ -169,9 +173,10 @@ class TrigCheckResult(NamedTuple):
 def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheckResult:
     """Run every independent check on the pair generated at k.
 
-    squaring.closing_parts runs the chain once, to (A + B, A - B) from
-    the state (A + iB)/D at k - 1.  Checks: (A + B)^2 + (A - B)^2 == 2D^2,
-    with D from a closed form the chain never touches, is the unit circle
+    squaring.closing_parts runs generate's chain once, to (A + B, A - B)
+    from the state (A + iB)/D at k - 1, Decimal parts past its first steps.
+    Checks: (A + B)^2 + (A - B)^2 == 2D^2, under exactmath._EXACT with D
+    from a closed form the chain never touches, is the unit circle
     A^2 + B^2 == D^2 there (equivalent to the check at k); the trig closed
     form agrees with u2 = (A + B)/(A - B) to at least precision - k - 10
     digits; up to ORACLE_MAX_K the direct oracle reproduces it term for
@@ -180,7 +185,8 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
     """
     u1 = u1_of_k(k)  # refuses k outside 2..MAX_LADDER_K
     num, den = squaring.closing_parts(u1, k, allow_huge)
-    unit_exact = num * num + den * den == 2 * squaring._denominator(u1, k - 1) ** 2
+    with localcontext(_EXACT):
+        unit_exact = num * num + den * den == 2 * squaring._denominator(u1, k - 1) ** 2
     exact_u2 = coprime_fraction(num, den)    # coprime by proof, as in u2_of
 
     trig = u2_trig(u1, k, precision)
@@ -190,12 +196,14 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
 
     oracle_matched = None
     if k <= squaring.ORACLE_MAX_K:
-        oracle_matched = squaring.u2_direct_oracle(u1, k) == exact_u2
+        # Fraction's == compares the parts; the oracle's are in lowest terms
+        oracle_matched = (squaring.u2_direct_oracle(u1, k)
+                          == coprime_fraction(_as_int(num), _as_int(den)))
 
     identity = formulas.validate_formula(formulas.two_term_formula(k, exact_u2, u1), precision)
 
     leading = digits_prefix(exact_dec, 20)
-    if exact_u2 < 0:
+    if exact_u2.numerator < 0:
         leading = "-" + leading
     ok = (unit_exact and agreement >= required
           and oracle_matched is not False and identity.valid)

@@ -16,6 +16,7 @@ from machinlike.cli import (
 )
 from machinlike.errors import ConsistencyError
 from machinlike.formulas import lehmer_measure, two_term_formula
+from machinlike.radical import u1_of_k
 from machinlike.squaring import read_fraction_parts, u2_of
 
 U2_K6 = u2_of(40, 6)
@@ -278,6 +279,17 @@ def test_measure_huge_k_uses_magnitude_path(capsys):
     payload = payload_of(capsys, "measure", "--k", "27")
     assert payload["path"] == "magnitude"
     assert abs(Decimal(payload["e"]) - Decimal("0.245319")) < Decimal("0.0001")
+
+
+def test_measure_past_the_cap_prints_every_digit_of_u2s_contribution(capsys):
+    # |u2| keeps the trig value's 40 digits; abs() would round it to 28
+    payload = payload_of(capsys, "measure", "--k", "27")
+    printed = payload["contributions"][1]["inverse_log10_cotangent"]
+    assert printed == "0.1192429476438971603136512797068328855131"
+    trig = trigcheck.u2_trig(u1_of_k(27), 27, 60)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        assert printed == str(1 / trig.copy_abs().log10())
 
 
 def test_measure_formula_parse_failure(tmp_path, capsys):

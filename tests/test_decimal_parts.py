@@ -1,10 +1,10 @@
 """Integer parts held as Decimals: generate's chain, its u2 file, and the
 part readers that compute-pi and validation read them through.
 
-Past its first steps, generate's squaring chain runs in Decimal under an
-exact context, and compute-pi --u2-file reads the file back as Decimals.
+Past its first steps, the squaring chain runs in Decimal under an exact
+context, and compute-pi --u2-file reads the file back as Decimals.
 Every reader must give on Decimal(n) exactly what it gives on the int n,
-so that every output stays byte-identical to the all-int route.
+so that every output stays byte-identical to the int code's.
 """
 
 import contextlib
@@ -20,6 +20,7 @@ from machinlike import cli
 from machinlike.errors import DomainError
 from machinlike.exactmath import (
     _EXACT,
+    _as_int,
     _bit_length,
     _scaled_floor,
     RationalParts,
@@ -33,7 +34,8 @@ from machinlike.exactmath import (
 from machinlike.formulas import MachinFormula
 from machinlike.radical import u1_of_k
 from machinlike.series import _arctan_scaled, _branch_float, arctan_fast, auto_term_count
-from machinlike.squaring import closing_parts, read_fraction_parts, u2_of
+from machinlike.squaring import (
+    _denominator, closing_parts, init_state, read_fraction_parts, square_step, u2_of)
 
 
 def _dec(n: int) -> Decimal:
@@ -57,17 +59,30 @@ def test_generate_writes_the_all_int_chains_u2_at_every_desk_k(tmp_path):
         assert path.read_text(encoding="ascii") == expected, k
 
 
+def _reference_parts(u1: int, k: int) -> list[str]:
+    """(A + B, A - B) as text, with z(k-1) = (A + iB)/D from the plain
+    Fraction reference over the closed-form D."""
+    state = init_state(u1)
+    for _ in range(k - 2):
+        state = square_step(state)
+    d = _as_int(_denominator(u1, k - 1))
+    a, b = int(state.x * d), int(state.y * d)
+    return [int_to_text(a + b), int_to_text(a - b)]
+
+
 def test_the_chain_moves_to_decimal_once_its_parts_pass_2048_bits():
-    small = closing_parts(40, 6, context=_EXACT)    # 176-bit parts stay ints
-    assert small == closing_parts(40, 6) and all(type(part) is int for part in small)
-    big = closing_parts(u1_of_k(12), 12, context=_EXACT)
+    small = closing_parts(40, 6)    # 176-bit parts stay ints
+    assert [int_to_text(part) for part in small] == _reference_parts(40, 6)
+    assert all(type(part) is int for part in small)
+    big = closing_parts(u1_of_k(12), 12)
     assert all(isinstance(part, Decimal) for part in big)
-    assert [str(part) for part in big] == [int_to_text(part) for part in
-                                           closing_parts(u1_of_k(12), 12)]
+    assert [str(part) for part in big] == _reference_parts(u1_of_k(12), 12)
     # on the ladder's u1 the parts change kind between k = 9 and 10; generate's
-    # u2 below that stays a Fraction, which perfbench's wrong-u2-file test adds to
+    # u2 below that stays a Fraction, which perfbench's wrong-u2-file test adds to.
+    # The closed-form D at k - 1 takes the parts' kind.
     for k in range(2, 17):
-        kinds = {type(part) for part in closing_parts(u1_of_k(k), k, context=_EXACT)}
+        kinds = {type(part) for part in closing_parts(u1_of_k(k), k)}
+        kinds.add(type(_denominator(u1_of_k(k), k - 1)))
         assert kinds == ({int} if k <= 9 else {Decimal}), k
 
 

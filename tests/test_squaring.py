@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from machinlike.errors import (
     DomainError,
     FormulaParseError,
 )
+from machinlike.exactmath import _EXACT, _as_int
 from machinlike.radical import u1_of_k
 from machinlike.trigcheck import verify_k
 from machinlike.squaring import (
@@ -136,14 +138,15 @@ u1_values = st.one_of(
 @settings(deadline=None, max_examples=60)
 @given(u1_values, st.integers(min_value=2, max_value=9))
 def test_u2_from_the_state_one_squaring_short(u1, k):
-    num, den = closing_parts(u1, k)
-    d = _denominator(u1, k - 1)
+    # past 2,048 bits the parts are Decimals: read them as ints
+    num, den = map(_as_int, closing_parts(u1, k))
+    d = _as_int(_denominator(u1, k - 1))
     assert Fraction(num, den) == u2_of(u1, k) == u2_direct_oracle(u1, k)
     assert num * num + den * den == 2 * d * d
     # the chain's parts over the closed-form D are the plain Fraction reference's
     # (a rational u1's reduced denominator is not (u1^2 + 1)/2)
-    x, y = shared_parts(u1, k)
-    d_k = _denominator(u1, k)
+    x, y = map(_as_int, shared_parts(u1, k))
+    d_k = _as_int(_denominator(u1, k))
     state = init_state(u1)
     for _ in range(k - 1):
         state = square_step(state)
@@ -172,7 +175,7 @@ def test_u2_of_and_verify_k_take_no_gcd_of_wide_operands(monkeypatch):
     assert wide == []
     monkeypatch.undo()
     # Fraction's == compares parts, so u2 is in lowest terms
-    assert u2 == Fraction(*closing_parts(u1, 14))
+    assert u2 == Fraction(*map(_as_int, closing_parts(u1, 14)))
     assert result.ok
 
 
@@ -187,7 +190,8 @@ def test_desk_scale_cap(monkeypatch):
     # the override lifts it; the integer parts stay on the unit circle
     x, y = shared_parts(2, DESK_SCALE_MAX_K + 1, allow_huge=True)
     d = _denominator(2, DESK_SCALE_MAX_K + 1)
-    assert x * x + y * y == d * d
+    with localcontext(_EXACT):    # Decimal parts, of about 3 million digits
+        assert x * x + y * y == d * d
     # state_at forwards the override: at a lowered cap it refuses, then lifts
     import machinlike.squaring as squaring
     monkeypatch.setattr(squaring, "DESK_SCALE_MAX_K", 4)
@@ -223,7 +227,7 @@ def test_degenerate_state_rejected(monkeypatch):
     import machinlike.squaring as squaring
     # no rational u1 reaches A == B (that is z(k-1) = e^(i pi/4)); fake the chain
     monkeypatch.setattr(squaring, "shared_parts",
-                        lambda u1, k, allow_huge=False, context=None, _least=1: (3, 3))
+                        lambda u1, k, allow_huge=False, _least=1: (3, 3))
     with pytest.raises(DegenerateFormulaError):
         closing_parts(5, 3)
 

@@ -1,7 +1,7 @@
 """Decimal trigonometry and the closed-form cross-checks."""
 
 import json
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from machinlike.errors import DomainError, PrecisionError
 from machinlike.exactmath import (
+    _EXACT,
     coinciding_digits,
     fraction_to_decimal,
     round_sig,
     working_context,
 )
+from machinlike.radical import u1_of_k
 from machinlike.series import arctan_fast, auto_term_count, reference_pi
 from machinlike import squaring
 from machinlike.cli import EXIT_VERIFY, main
@@ -134,7 +136,6 @@ def test_dec_sin_cos_pythagorean():
 
 def test_u2_trig_matches_exact_fraction():
     for k in (3, 6, 10, 12):
-        from machinlike.radical import u1_of_k
         u1 = u1_of_k(k)
         trig = u2_trig(u1, k, 50)
         exact = fraction_to_decimal(u2_of(u1, k), 60)
@@ -234,12 +235,32 @@ def test_verify_k_json_view_is_pinned():
         '"precision": 40, "ok": true}')
 
 
+# verify's fields at k = 13..16, precision 60, past the oracle's depth:
+# (u2_num_digits, u2_den_digits, u2_leading, agreement_digits, required_digits)
+VERIFY_PAST_THE_ORACLE = {
+    13: (14610, 14605, "-35111300630927761626", 55, 37),
+    14: (32918, 32914, "-35102402049881300754", 56, 36),
+    15: (70768, 70764, "-35100178109294520740", 55, 35),
+    16: (146468, 146463, "-10346992408450235807", 55, 34),
+}
+
+
+def test_verify_k_past_the_oracle_is_pinned():
+    for k, fields in VERIFY_PAST_THE_ORACLE.items():
+        result = verify_k(k, precision=60)
+        assert (result.u2_num_digits, result.u2_den_digits, result.u2_leading,
+                result.agreement_digits, result.required_digits) == fields, k
+        assert result.unit_circle_exact is True and result.ok is True, k
+
+
 def test_verify_k_catches_a_wrong_chain(monkeypatch, capsys):
     real = squaring.closing_parts
 
     def off_by_one(u1, k, allow_huge=False):
         num, den = real(u1, k, allow_huge)
-        return num + 1, den
+        # a bare + 1 would round a Decimal part to 28 digits
+        with localcontext(_EXACT):
+            return num + 1, den
 
     monkeypatch.setattr(squaring, "closing_parts", off_by_one)
     result = verify_k(6, precision=60)
@@ -248,6 +269,16 @@ def test_verify_k_catches_a_wrong_chain(monkeypatch, capsys):
     assert result.ok is False
     assert main(["verify", "--k", "6", "--precision", "60"]) == EXIT_VERIFY
     assert json.loads(capsys.readouterr().out)["ok"] is False
+    # at Decimal depths: k = 12, where the unit circle and the oracle both
+    # flag the part, and k = 14, past the oracle, where the unit circle
+    # does; the trig closed form sees only leading digits and passes
+    for k, oracle in ((12, False), (14, None)):
+        assert all(isinstance(part, Decimal) for part in real(u1_of_k(k), k))
+        result = verify_k(k, precision=60)
+        assert result.unit_circle_exact is False, k
+        assert result.oracle_matched is oracle, k
+        assert result.agreement_digits >= result.required_digits, k
+        assert result.ok is False, k
 
 
 def test_verify_k_rejects_k1():
