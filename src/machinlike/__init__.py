@@ -35,6 +35,7 @@ from .squaring import (
     ComplexRationalState,
     closing_parts,
     init_state,
+    rounded_u2,
     shared_parts,
     square_step,
     state_at,
@@ -113,6 +114,7 @@ __all__ = [
     "parse_formula_file",
     "rational_log10_abs",
     "reference_pi",
+    "rounded_u2",
     "round_sig",
     "series_error",
     "shared_parts",

@@ -248,12 +248,13 @@ def cmd_compute_pi(args: argparse.Namespace) -> int:
 
 def _measured_pair(k: int) -> tuple[formulas.MachinFormula, str]:
     """The pair at k: "exact" up to the desk-scale cap, else "magnitude",
-    with u2 known by sign and size from the trig closed form."""
+    with u2 known by sign and size from the squaring chain at working
+    precision, to 10 digits past the 40 its logarithm is taken to."""
     if k <= DESK_SCALE_MAX_K:
         return formulas.two_term_formula(k), "exact"
     u1 = u1_of_k(k)
-    trig = trigcheck.u2_trig(u1, k, 40)
-    stand_in = formulas.MagnitudeOnly(sign=-1 if trig < 0 else 1, magnitude=trig.copy_abs())
+    u2 = squaring.rounded_u2(u1, k, 50)
+    stand_in = formulas.MagnitudeOnly(sign=-1 if u2 < 0 else 1, magnitude=u2.copy_abs())
     return formulas.two_term_formula(k, u2_value=stand_in, u1=u1), "magnitude"
 
 

@@ -55,6 +55,7 @@ from .errors import ConsistencyError, DomainError, PrecisionError
 from .exactmath import (
     _as_int,
     _bit_length,
+    _leading_bits,
     _part_abs,
     _scaled_floor,
     RationalParts,
@@ -64,7 +65,6 @@ from .exactmath import (
     fraction_to_decimal,
     guard_digits,
     int_digit_count,
-    int_log10,
     rational_log10_abs,
     reciprocal,
     round_sig,
@@ -344,11 +344,25 @@ def reference_pi(precision: int) -> Decimal:
         return Decimal(scaled).scaleb(-precision)
 
 
-def _term_rate(p: int, q: int) -> float:
+def _term_rate(p: int | Decimal, q: int | Decimal) -> float:
     """Decimal digits contributed per series term at argument p/q,
-    log10(s/p^2) = 2t + log10(4 + 10^(-2t)) with t = log10|q/p|, read from
-    the leading bits of p and q."""
-    t = float(int_log10(q) - int_log10(p))
+    log10(s/p^2) = 2t + log10(4 + 10^(-2t)) with t = log10|q/p|, read as a
+    float from the top 64 bits of p and q.
+
+    The quotient of the two 64-bit tops is correctly rounded and ldexp
+    scales it exactly, so t is within an ulp or two of the correctly
+    rounded log10|q/p|, and an exact ratio such as 3/2 (the one x = 2/3
+    where the rate is exactly 1) gives exactly the float a 50-digit
+    logarithm gives."""
+    if p == 0:
+        raise DomainError("log10 of zero")
+    p_shift, p_top = _leading_bits(p, 64)
+    q_shift, q_top = _leading_bits(q, 64)
+    shift = q_shift - p_shift
+    if abs(shift) < 900:
+        t = math.log10(math.ldexp(q_top / p_top, shift))
+    else:
+        t = math.log10(q_top / p_top) + shift * _LOG10_2
     # past t = 150 the correction is below a float's resolution, and 10^(-2t) underflows
     return 2 * t + math.log10(4 + 10.0 ** (-2 * min(t, 150.0)))
 

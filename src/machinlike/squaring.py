@@ -3,7 +3,7 @@
 z(1) = (u1 + i)/(u1 - i) has modulus 1 and rational parts.  Squaring it
 k-1 times lands on z(k) = x(k) + i*y(k), still rational and still on the
 unit circle, and the closing cotangent of the two-term identity is
-u2 = x(k)/(1 - y(k)).  Everything here is exact; no rounding ever enters.
+u2 = x(k)/(1 - y(k)).  Everything here is exact but rounded_u2.
 
 One loop, shared_parts, squares z's two integer numerators under an
 exact Decimal context.  They start as ints and move to Decimal past
@@ -16,15 +16,22 @@ parts as they are; state_at and u2_of read them as Fractions, with no gcd
 on u2's coprime parts.  generate writes its u2 file with str, which
 compute-pi --u2-file reads back as Decimals.  init_state and square_step
 are the plain Fraction reference.
+
+Past the desk-scale cap, measure needs u2 only to its first digits.
+rounded_u2 runs the same loop under a rounding context of W digits, on
+z(1)'s unit-modulus parts, closes with the same (A + B)/(A - B), and
+refuses, with PrecisionError, a W that the closing subtraction leaves too
+few correct digits of.
 """
 
 from __future__ import annotations
 
-from decimal import Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ConsistencyError, DegenerateFormulaError, DomainError, FormulaParseError
+from .errors import (
+    ConsistencyError, DegenerateFormulaError, DomainError, FormulaParseError, PrecisionError)
 from .exactmath import (
     _EXACT, RationalParts, _as_int, complex_add, complex_div, complex_mul, coprime_fraction,
     format_rational, parse_rational_parts, parsed_lines)
@@ -76,7 +83,7 @@ def square_step(state: ComplexRationalState) -> ComplexRationalState:
 
 
 def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
-                 *, _least: int = 1) -> tuple:
+                 *, context: Context | None = None, _least: int = 1) -> tuple:
     """Integer fast path: (X, Y) with z(k) = (X + iY)/D.
 
     The squaring step maps (X, Y) to ((X-Y)(X+Y), 2XY) and D to D*D, so
@@ -102,26 +109,38 @@ def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
     raises DomainError before it starts, with or without allow_huge.  On the ladder's u1 that admits
     the pair through k = 27 (an estimated 3.9 GiB) and refuses it from
     k = 28 (8.2 GiB).
+
+    With a rounding ``context`` the same loop runs under it on z(1)'s
+    unit-modulus parts x and y, each rounded once, and returns x(k) and
+    y(k) rounded; rounded_u2 bounds the error.  (From the integer
+    numerators a rounded chain overflows even MAX_EMAX from k = 58 on the
+    ladder's u1.)  The parts stay as wide as the context, so neither the
+    desk-scale cap nor the memory model applies.
     """
     if k < _least:
         raise DomainError(f"k must be >= {_least}, got {k}")
-    if k > DESK_SCALE_MAX_K and not allow_huge:
+    if context is None and k > DESK_SCALE_MAX_K and not allow_huge:
         raise DomainError(
             f"k={k} exceeds the desk-scale cap of {DESK_SCALE_MAX_K}: the iteration "
             f"integers double per step, reaching millions of digits past k=20 (pass "
             f"allow_huge=True, as in u2_of(u1, k, allow_huge=True), to proceed anyway)")
     start = init_state(u1)
-    x, y = start.x.numerator, start.y.numerator
     # like every rational point of the unit circle, z(1) has one reduced denominator
     bits = start.x.denominator.bit_length()
-    part_bits = bits << (k - _least)
-    peak = part_bits // 8 * _PEAK_BYTES_PER_PART_BYTE
-    if peak > _MEMORY_BUDGET:
-        raise DomainError(
-            f"k={k} needs squaring-chain parts of about {part_bits:.2e} bits, "
-            f"an estimated {peak / 2**30:.3g} GiB at peak, past the "
-            f"{_MEMORY_BUDGET // 2**30} GiB memory budget")
-    with localcontext(_EXACT):
+    if context is not None:
+        x, y = (context.divide(Decimal(v.numerator), Decimal(v.denominator))
+                for v in start[1:])
+    else:
+        context = _EXACT
+        x, y = start.x.numerator, start.y.numerator
+        part_bits = bits << (k - _least)
+        peak = part_bits // 8 * _PEAK_BYTES_PER_PART_BYTE
+        if peak > _MEMORY_BUDGET:
+            raise DomainError(
+                f"k={k} needs squaring-chain parts of about {part_bits:.2e} bits, "
+                f"an estimated {peak / 2**30:.3g} GiB at peak, past the "
+                f"{_MEMORY_BUDGET // 2**30} GiB memory budget")
+    with localcontext(context):
         for _ in range(k - _least):
             if isinstance(x, int) and bits > _DECIMAL_BITS:
                 x, y = Decimal(x), Decimal(y)
@@ -168,6 +187,42 @@ def u2_of(u1: Fraction | int, k: int, allow_huge: bool = False) -> Fraction:
     """The closing cotangent in lowest terms, built with no gcd: the parts
     closing_parts returns are coprime by proof."""
     return coprime_fraction(*map(_as_int, closing_parts(u1, k, allow_huge)))
+
+
+def rounded_u2(u1: Fraction | int, k: int, precision: int, work: int | None = None) -> Decimal:
+    """u2 within a relative 10**-precision, from shared_parts run under a
+    rounding context of W = ``work`` digits (default precision + 2k + 20),
+    closed as (A + B)/(A - B) under it.  The value keeps all W digits.
+
+    The bound.  One rounding errs by at most u = 10**(1 - W)/2 relative.
+    z(1)'s parts, each rounded once, start within u of z(1), and |z| = 1.
+    If z~ is within E of z, z~^2 is within E (2 + E) of z^2, and the step's
+    roundings (three on the real part, two on the imaginary) add under
+    3.01 u |z~|^2.  Over the m = k - 2 steps to z(k-1) = A + iB that keeps
+    E under 4.1 * 2**m * u while that stays below 10**-2.  s = A + B and
+    t = A - B, each rounded once, are then off by under sqrt(2) E + u |s|
+    and sqrt(2) E + u |t|, and s/t, rounded once more, by under twice the
+    sum of their relative errors and u.  With L = max(0, -s.adjusted(),
+    -t.adjusted()), the digits the closing cancelled, that is under
+    146 * 2**m * 10**(L - W) < 10**-(W - L - floor(0.30103 m) - 4) relative.
+    Fewer than ``precision`` such digits raise PrecisionError: no value is
+    returned whose digits cancelled away.  On the ladder's u1, L is about
+    log10 |u2|, under 20 through k = 64, so the default W spares about
+    1.7 k + 16 - L digits.
+    """
+    if work is None:
+        work = precision + 2 * k + 20
+    context = Context(prec=work, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    a, b = shared_parts(u1, k, context=context, _least=2)
+    with localcontext(context):
+        s, t = a + b, a - b
+        if s and t:
+            lost = max(0, -s.adjusted(), -t.adjusted())
+            if work - lost - (k - 2) * 30103 // 100000 - 4 >= precision:
+                return s / t
+    raise PrecisionError(
+        f"the closing of u2 at k={k} cancelled too many of its {work} working digits "
+        f"to leave {precision}")
 
 
 def u2_direct_oracle(u1: Fraction | int, k: int, max_k: int = ORACLE_MAX_K) -> Fraction:

@@ -9,7 +9,9 @@ squaring chain.  The exact (sin phi, cos phi) is state_at's (y, x).
 verify_k reads generate's chain through squaring.closing_parts, Decimal
 parts and all, squares them for the unit circle under exactmath._EXACT,
 and checks the pair's identity through formulas.validate_formula, the
-check generate runs.
+check generate runs.  u2_trig has no other caller: measure past the
+desk-scale cap reads u2 from squaring.rounded_u2, so the closed form stays
+verify's independent check.
 
 The 1 - sin(phi) denominator is brutally ill-conditioned on purpose:
 sin(phi) approaches 1 like 2/u2^2, so roughly 2*log10|u2| digits die in

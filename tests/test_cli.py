@@ -282,7 +282,7 @@ def test_measure_huge_k_uses_magnitude_path(capsys):
 
 
 def test_measure_past_the_cap_prints_every_digit_of_u2s_contribution(capsys):
-    # |u2| keeps the trig value's 40 digits; abs() would round it to 28
+    # |u2| keeps its working digits; abs() would round it to 28
     payload = payload_of(capsys, "measure", "--k", "27")
     printed = payload["contributions"][1]["inverse_log10_cotangent"]
     assert printed == "0.1192429476438971603136512797068328855131"
@@ -290,6 +290,24 @@ def test_measure_past_the_cap_prints_every_digit_of_u2s_contribution(capsys):
     with localcontext() as ctx:
         ctx.prec = 40
         assert printed == str(1 / trig.copy_abs().log10())
+
+
+@pytest.mark.parametrize("k", range(squaring.DESK_SCALE_MAX_K + 1, 65))
+def test_measure_past_the_cap_scores_u2_as_an_80_digit_trig_value_does(capsys, k):
+    # u2 comes from the rounded squaring chain, the check from the closed form;
+    # u2's log is taken to 40 digits, from all the digits u2 carries
+    payload = payload_of(capsys, "measure", "--k", str(k))
+    u1 = u1_of_k(k)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        log_u1 = Decimal(u1).log10()
+        ctx.prec = 40
+        expected = [1 / log_u1, 1 / trigcheck.u2_trig(u1, k, 80).copy_abs().log10()]
+        e = sum(expected).quantize(Decimal("0.000001"))
+    assert payload["path"] == "magnitude"
+    assert payload["e"] == str(e)
+    assert ([c["inverse_log10_cotangent"] for c in payload["contributions"]]
+            == [str(c) for c in expected])
 
 
 def test_measure_formula_parse_failure(tmp_path, capsys):

@@ -35,7 +35,8 @@ from machinlike.formulas import MachinFormula
 from machinlike.radical import u1_of_k
 from machinlike.series import _arctan_scaled, _branch_float, arctan_fast, auto_term_count
 from machinlike.squaring import (
-    _denominator, closing_parts, init_state, read_fraction_parts, square_step, u2_of)
+    ORACLE_MAX_K, _denominator, closing_parts, init_state, read_fraction_parts, square_step,
+    u2_direct_oracle, u2_of)
 
 
 def _dec(n: int) -> Decimal:
@@ -50,13 +51,26 @@ def _run(argv):
     return code, out.getvalue()
 
 
-def test_generate_writes_the_all_int_chains_u2_at_every_desk_k(tmp_path):
-    for k in range(2, 17):
-        path = tmp_path / f"u2-k{k}.txt"
-        code, _ = _run(["generate", "--k", str(k), "--out", str(path)])
-        assert code == 0
+def _generated_u2_text(tmp_path, k: int) -> str:
+    path = tmp_path / f"u2-k{k}.txt"
+    code, _ = _run(["generate", "--k", str(k), "--out", str(path)])
+    assert code == 0
+    return path.read_text(encoding="ascii")
+
+
+def test_generate_writes_the_direct_oracles_u2_through_k12(tmp_path):
+    # the oracle shares no code with the chain generate writes from
+    for k in range(2, ORACLE_MAX_K + 1):
+        expected = format_rational(u2_direct_oracle(u1_of_k(k), k)) + "\n"
+        assert _generated_u2_text(tmp_path, k) == expected, k
+
+
+def test_generate_prints_its_decimal_parts_as_u2_ofs_ints_print_past_the_oracle(tmp_path):
+    # the same chain: generate writes its Decimal parts with str, u2_of's
+    # Fraction is printed from ints by int_to_text
+    for k in range(ORACLE_MAX_K + 1, 17):
         expected = format_rational(u2_of(u1_of_k(k), k)) + "\n"
-        assert path.read_text(encoding="ascii") == expected, k
+        assert _generated_u2_text(tmp_path, k) == expected, k
 
 
 def _reference_parts(u1: int, k: int) -> list[str]:

@@ -14,15 +14,16 @@ import math
 import os
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from functools import lru_cache
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from machinlike import cli
-from machinlike.exactmath import coinciding_digits, fraction_to_decimal, int_log10, round_sig
+from machinlike.exactmath import (
+    RationalParts, coinciding_digits, fraction_to_decimal, guard_digits, int_log10, round_sig)
 from machinlike.formulas import fixtures
 from machinlike.radical import u1_of_k
 from machinlike.series import (
@@ -32,6 +33,7 @@ from machinlike.series import (
     arctan_fast,
     arctan_fast_exact,
     arctan_sum,
+    auto_term_count,
     reference_pi,
 )
 from machinlike.squaring import u2_of
@@ -169,6 +171,57 @@ def test_term_rate_from_leading_bits_matches_the_full_parts(x, q_sign):
     p, q = x.numerator, q_sign * x.denominator
     full = float(int_log10(p * p + 4 * q * q) - 2 * int_log10(p))
     assert math.isclose(_term_rate(p, q), full, rel_tol=1e-12), (p, q)
+
+
+@st.composite
+def _rate_part(draw):
+    """A positive integer of up to about 3,000 digits, often within 3 of a
+    power of 2 or of 10."""
+    kind = draw(st.sampled_from(("any", "pow2", "pow10")))
+    if kind == "any":
+        return draw(st.integers(1, 10 ** draw(st.sampled_from((1, 3, 19, 20, 60, 700, 3000)))))
+    base, top = (2, 10000) if kind == "pow2" else (10, 3000)
+    return max(base ** draw(st.integers(0, top)) + draw(st.integers(-3, 3)), 1)
+
+
+@st.composite
+def _rate_parts(draw):
+    """(p, q) with 1 <= p <= q, or a multiple of (2, 3), the one ratio whose
+    rate is exactly 1."""
+    if draw(st.booleans()):
+        m = draw(_rate_part())
+        return 2 * m, 3 * m
+    return tuple(sorted((draw(_rate_part()), draw(_rate_part()))))
+
+
+def _count_from_50_digit_logs(p: int, q: int, precision: int) -> int:
+    """auto_term_count's rule with t = log10|q/p| from two 50-digit logarithms."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t = float(int_log10(q) - int_log10(p))
+    rate = 2 * t + math.log10(4 + 10.0 ** (-2 * min(t, 150.0)))
+    return int((precision + guard_digits() + 6) / rate) + 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=_rate_parts(), sign=st.sampled_from((-1, 1)), as_decimal=st.booleans(),
+       precision=st.one_of(st.integers(20, 30000), st.sampled_from((20, 10000, 30000))))
+@example(parts=(2, 3), sign=1, as_decimal=False, precision=20)
+@example(parts=(2 * 10**700, 3 * 10**700), sign=-1, as_decimal=True, precision=30000)
+@example(parts=(2 * (2**2000 + 1), 3 * (2**2000 + 1)), sign=1, as_decimal=False, precision=977)
+def test_float_term_rate_gives_the_50_digit_term_count(parts, sign, as_decimal, precision):
+    """The float rate from the parts' top 64 bits sizes every branch as the
+    50-digit logarithms did, on int and Decimal parts alike.
+
+    At x = 2/3 the rate is exactly 1, so the count's quotient is an integer:
+    a rate one ulp high drops a term there, and this test fails.  A rate one
+    ulp low leaves that floor alone, and at every other x the rate is
+    irrational (1 + 4/x^2 is a power of 10 only at x = 2/3), so a quotient
+    within the ~1e-16 such a change moves it of an integer is not
+    something a draw can find: no count can tell that change apart."""
+    p, q = parts
+    x = RationalParts(*((Decimal(sign * p), Decimal(q)) if as_decimal else (sign * p, q)))
+    assert auto_term_count(x, precision) == _count_from_50_digit_logs(p, q, precision)
 
 
 def _run_cli(*argv):

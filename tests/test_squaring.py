@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from decimal import localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,10 +16,11 @@ from machinlike.errors import (
     DegenerateFormulaError,
     DomainError,
     FormulaParseError,
+    PrecisionError,
 )
-from machinlike.exactmath import _EXACT, _as_int
+from machinlike.exactmath import _EXACT, _as_int, coprime_fraction, fraction_to_decimal
 from machinlike.radical import u1_of_k
-from machinlike.trigcheck import verify_k
+from machinlike.trigcheck import u2_trig, verify_k
 from machinlike.squaring import (
     DESK_SCALE_MAX_K,
     ComplexRationalState,
@@ -27,6 +28,7 @@ from machinlike.squaring import (
     closing_parts,
     init_state,
     read_fraction_parts,
+    rounded_u2,
     shared_parts,
     square_step,
     state_at,
@@ -213,6 +215,63 @@ def test_memory_budget_holds_under_allow_huge():
     # a wide u1 meets the budget under the desk-scale cap too
     with pytest.raises(DomainError, match="memory budget"):
         shared_parts(Fraction(10**2000 + 1, 10**2000), 20)
+
+
+def _rounded_error_bound(u1, k, work):
+    """rounded_u2's bound, 146 * 2**m * 10**(L - W), from the cancellation L
+    its docstring defines, read off the rounded chain itself."""
+    context = Context(prec=work, rounding=ROUND_HALF_EVEN, Emax=10**6, Emin=-10**6)
+    a, b = shared_parts(u1, k, context=context, _least=2)
+    s, t = context.add(a, b), context.subtract(a, b)
+    lost = max(0, -s.adjusted(), -t.adjusted())
+    return Decimal(146 * 2 ** (k - 2)).scaleb(lost - work)
+
+
+@pytest.mark.parametrize("k", range(2, DESK_SCALE_MAX_K + 1))
+def test_rounded_u2_keeps_its_bound_against_the_exact_u2(k):
+    u1 = u1_of_k(k)
+    exact = fraction_to_decimal(coprime_fraction(*closing_parts(u1, k)), 200)
+    for precision, work in ((40, None), (40, 60 + k), (60, 150)):
+        work = work or precision + 2 * k + 20
+        value = rounded_u2(u1, k, precision, work)
+        assert len(value.as_tuple().digits) <= work
+        with localcontext() as ctx:
+            ctx.prec = 300
+            error = abs(value - exact) / abs(exact)
+        bound = _rounded_error_bound(u1, k, work)
+        assert error < bound <= Decimal(10) ** -precision, (k, work, error, bound)
+
+
+def test_rounded_u2_refuses_a_working_precision_the_closing_cancels():
+    u1 = u1_of_k(27)
+    trig = u2_trig(u1, 27, 80)    # about 2.6e8: A - B is about 5e-9, so L = 9
+    # the narrowest W that keeps 40 digits is 40 + L + floor(0.30103 * 25) + 4;
+    # every narrower one raises, and the narrowest one keeps its promise
+    narrowest = 40 + 9 + 7 + 4
+    for work in range(41, narrowest):
+        with pytest.raises(PrecisionError, match="k=27 cancelled too many of its"):
+            rounded_u2(u1, 27, 40, work)
+    value = rounded_u2(u1, 27, 40, narrowest)
+    with localcontext() as ctx:
+        ctx.prec = 100
+        assert abs(value / trig - 1) < Decimal(10) ** -40
+    # far narrower chains, whose closing may cancel to exactly 0, raise too
+    for work in (3, 10):
+        with pytest.raises(PrecisionError):
+            rounded_u2(u1, 27, 40, work)
+
+
+def test_rounded_u2_has_no_cap_and_leaves_the_gates_alone():
+    # past the cap the rounded chain runs with no allow_huge; k = 64 on the
+    # integer numerators would overflow even MAX_EMAX
+    u1 = u1_of_k(64)
+    assert rounded_u2(u1, 64, 40).adjusted() == 19
+    with pytest.raises(DomainError):
+        shared_parts(u1, 64)
+    with pytest.raises(DomainError, match="k must be >= 2"):
+        rounded_u2(5, 1, 40)
+    with pytest.raises(DomainError, match="u1 must exceed 1"):
+        rounded_u2(1, 5, 40)
 
 
 def test_oracle_depth_limit():
