@@ -51,6 +51,7 @@ from .formulas import (
     fixtures,
     format_formula,
     lehmer_measure,
+    lehmer_reduced,
     parse_formula_file,
     two_term_formula,
     validate_formula,
@@ -111,6 +112,7 @@ __all__ = [
     "int_log10",
     "ladder_eval",
     "lehmer_measure",
+    "lehmer_reduced",
     "parse_formula_file",
     "rational_log10_abs",
     "reference_pi",

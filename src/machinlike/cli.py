@@ -214,6 +214,8 @@ def cmd_compute_pi(args: argparse.Namespace) -> int:
         u2 = (None if args.u2_file is None
               else RationalParts(*squaring.read_fraction_parts(args.u2_file, _EXACT)))
         formula = formulas.two_term_formula(args.k, u2_value=u2)
+    # the formula evaluated: wide cotangents become Lehmer's integer levels
+    formula = formulas.lehmer_reduced(formula, precision)
     terms = args.terms or _auto_terms(formula, precision)
     # pi is the sum at 4 * coeff; 8 spare digits keep rounding out of the digit file
     value = series.arctan_sum([(4 * c, beta) for c, beta in formula.terms],
@@ -225,6 +227,7 @@ def cmd_compute_pi(args: argparse.Namespace) -> int:
     payload = {
         "source": formula.name or "formula",
         "terms": terms,
+        "arctangents": len(formula.terms),
         "precision": precision,
         "pi_prefix": digits_prefix(value, 30),
         "coinciding_digits": matched,

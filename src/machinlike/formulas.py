@@ -2,8 +2,9 @@
 
 Carries the classic published formulas as fixtures, scores any formula by
 Lehmer's measure (the labor proxy e = sum of 1/log10 |cotangent|), builds
-the generated two-term pairs, and validates a formula numerically against
-an independent pi.
+the generated two-term pairs, validates a formula numerically against an
+independent pi, and rewrites a wide cotangent as Lehmer's levels of cheap
+integer cotangents (lehmer_reduced).
 """
 
 from __future__ import annotations
@@ -11,15 +12,19 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import DomainError, FormulaParseError, PrecisionError
 from .exactmath import (
+    _EXACT,
+    _as_int,
+    _bit_length,
     _part_abs,
     RationalParts,
+    coprime_fraction,
     format_rational,
     guard_digits,
     int_digit_count,
@@ -32,7 +37,8 @@ from .exactmath import (
     working_context,
 )
 from .radical import u1_of_k
-from .squaring import u2_of
+# u2_of stays bound here, where callers have always found it
+from .squaring import closing_parts, u2_of
 from . import series
 
 
@@ -184,6 +190,8 @@ def two_term_formula(k: int, u2_value: Cotangent | None = None,
 
     Pass ``u2_value`` (exact or magnitude-only) to reuse a known closing
     cotangent, and ``u1`` a known u1_of_k(k), instead of recomputing them.
+    By default u2 is closing_parts' coprime pair as generate takes it: a
+    Fraction, or RationalParts of Decimals once the chain moved to them.
     Past the desk-scale cap pass u2_value=u2_of(u1, k, allow_huge=True).
     """
     if k < 2:
@@ -191,11 +199,75 @@ def two_term_formula(k: int, u2_value: Cotangent | None = None,
     if u1 is None:
         u1 = u1_of_k(k)
     if u2_value is None:
-        u2_value = u2_of(u1, k)
+        u2_value = coprime_fraction(*closing_parts(u1, k))
     return MachinFormula(
         terms=((2 ** (k - 1), Fraction(u1)), (1, u2_value)),
         name=f"two-term-k{k}",
     )
+
+
+# Lehmer's levels pay where the wide branch is costly and its parts are not
+# too wide to reduce.  Unreduced, the branch costs about precision**2.5 (its
+# terms, each a product of F bits); a level costs about the parts' width W
+# (one exact divmod and two products).  Measured in-process on 2 vCPUs,
+# Python 3.11, the u2 branch ran faster reduced wherever W >= 256 bits and
+# W <= precision**2.5/1600, from 1,000 digits on: 1.5-1.8x at 2,000 digits
+# (k = 7, 11, 12), 4.1x at k = 12 and 10,000, 1.65x at k = 20 and 20,000.
+# Outside that it ran slower: at 500 digits (k = 7: 0.89x), on k = 4..5's
+# narrower parts (k = 5 at 2,000 digits: 0.67x) and past the width bound
+# (k = 13 at 1,000 digits: 0.73x, k = 18 at 2,000: 0.42x).  The levels
+# stop once the cotangent passes 10**(precision/12).
+_LEHMER_MIN_PRECISION = 1000
+_LEHMER_MIN_BITS = 256
+_LEHMER_WIDTH_DIVISOR = 1600
+_LEHMER_STOP_DIVISOR = 12
+
+
+def lehmer_reduced(formula: MachinFormula, precision: int) -> MachinFormula:
+    """An equal formula in which every cotangent whose parts are wide for
+    ``precision`` digits is replaced by its Lehmer levels.
+
+    D. H. Lehmer (Amer. Math. Monthly 45, 1938): for beta = P/Q > 1 and
+    n = ceil(P/Q), atan(Q/P) = atan(1/n) + atan(Q'/P') exactly, where
+    P' + iQ' = (P + iQ)(n - i), so P' = nP + Q and 0 <= Q' = nQ - P < Q.
+    The next cotangent P'/Q' is at least n*beta + 1 > beta^2, so the integer
+    cotangents n_0, n_1, ... about double in digits from level to level,
+    and the kernel's exact branch sums them with small multipliers.  Each
+    level keeps the term's coefficient, with a negative beta's sign moved
+    onto it.  The levels stop once the cotangent passes 10**(precision/12);
+    that remainder, its parts unreduced, needs only a few rounded terms.
+    A Q' of 0 ends the term exactly, with no remainder.
+
+    A cotangent is reduced only from 1,000 digits on, and only when the
+    bit length W of its denominator, the narrower part, has
+    256 <= W <= precision**2.5/1600.  Integer cotangents, narrower parts
+    and wider ones pass through unchanged.  Decimal parts stay Decimal,
+    combined under _EXACT, and each n comes from an exact divmod.
+    """
+    if precision < _LEHMER_MIN_PRECISION:
+        return formula
+    widest = precision ** 2.5 / _LEHMER_WIDTH_DIVISOR
+    # log2 of 10**(precision/12), against the parts' bit lengths
+    stop = int(precision * series._LOG2_10 / _LEHMER_STOP_DIVISOR)
+    terms = []
+    for coeff, beta in formula.terms:
+        width = 0 if isinstance(beta, MagnitudeOnly) else _bit_length(beta.denominator)
+        if not _LEHMER_MIN_BITS <= width <= widest:
+            terms.append((coeff, beta))
+            continue
+        if beta.numerator < 0:
+            coeff = -coeff
+        p, q = _part_abs(beta.numerator), beta.denominator
+        with localcontext(_EXACT):
+            while q and _bit_length(p) - _bit_length(q) <= stop:
+                n, rest = divmod(p, q)
+                if rest:
+                    n += 1
+                terms.append((coeff, Fraction(_as_int(n))))
+                p, q = n * p + q, n * q - p
+        if q:
+            terms.append((coeff, RationalParts(p, q)))
+    return MachinFormula(terms=tuple(terms), name=formula.name)
 
 
 # built and validated once, at import: compute-pi --fixture looks one up per request

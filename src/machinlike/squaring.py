@@ -11,11 +11,11 @@ _DECIMAL_BITS, where libmpdec's number-theoretic multiply beats Python's
 and a part prints and parses in one linear pass.  No loop squares their
 common denominator D, z(1)'s reduced denominator to the 2**(k-1);
 _denominator gives it, of the parts' kind, where a value needs it.
-closing_parts holds the one closing rule.  generate and verify read its
-parts as they are; state_at and u2_of read them as Fractions, with no gcd
-on u2's coprime parts.  generate writes its u2 file with str, which
-compute-pi --u2-file reads back as Decimals.  init_state and square_step
-are the plain Fraction reference.
+closing_parts holds the one closing rule.  generate, verify and
+formulas.two_term_formula read its parts as they are; state_at and u2_of
+read them as Fractions, with no gcd on u2's coprime parts.  generate
+writes its u2 file with str, which compute-pi --u2-file reads back as
+Decimals.  init_state and square_step are the plain Fraction reference.
 
 Past the desk-scale cap, measure needs u2 only to its first digits.
 rounded_u2 runs the same loop under a rounding context of W digits, on
