@@ -262,12 +262,9 @@ def coinciding_digits(a: Decimal, b: Decimal) -> int:
     """
     if not (a.is_finite() and b.is_finite()):
         raise DomainError("coinciding_digits needs finite values")
-    ta, tb = a.as_tuple(), b.as_tuple()
     if a == b:
-        return max(-ta.exponent, -tb.exponent, 0)
-    span = max(a.adjusted(), b.adjusted()) - min(ta.exponent, tb.exponent) + 10
-    with working_context(span):
-        diff = abs(a - b)  # exact at this width
+        return max(-a.as_tuple().exponent, -b.as_tuple().exponent, 0)
+    diff = _EXACT.subtract(a, b).copy_abs()
     adjusted = diff.adjusted()
     if diff == Decimal(1).scaleb(adjusted):
         return -adjusted
@@ -282,12 +279,9 @@ def digits_prefix(value: Decimal, count: int) -> str:
         raise DomainError(f"digit count must be >= 1, got {count}")
     if not value.is_finite():
         raise DomainError(f"cannot take digits of {value}")
-    if value == 0:
-        return "0" * count
     ctx = Context(prec=count, rounding=ROUND_DOWN, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    trimmed = ctx.plus(value.copy_abs())
-    digits = "".join(map(str, trimmed.as_tuple().digits))
-    return digits.ljust(count, "0")
+    mantissa = format(ctx.plus(value.copy_abs()), "E").partition("E")[0]
+    return mantissa.replace(".", "").ljust(count, "0")
 
 
 # Conversion leaves: Decimal(int) pays a quadratic pass on 2048 bits at most,

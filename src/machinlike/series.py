@@ -12,29 +12,19 @@ are integers obeying
     A' = A*K + C*B,  B' = B*K - C*A,   K = p^2 - 4q^2,  C = 4pq,
     A^2 + B^2 = s^(2m-1),   s = p^2 + 4q^2,
 
-so every term is an exact integer ratio and each term contributes about
-log10(s/p^2) decimal digits.  One private generator runs this recurrence
-for the exact truncation behind arctan_fast_exact and series_error, which
-sum their terms over one common denominator and reduce once.
+so each term contributes about log10(s/p^2) decimal digits, and the exact
+truncation (arctan_fast_exact, series_error) sums them over one denominator.
 
-arctan_fast sums the series in one fixed-point integer kernel instead:
-term m is -2*y_m/(2m-1) with y_m = Im w^(2m-1), w = x/(x + 2i) =
-(p^2 - 2ipq)/s.  z = w^2 = p^2 (K - iC)/s^2 and its conjugate are the
-roots of t^2 - 2 Re(z) t + |z|^2, so y_m, scaled by 2^F, is carried by
-one real recurrence, y' = 2 Re(z) y - |z|^2 y_prev: two products a step.
-For small p and q the multipliers 2p^2 K/s^2 and p^4/s^2 stay exact
-small integers over s^2; wider arguments are first rounded to F bits, and
-each step cuts those multipliers to the width of the carried terms, so
-its products shrink with the terms.  The loop stops once the carried pair
-is (0, 0), after which every term is exactly 0.  F counts the requested
-digits, the guard digits, log10(1/|x|) and the digits of the term count,
-so termwise flooring never eats a delivered one.  One rule sizes every
-automatic term count, (digits + guard + 6)/log10(s/p^2) + 2
-(auto_term_count), and one evaluator, arctan_sum, turns a formula's
-(coeff, beta) terms into sum coeff * atan(1/beta): compute-pi,
-validation, verification and convergence_scan all call it.  Euler's accelerated series (summed
-exactly) and a complex-arithmetic evaluation of the same sum serve as
-cross-checks.
+One fixed-point integer kernel, _arctan_scaled, sums the series instead,
+carrying y_m = Im w^(2m-1), w = x/(x + 2i), by a two-term real
+recurrence.  One rule sizes every automatic term count (auto_term_count).
+One evaluator, arctan_sum, turns a formula's (coeff, beta) terms into
+sum coeff * atan(1/beta) for compute-pi, validation, verification and
+convergence_scan: it runs every branch at one absolute scale 2^-F, F set
+by the kernel's error bound, adds the integers exactly and converts the
+total to Decimal once; arctan_fast sizes F for one argument's own
+significant digits instead.  Euler's accelerated series (summed exactly)
+and a complex-arithmetic evaluation of the same sum serve as cross-checks.
 One plain Maclaurin loop in integers, _maclaurin_scaled, shares no code
 with any of it and has three users: the four-to-one arctangent pair
 behind reference_pi, the arctangent series_error measures against, and
@@ -53,6 +43,7 @@ from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .exactmath import (
+    _EXACT,
     _as_int,
     _bit_length,
     _leading_bits,
@@ -95,8 +86,8 @@ def _branch_float(x: Fraction | RationalParts, bits: int) -> tuple[int, int, int
     return wi, (wr * zi + wi * zr) >> bits, 2 * zr, (wr * wr) >> bits
 
 
-def _arctan_scaled(x: Fraction | RationalParts, terms: int, bits: int) -> int:
-    """2^bits times the fast series at x != 0, |x| <= 1, truncated after
+def _arctan_scaled(x: Fraction | RationalParts, terms: int, bits: int, width: int = 0) -> int:
+    """2^bits times the fast series at |x| <= 1, truncated after
     ``terms`` terms, to within 2*terms + 2 ln(2*terms) + 6 units (so within
     10*terms).
 
@@ -125,9 +116,13 @@ def _arctan_scaled(x: Fraction | RationalParts, terms: int, bits: int) -> int:
     0.25) for y_2 and for the multipliers' few units acting on terms that
     shrink by |z| a step.  Both stay below the bound above.  Once the
     carried pair is (0, 0), every later term is exactly 0, and the loop
-    stops."""
+    stops.  A nonzero ``width`` is the larger bit length of x's parts."""
     p, q = x.numerator, x.denominator
-    if 8 * max(_bit_length(p), _bit_length(q)) + 12 <= bits:
+    if terms < 1:
+        raise DomainError(f"terms must be >= 1, got {terms}")
+    if _part_abs(p) > q:
+        raise DomainError("the fast series needs |x| <= 1; pass the cotangent's reciprocal")
+    if 8 * (width or max(_bit_length(p), _bit_length(q))) + 12 <= bits:
         # s^2 fills at most half the scale: exact multipliers over den = s^2
         p, q = _as_int(p), _as_int(q)
         psq, qsq4 = p * p, 4 * q * q
@@ -139,17 +134,27 @@ def _arctan_scaled(x: Fraction | RationalParts, terms: int, bits: int) -> int:
     else:
         den = 0    # the rounded branch: shifts, not a division
         y_prev, y, a, b = _branch_float(x, bits)
-    total = -y_prev - (y // 3 if terms > 1 else 0)
+    # each term adds into a narrow part at its own width; the part joins the total every 32
+    total, part = -y_prev - (y // 3 if terms > 1 else 0), 0
     for n in range(5, 2 * terms, 2):    # term (n + 1)/2 is -2 y/n
         if not (y or y_prev):
             break
-        if den:
-            y_prev, y = y, (a * y - b * y_prev) // den
-        else:
+        if not den:
             cut = max(bits - 16 - max(y.bit_length(), y_prev.bit_length()), 0)
             y_prev, y = y, ((a >> cut) * y - (b >> cut) * y_prev) >> bits - cut
-        total -= y // n
-    return 2 * total
+        elif b == 1:    # every integer cotangent: p = 1
+            y_prev, y = y, (a * y - y_prev) // den
+        else:
+            y_prev, y = y, (a * y - b * y_prev) // den
+        part -= y // n
+        if n & 63 == 3:
+            total, part = total + part, 0
+    return 2 * (total + part)
+
+
+def _to_decimal(scaled: int, bits: int, digits: int, precision: int) -> Decimal:
+    """scaled/2^bits floored to 10^-digits and rounded to ``precision`` digits."""
+    return round_sig(Decimal(scaled * 10**digits >> bits).scaleb(-digits, _EXACT), precision)
 
 
 def arctan_fast(x: Fraction | int | RationalParts, terms: int, precision: int) -> Decimal:
@@ -158,22 +163,12 @@ def arctan_fast(x: Fraction | int | RationalParts, terms: int, precision: int) -
     is 0 by the defined limit.  Only x's integer parts are read."""
     if not isinstance(x, RationalParts):
         x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
-    if p == 0:
-        return Decimal(0)
-    if _part_abs(p) > q:
-        raise DomainError("arctan_fast expects |x| <= 1; pass the cotangent's reciprocal")
     # decimal orders between |x| and 1
-    gap = _bit_length(q) - _bit_length(p)
+    gap = _bit_length(x.denominator) - _bit_length(x.numerator)
     orders = int((gap + 1) * _LOG10_2) + 1
     digits = precision + guard_digits() + orders + len(str(terms)) + 2
     bits = int(digits * _LOG2_10) + 1
-    scaled = _arctan_scaled(x, terms, bits) * 10**digits >> bits
-    with working_context(digits):
-        result = Decimal(scaled).scaleb(-digits)
-    return round_sig(result, precision)
+    return _to_decimal(_arctan_scaled(x, terms, bits), bits, digits, precision)
 
 
 def _fast_chain(x: Fraction):
@@ -339,25 +334,23 @@ def reference_pi(precision: int) -> Decimal:
     """
     if precision < 1:
         raise DomainError(f"precision must be >= 1, got {precision}")
-    scaled = _pi_scaled(precision)
-    with working_context(precision + 5):
-        return Decimal(scaled).scaleb(-precision)
+    return Decimal(_pi_scaled(precision)).scaleb(-precision, _EXACT)
 
 
-def _term_rate(p: int | Decimal, q: int | Decimal) -> float:
+def _term_rate(p: int | Decimal | tuple[int, int], q: int | Decimal | tuple[int, int]) -> float:
     """Decimal digits contributed per series term at argument p/q,
     log10(s/p^2) = 2t + log10(4 + 10^(-2t)) with t = log10|q/p|, read as a
-    float from the top 64 bits of p and q.
+    float from the top 64 bits of p and q, or from their _leading_bits(part, 64).
 
     The quotient of the two 64-bit tops is correctly rounded and ldexp
     scales it exactly, so t is within an ulp or two of the correctly
     rounded log10|q/p|, and an exact ratio such as 3/2 (the one x = 2/3
     where the rate is exactly 1) gives exactly the float a 50-digit
     logarithm gives."""
-    if p == 0:
+    (p_shift, p_top), (q_shift, q_top) = (
+        part if isinstance(part, tuple) else _leading_bits(part, 64) for part in (p, q))
+    if p_top == 0:
         raise DomainError("log10 of zero")
-    p_shift, p_top = _leading_bits(p, 64)
-    q_shift, q_top = _leading_bits(q, 64)
     shift = q_shift - p_shift
     if abs(shift) < 900:
         t = math.log10(math.ldexp(q_top / p_top, shift))
@@ -367,28 +360,41 @@ def _term_rate(p: int | Decimal, q: int | Decimal) -> float:
     return 2 * t + math.log10(4 + 10.0 ** (-2 * min(t, 150.0)))
 
 
+def _terms_at(rate: float, precision: int) -> int:
+    """The one rule: terms past ``precision`` digits at ``rate`` digits a term."""
+    return int((precision + guard_digits() + 6) / rate) + 2
+
+
 def auto_term_count(x: Fraction | RationalParts, precision: int) -> int:
-    """Terms that take the fast series at x past ``precision`` digits: the one rule."""
-    return int((precision + guard_digits() + 6) / _term_rate(x.numerator, x.denominator)) + 2
+    """Terms that take the fast series at x past ``precision`` digits."""
+    return _terms_at(_term_rate(x.numerator, x.denominator), precision)
 
 
 def arctan_sum(pairs: Iterable[tuple[int, Fraction | int | RationalParts]], precision: int,
                terms: int | None = None) -> Decimal:
-    """sum of coeff * atan(1/beta) over (coeff, beta) pairs, |beta| > 1, each
-    branch truncated after ``terms`` terms or, when terms is None, after
-    auto_term_count's.  Branches are rounded to precision + the digits of the
-    largest |coeff| + the guard digits, so no coefficient lifts its rounding
-    past 10**-(precision + guard digits); the sum comes back at that width.
-    Each beta (an int, Fraction or RationalParts) is read by its parts alone."""
+    """sum of coeff * atan(1/beta) over (coeff, beta) pairs, |beta| >= 1, to
+    work = precision + the digits of the largest |coeff| + the guard digits G
+    significant digits, each branch truncated after ``terms`` terms or, when
+    terms is None, after auto_term_count's at work digits.  Each beta's parts
+    (ints or Decimals) are read to their top 64 bits once, for the term rate
+    and the kernel's branch.  Every branch runs the kernel at one scale
+    2^-bits, within 10 t_i units of its t_i-term truncation; with
+    U = 10 sum |coeff_i| t_i, bits = len(U) + int((work + G) log2 10) + 1
+    keeps the exactly added total within 10^-(work + G) of the exact sum.
+    Floored to a multiple of 10^-(work + G), it is within twice that before
+    its one rounding to work digits."""
     branches = [(coeff, reciprocal(beta)) for coeff, beta in pairs]
-    work = (precision + int_digit_count(max(abs(coeff) for coeff, _ in branches))
-            + guard_digits())
-    with working_context(work):
-        total = Decimal(0)
-        for coeff, x in branches:
-            branch_terms = auto_term_count(x, work) if terms is None else terms
-            total += coeff * arctan_fast(x, branch_terms, work)
-    return total
+    guard = guard_digits()
+    work = precision + int_digit_count(max(abs(coeff) for coeff, _ in branches)) + guard
+    runs = []
+    for coeff, x in branches:
+        leads = _leading_bits(x.numerator, 64), _leading_bits(x.denominator, 64)
+        count = _terms_at(_term_rate(*leads), work) if terms is None else terms
+        runs.append((coeff, x, count, max(shift + top.bit_length() for shift, top in leads)))
+    units = 10 * sum(abs(coeff) * count for coeff, _, count, _ in runs)
+    bits = units.bit_length() + int((work + guard) * _LOG2_10) + 1
+    total = sum(coeff * _arctan_scaled(x, count, bits, width) for coeff, x, count, width in runs)
+    return _to_decimal(total, bits, work + guard, work)
 
 
 class ConvergenceReport(NamedTuple):

@@ -5,7 +5,8 @@ arctan_sum and the compute-pi and verify commands, against
 the Maclaurin reference pi; neither shares code with it.  Every property
 runs across the guard-digit budget, down to none.  The kernel's own
 scaled integer is held to its docstring's error bound far past the
-point where its multipliers are cut to the width of the carried terms.
+point where its multipliers are cut to the width of the carried terms,
+and arctan_sum's one-scale total to the bound its docstring derives.
 """
 
 import io
@@ -14,7 +15,7 @@ import math
 import os
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_DOWN, Context, Decimal, localcontext
 from functools import lru_cache
 from fractions import Fraction
 
@@ -23,12 +24,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from machinlike import cli
 from machinlike.exactmath import (
-    RationalParts, coinciding_digits, fraction_to_decimal, guard_digits, int_log10, round_sig)
-from machinlike.formulas import fixtures
+    RationalParts, coinciding_digits, digits_prefix, fraction_to_decimal, guard_digits,
+    int_digit_count, int_log10, reciprocal, round_sig)
+from machinlike.formulas import fixtures, lehmer_reduced, two_term_formula
 from machinlike.radical import u1_of_k
 from machinlike.series import (
     _arctan_scaled,
     _branch_float,
+    _chained_sum,
+    _fast_chain,
     _term_rate,
     arctan_fast,
     arctan_fast_exact,
@@ -163,6 +167,84 @@ def test_arctan_sum_two_term_pair_reaches_reference_pi_without_guard_digits(k, p
                           precision)
     # precision significant digits of pi are precision - 1 decimal places
     assert coinciding_digits(value, reference_pi(precision + 5)) >= precision - 1, (k, terms)
+
+
+@lru_cache(maxsize=None)
+def _lehmer_remainders():
+    """The (P, Q) parts, of 100 to 800 digits, of the rational remainders
+    that lehmer_reduced leaves of u2 at k = 7 and 9."""
+    remainders = (lehmer_reduced(two_term_formula(k), precision).terms[-1][1]
+                  for k in (7, 9) for precision in (1000, 2000))
+    return tuple((int(beta.numerator), int(beta.denominator)) for beta in remainders)
+
+
+@st.composite
+def cotangents(draw):
+    """A signed cotangent |beta| > 1: an integer from 2 to 10**200, a
+    rational with Decimal parts of up to 300 digits, or a Lehmer remainder."""
+    sign = draw(st.sampled_from((-1, 1)))
+    kind = draw(st.sampled_from(("int", "int", "decimal", "lehmer")))
+    if kind == "int":
+        return sign * draw(st.one_of(st.integers(2, 10**6), st.integers(2, 10**200)))
+    if kind == "lehmer":
+        p, q = draw(st.sampled_from(_lehmer_remainders()))
+    else:
+        q = draw(st.integers(1, 10 ** draw(st.sampled_from((3, 40, 300)))))
+        p = draw(st.integers(q + 1, q * 10 ** draw(st.integers(1, 30))))
+    return RationalParts(Decimal(sign * p), Decimal(q))
+
+
+def _exact_sum(pairs, terms):
+    """(N, D), unreduced: sum coeff * the exact t-term truncation at
+    x = 1/beta, arctan_fast_exact's sum left without its gcd."""
+    num, den = 0, 1
+    for coeff, beta in pairs:
+        x = reciprocal(beta)
+        n, d = _chained_sum(_fast_chain(Fraction(int(x.numerator), int(x.denominator))), terms)
+        num, den = num * d + coeff * n * den, den * d
+    return num, den
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(-2**66, 2**66).filter(bool), cotangents()),
+                      min_size=1, max_size=9),
+       terms=st.integers(1, 12),
+       precision=st.integers(20, 300), guard=st.integers(0, 10))
+@example(pairs=[(2**66, 2), (-2**66, 10**200)], terms=1, precision=20, guard=0)
+def test_arctan_sum_stays_within_its_bound_of_the_exact_truncations(pairs, terms, precision,
+                                                                    guard):
+    """arctan_sum's docstring bound: within 2 * 10^-(work + G) of the exact
+    sum before its one rounding to work significant digits, so within that
+    plus half a unit in the last place of what it returns."""
+    with guard_digits_set_to(guard):
+        value = arctan_sum(pairs, precision, terms)
+    work = precision + int_digit_count(max(abs(coeff) for coeff, _ in pairs)) + guard
+    half_ulp = Fraction(10) ** (value.adjusted() - work + 1) / 2 if value else 0
+    num, den = _exact_sum(pairs, terms)
+    bound = 2 * Fraction(10) ** -(work + guard) + half_ulp
+    assert abs(Fraction(value) * den - num) <= bound * den, (pairs, terms)
+
+
+def _digits_prefix_by_tuple(value: Decimal, count: int) -> str:
+    """digits_prefix's former reading of the digits, through as_tuple."""
+    if value == 0:
+        return "0" * count
+    ctx = Context(prec=count, rounding=ROUND_DOWN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    digits = "".join(map(str, ctx.plus(value.copy_abs()).as_tuple().digits))
+    return digits.ljust(count, "0")
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient=st.one_of(st.integers(0, 10**6), st.integers(0, 10**80)),
+       zeros=st.integers(0, 30), exponent=st.integers(-10**6, 10**6),
+       negative=st.booleans(), count=st.integers(1, 120))
+@example(coefficient=5, zeros=0, exponent=0, negative=False, count=3)
+@example(coefficient=123, zeros=4, exponent=-10**6, negative=True, count=200)
+def test_digits_prefix_reads_what_as_tuple_read(coefficient, zeros, exponent, negative, count):
+    """Trailing zeros, coefficients shorter than the count and exponents of
+    +-10^6 read the same from the scientific form as from as_tuple."""
+    value = Decimal(f"{'-' if negative else ''}{coefficient}{'0' * zeros}E{exponent}")
+    assert digits_prefix(value, count) == _digits_prefix_by_tuple(value, count), value
 
 
 @settings(max_examples=80, deadline=None)
