@@ -39,7 +39,6 @@ from .errors import (
     UsageError,
 )
 from .exactmath import (
-    _EXACT,
     RationalParts,
     coinciding_digits,
     coprime_fraction,
@@ -212,7 +211,7 @@ def cmd_compute_pi(args: argparse.Namespace) -> int:
         # the file's parts as written, as Decimals, with no gcd; generate
         # writes them in lowest terms
         u2 = (None if args.u2_file is None
-              else RationalParts(*squaring.read_fraction_parts(args.u2_file, _EXACT)))
+              else RationalParts(*squaring.read_fraction_parts(args.u2_file)))
         formula = formulas.two_term_formula(args.k, u2_value=u2)
     # the formula evaluated: wide cotangents become Lehmer's integer levels
     formula = formulas.lehmer_reduced(formula, precision)

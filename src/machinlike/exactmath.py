@@ -403,16 +403,15 @@ def format_rational(value: Fraction | RationalParts) -> str:
                     for part in (value.numerator, value.denominator))
 
 
-def parse_rational_parts(text: str, context: Context | None = None) -> tuple:
+def parse_rational_parts(text: str) -> tuple:
     """(num, den) of ``[+-]num[/den]`` as written, unreduced.  The sign
     belongs to the numerator only; a signed or zero denominator is rejected.
-    The parts are ints, or with a ``context`` Decimals made by its
-    create_decimal, which parses them in one linear pass."""
+    The parts are always integral Decimals, made by _EXACT.create_decimal
+    in one linear pass, to combine only under _EXACT."""
     match = _RATIONAL_RE.fullmatch(text.strip())
     if match is None:
         raise FormulaParseError(f"not a rational literal: {text.strip()!r}")
-    part = text_to_int if context is None else context.create_decimal
-    num, den = part(match.group(1)), part(match.group(2) or "1")
+    num, den = map(_EXACT.create_decimal, (match.group(1), match.group(2) or "1"))
     if den == 0:
         raise FormulaParseError(f"zero denominator: {text.strip()!r}")
     return num, den

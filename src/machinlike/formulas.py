@@ -9,6 +9,7 @@ integer cotangents (lehmer_reduced).
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -248,7 +249,7 @@ def lehmer_reduced(formula: MachinFormula, precision: int) -> MachinFormula:
         return formula
     widest = precision ** 2.5 / _LEHMER_WIDTH_DIVISOR
     # log2 of 10**(precision/12), against the parts' bit lengths
-    stop = int(precision * series._LOG2_10 / _LEHMER_STOP_DIVISOR)
+    stop = int(precision * math.log2(10) / _LEHMER_STOP_DIVISOR)
     terms = []
     for coeff, beta in formula.terms:
         width = 0 if isinstance(beta, MagnitudeOnly) else _bit_length(beta.denominator)

@@ -22,9 +22,9 @@ One evaluator, arctan_sum, turns a formula's (coeff, beta) terms into
 sum coeff * atan(1/beta) for compute-pi, validation, verification and
 convergence_scan: it runs every branch at one absolute scale 2^-F, F set
 by the kernel's error bound, adds the integers exactly and converts the
-total to Decimal once; arctan_fast sizes F for one argument's own
-significant digits instead.  Euler's accelerated series (summed exactly)
-and a complex-arithmetic evaluation of the same sum serve as cross-checks.
+total to Decimal once; arctan_fast is its one-branch case.  Euler's
+accelerated series (summed exactly) and a complex-arithmetic evaluation
+of the same sum serve as cross-checks.
 One plain Maclaurin loop in integers, _maclaurin_scaled, shares no code
 with any of it and has three users: the four-to-one arctangent pair
 behind reference_pi, the arctangent series_error measures against, and
@@ -86,7 +86,7 @@ def _branch_float(x: Fraction | RationalParts, bits: int) -> tuple[int, int, int
     return wi, (wr * zi + wi * zr) >> bits, 2 * zr, (wr * wr) >> bits
 
 
-def _arctan_scaled(x: Fraction | RationalParts, terms: int, bits: int, width: int = 0) -> int:
+def _arctan_scaled(x: Fraction | RationalParts, terms: int, bits: int, width: int) -> int:
     """2^bits times the fast series at |x| <= 1, truncated after
     ``terms`` terms, to within 2*terms + 2 ln(2*terms) + 6 units (so within
     10*terms).
@@ -116,13 +116,13 @@ def _arctan_scaled(x: Fraction | RationalParts, terms: int, bits: int, width: in
     0.25) for y_2 and for the multipliers' few units acting on terms that
     shrink by |z| a step.  Both stay below the bound above.  Once the
     carried pair is (0, 0), every later term is exactly 0, and the loop
-    stops.  A nonzero ``width`` is the larger bit length of x's parts."""
+    stops.  ``width`` is the larger bit length of x's parts."""
     p, q = x.numerator, x.denominator
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
     if _part_abs(p) > q:
         raise DomainError("the fast series needs |x| <= 1; pass the cotangent's reciprocal")
-    if 8 * (width or max(_bit_length(p), _bit_length(q))) + 12 <= bits:
+    if 8 * width + 12 <= bits:
         # s^2 fills at most half the scale: exact multipliers over den = s^2
         p, q = _as_int(p), _as_int(q)
         psq, qsq4 = p * p, 4 * q * q
@@ -152,23 +152,21 @@ def _arctan_scaled(x: Fraction | RationalParts, terms: int, bits: int, width: in
     return 2 * (total + part)
 
 
-def _to_decimal(scaled: int, bits: int, digits: int, precision: int) -> Decimal:
-    """scaled/2^bits floored to 10^-digits and rounded to ``precision`` digits."""
-    return round_sig(Decimal(scaled * 10**digits >> bits).scaleb(-digits, _EXACT), precision)
-
-
 def arctan_fast(x: Fraction | int | RationalParts, terms: int, precision: int) -> Decimal:
     """Truncation of the fast series after ``terms`` terms, to ``precision``
-    significant digits, from the fixed-point kernel, at |x| <= 1.  atan(0)
-    is 0 by the defined limit.  Only x's integer parts are read."""
+    significant digits, at |x| <= 1: arctan_sum's one branch at 1/x, asked
+    for the orders between |x| and 1 and two spare digits more, which keep
+    it within 1/400 of a unit in its last place before the last rounding.
+    atan(0) is 0 by the defined limit.  Only x's integer parts are read."""
+    if terms < 1:
+        raise DomainError(f"terms must be >= 1, got {terms}")
     if not isinstance(x, RationalParts):
         x = Fraction(x)
+    if x.numerator == 0:
+        return Decimal(0)
     # decimal orders between |x| and 1
-    gap = _bit_length(x.denominator) - _bit_length(x.numerator)
-    orders = int((gap + 1) * _LOG10_2) + 1
-    digits = precision + guard_digits() + orders + len(str(terms)) + 2
-    bits = int(digits * _LOG2_10) + 1
-    return _to_decimal(_arctan_scaled(x, terms, bits), bits, digits, precision)
+    orders = int((_bit_length(x.denominator) - _bit_length(x.numerator) + 1) * _LOG10_2) + 1
+    return round_sig(arctan_sum([(1, reciprocal(x))], precision + orders + 2, terms), precision)
 
 
 def _fast_chain(x: Fraction):
@@ -337,18 +335,17 @@ def reference_pi(precision: int) -> Decimal:
     return Decimal(_pi_scaled(precision)).scaleb(-precision, _EXACT)
 
 
-def _term_rate(p: int | Decimal | tuple[int, int], q: int | Decimal | tuple[int, int]) -> float:
+def _term_rate(p: tuple[int, int], q: tuple[int, int]) -> float:
     """Decimal digits contributed per series term at argument p/q,
     log10(s/p^2) = 2t + log10(4 + 10^(-2t)) with t = log10|q/p|, read as a
-    float from the top 64 bits of p and q, or from their _leading_bits(part, 64).
+    float from p's and q's top 64 bits, _leading_bits(part, 64).
 
     The quotient of the two 64-bit tops is correctly rounded and ldexp
     scales it exactly, so t is within an ulp or two of the correctly
     rounded log10|q/p|, and an exact ratio such as 3/2 (the one x = 2/3
     where the rate is exactly 1) gives exactly the float a 50-digit
     logarithm gives."""
-    (p_shift, p_top), (q_shift, q_top) = (
-        part if isinstance(part, tuple) else _leading_bits(part, 64) for part in (p, q))
+    (p_shift, p_top), (q_shift, q_top) = p, q
     if p_top == 0:
         raise DomainError("log10 of zero")
     shift = q_shift - p_shift
@@ -367,7 +364,8 @@ def _terms_at(rate: float, precision: int) -> int:
 
 def auto_term_count(x: Fraction | RationalParts, precision: int) -> int:
     """Terms that take the fast series at x past ``precision`` digits."""
-    return _terms_at(_term_rate(x.numerator, x.denominator), precision)
+    return _terms_at(_term_rate(_leading_bits(x.numerator, 64),
+                                _leading_bits(x.denominator, 64)), precision)
 
 
 def arctan_sum(pairs: Iterable[tuple[int, Fraction | int | RationalParts]], precision: int,
@@ -394,7 +392,8 @@ def arctan_sum(pairs: Iterable[tuple[int, Fraction | int | RationalParts]], prec
     units = 10 * sum(abs(coeff) * count for coeff, _, count, _ in runs)
     bits = units.bit_length() + int((work + guard) * _LOG2_10) + 1
     total = sum(coeff * _arctan_scaled(x, count, bits, width) for coeff, x, count, width in runs)
-    return _to_decimal(total, bits, work + guard, work)
+    return round_sig(Decimal(total * 10**(work + guard) >> bits).scaleb(-(work + guard), _EXACT),
+                     work)
 
 
 class ConvergenceReport(NamedTuple):
@@ -406,8 +405,8 @@ class ConvergenceReport(NamedTuple):
     """
 
     k: int
-    u1: Fraction
-    u2: Fraction
+    u1: Fraction | RationalParts
+    u2: Fraction | RationalParts
     precision: int
     orders: tuple[int, ...]
     digits: tuple[int, ...]
@@ -416,16 +415,16 @@ class ConvergenceReport(NamedTuple):
     predicted_rate: Decimal
 
 
-def convergence_scan(k: int, u1: Fraction | int, u2: Fraction | int,
+def convergence_scan(k: int, u1: Fraction | int | RationalParts, u2: Fraction | int | RationalParts,
                      max_terms: int, precision: int) -> ConvergenceReport:
     """Measure how many digits each extra term buys, M = 1..max_terms, from
-    pi = 4*(2^(k-1) atan(1/u1) + atan(1/u2)) summed by arctan_sum."""
+    pi = 4*(2^(k-1) atan(1/u1) + atan(1/u2)) summed by arctan_sum at exact u1, u2."""
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     if max_terms < 3:
         raise DomainError(f"max_terms must be >= 3, got {max_terms}")
     try:
-        u1, u2 = Fraction(u1), Fraction(u2)
+        u1, u2 = (u if isinstance(u, RationalParts) else Fraction(u) for u in (u1, u2))
     except TypeError:
         raise DomainError("both cotangents must be exact rationals; "
                           "magnitude-only stand-ins cannot drive the series") from None

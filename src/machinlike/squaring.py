@@ -225,11 +225,11 @@ def rounded_u2(u1: Fraction | int, k: int, precision: int, work: int | None = No
         f"to leave {precision}")
 
 
-def u2_direct_oracle(u1: Fraction | int, k: int, max_k: int = ORACLE_MAX_K) -> Fraction:
+def u2_direct_oracle(u1: Fraction | int, k: int) -> Fraction:
     """u2 straight from its definition, with none of the iteration's
     structure: generic complex rational arithmetic squares
     z = (u1 + i)/(u1 - i) and the arctangent argument 2/(z + i) + i is
-    inverted.  Deliberately naive, hence the depth limit.
+    inverted.  Deliberately naive, hence the depth limit ORACLE_MAX_K.
 
     The imaginary part must cancel to exactly zero; anything else means
     the two routes do not describe the same number.
@@ -237,8 +237,8 @@ def u2_direct_oracle(u1: Fraction | int, k: int, max_k: int = ORACLE_MAX_K) -> F
     u1 = Fraction(u1)
     if u1 <= 1:
         raise DomainError(f"u1 must exceed 1, got {u1}")
-    if not 2 <= k <= max_k:
-        raise DomainError(f"oracle depth k={k} outside [2, {max_k}]")
+    if not 2 <= k <= ORACLE_MAX_K:
+        raise DomainError(f"oracle depth k={k} outside [2, {ORACLE_MAX_K}]")
     one, zero = Fraction(1), Fraction(0)
     z = complex_div((u1, one), (u1, -one))
     for _ in range(k - 1):
@@ -257,14 +257,14 @@ def write_fraction_file(path, value: Fraction | RationalParts) -> None:
         fh.write(format_rational(value) + "\n")
 
 
-def read_fraction_parts(path, context: Context | None = None) -> tuple:
-    """A fraction file's (num, den) as written, unreduced, with no gcd: ints,
-    or with a ``context`` Decimals (parse_rational_parts).
+def read_fraction_parts(path) -> tuple:
+    """A fraction file's (num, den) as written, unreduced, with no gcd, as
+    integral Decimals (parse_rational_parts).
 
     Tolerates '#' comment lines, blank lines and a bare integer, but
     exactly one value line must remain.
     """
-    values = list(parsed_lines(path, lambda line: parse_rational_parts(line, context)))
+    values = list(parsed_lines(path, parse_rational_parts))
     if len(values) != 1:
         raise FormulaParseError(f"expected exactly one fraction line, found {len(values)}")
     return values[0]

@@ -15,6 +15,7 @@ from machinlike.cli import (
     main,
 )
 from machinlike.errors import ConsistencyError
+from machinlike.exactmath import _as_int
 from machinlike.formulas import lehmer_measure, two_term_formula
 from machinlike.radical import u1_of_k
 from machinlike.squaring import read_fraction_parts, u2_of
@@ -108,7 +109,7 @@ def test_generate_round_trip_through_compute_pi(tmp_path, capsys):
 def test_compute_pi_reads_unreduced_u2_parts_to_the_same_digits(tmp_path, capsys):
     reduced, tripled = tmp_path / "u2.txt", tmp_path / "u2-x3.txt"
     payload_of(capsys, "generate", "--k", "8", "--out", str(reduced))
-    num, den = read_fraction_parts(reduced)
+    num, den = map(_as_int, read_fraction_parts(reduced))
     tripled.write_text(f"{3 * num}/{3 * den}\n", encoding="ascii")
     outputs = []
     for path in (reduced, tripled):

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from machinlike import cli
 from machinlike.errors import DomainError
 from machinlike.exactmath import (
-    _EXACT,
     _as_int,
     _bit_length,
     _scaled_floor,
@@ -168,8 +167,10 @@ def test_kernel_takes_the_same_branch_on_decimal_parts(a, b, step):
     # the scale at the exact/rounded threshold of _arctan_scaled, and next to it
     bits = 8 * max(p.bit_length(), q.bit_length()) + 12 + step
     exact = RationalParts(p, q)
-    assert _arctan_scaled(RationalParts(_dec(p), _dec(q)), 3, bits) == \
-        _arctan_scaled(exact, 3, bits)
+    width = max(_bit_length(_dec(p)), _bit_length(_dec(q)))
+    assert width == max(abs(p).bit_length(), q.bit_length())
+    assert _arctan_scaled(RationalParts(_dec(p), _dec(q)), 3, bits, width) == \
+        _arctan_scaled(exact, 3, bits, width)
 
 
 def test_a_40_digit_part_one_past_its_denominator():
@@ -189,10 +190,10 @@ def test_a_negative_u2_floors_its_quotient(tmp_path):
     # every ladder u2 is negative; x = 1/u2 must be floored, not truncated
     path = tmp_path / "u2.txt"
     assert _run(["generate", "--k", "13", "--out", str(path)])[0] == 0
-    parts = read_fraction_parts(path, _EXACT)
+    parts = read_fraction_parts(path)
     assert parts[0] < 0 and isinstance(parts[0], Decimal)
     x_dec = reciprocal(RationalParts(*parts))
-    x_int = reciprocal(RationalParts(*read_fraction_parts(path)))
+    x_int = reciprocal(RationalParts(*map(_as_int, parts)))
     for bits in (700, 701, 4_000):
         assert _branch_float(x_dec, bits) == _branch_float(x_int, bits)
         truncated = -(-(x_int.numerator << bits) // x_int.denominator)

@@ -15,7 +15,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from machinlike import cli
 from machinlike.exactmath import RationalParts, guard_digits, reciprocal, working_context
@@ -32,22 +32,33 @@ def _times(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
+@st.composite
+def wide_cotangents(draw):
+    """(P, Q) with Q of 256 bits or more and 1 < P/Q <= 10**80, below
+    where the levels stop."""
+    den_digits = draw(st.integers(78, 3000))
+    orders = draw(st.integers(0, 80))
+    den = draw(st.integers(10**(den_digits - 1), 10**den_digits - 1))
+    return draw(st.integers(den + 1, den * 10**orders + 1)), den
+
+
 @settings(max_examples=60, deadline=None)
-@given(den_digits=st.integers(78, 3000), orders=st.integers(0, 80), data=st.data(),
-       negative=st.booleans(), as_decimal=st.booleans(),
+@given(parts=wide_cotangents(), negative=st.booleans(), as_decimal=st.booleans(),
        coeff=st.integers(-10**6, 10**6).filter(bool), precision=st.integers(1000, 30000))
-def test_the_levels_are_exact(den_digits, orders, data, negative, as_decimal, coeff,
-                              precision):
+@example(parts=(7 * 10**80, 10**80), negative=True, as_decimal=True, coeff=3, precision=1000)
+def test_the_levels_are_exact(parts, negative, as_decimal, coeff, precision):
     """(P + iQ) times the conjugate of prod (n_j + i) * (P_r + iQ_r) is real
-    and positive: the levels' arctangents sum to atan(Q/P) exactly."""
-    # Q has 256 bits or more and 1 < P/Q <= 10**80, below where levels stop
-    den = data.draw(st.integers(10**(den_digits - 1), 10**den_digits - 1), label="den")
-    num = data.draw(st.integers(den + 1, den * 10**orders + 1), label="num")
+    and positive: the levels' arctangents sum to atan(Q/P) exactly.  A P
+    that is a multiple of Q is the one level P/Q, with no remainder."""
+    num, den = parts
     beta = RationalParts(-num if negative else num, den)
     if as_decimal:
         beta = RationalParts(Decimal(beta.numerator), Decimal(den))
     reduced = lehmer_reduced(MachinFormula(((coeff, beta),)), precision)
-    assert len(reduced.terms) > 1
+    if num % den == 0:
+        assert reduced.terms == ((-coeff if negative else coeff, Fraction(num // den)),)
+    else:
+        assert len(reduced.terms) > 1
     assert all(c == (-coeff if negative else coeff) for c, _ in reduced.terms)
     assert all(b.denominator == 1 and b.numerator > 1 for _, b in reduced.terms[:-1])
     last = reduced.terms[-1][1]

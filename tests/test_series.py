@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from machinlike.errors import ConsistencyError, DomainError, PrecisionError
 from machinlike.exactmath import (
-    coinciding_digits, fraction_to_decimal, round_sig, working_context)
+    RationalParts, coinciding_digits, fraction_to_decimal, round_sig, working_context)
+from machinlike.formulas import two_term_formula
+from machinlike.radical import u1_of_k
 from machinlike.series import (
     _maclaurin_scaled,
     _scaled_parts,
@@ -190,6 +192,18 @@ def test_convergence_scan_rejects_magnitude_stand_in():
         convergence_scan(27, 85445659, stand_in, 10, 40)
     with pytest.raises(DomainError):
         convergence_scan(1, 2, 3, 10, 400)
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_convergence_scan_reads_the_formulas_exact_parts(k):
+    """From k = 10 two_term_formula's u2 is RationalParts with Decimal
+    parts, as written, and scans as its lowest-terms Fraction does."""
+    u1, u2 = (beta for _, beta in two_term_formula(k).terms)
+    assert isinstance(u2, RationalParts) and isinstance(u2.numerator, Decimal)
+    fields = ("digits", "fitted_rate", "measure", "predicted_rate")
+    parts = convergence_scan(k, u1, u2, 8, 400)
+    lowest = convergence_scan(k, u1, u2_of(u1_of_k(k), k), 8, 400)
+    assert [getattr(parts, f) for f in fields] == [getattr(lowest, f) for f in fields]
 
 
 def test_convergence_scan_digits_increase():

@@ -15,7 +15,7 @@ import math
 import os
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_DOWN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_DOWN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from functools import lru_cache
 from fractions import Fraction
 
@@ -23,9 +23,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from machinlike import cli
+from machinlike.errors import DomainError
 from machinlike.exactmath import (
-    RationalParts, coinciding_digits, digits_prefix, fraction_to_decimal, guard_digits,
-    int_digit_count, int_log10, reciprocal, round_sig)
+    _EXACT, RationalParts, _bit_length, _leading_bits, coinciding_digits, digits_prefix,
+    fraction_to_decimal, guard_digits, int_digit_count, int_log10, reciprocal, round_sig)
 from machinlike.formulas import fixtures, lehmer_reduced, two_term_formula
 from machinlike.radical import u1_of_k
 from machinlike.series import (
@@ -83,6 +84,84 @@ def test_kernel_matches_exact_truncation(x, terms, precision, guard):
     assert abs(fast - exact) <= Decimal(1).scaleb(top - precision + 1), (x, terms)
 
 
+def _width(x) -> int:
+    """The kernel's ``width``: the larger bit length of x's parts."""
+    return max(_bit_length(x.numerator), _bit_length(x.denominator))
+
+
+def _rate(p, q) -> float:
+    """_term_rate at p/q, from the parts' top 64 bits."""
+    return _term_rate(_leading_bits(p, 64), _leading_bits(q, 64))
+
+
+def _arctan_fast_own_scale(x, terms: int, precision: int) -> Decimal:
+    """arctan_fast by its former rule, which sized its own scale from x's
+    significant digits: D = precision + G + the orders between |x| and 1 +
+    len(str(terms)) + 2 decimal places, floored once and rounded once."""
+    if not isinstance(x, RationalParts):
+        x = Fraction(x)
+    orders = int((_bit_length(x.denominator) - _bit_length(x.numerator) + 1) * math.log10(2)) + 1
+    digits = precision + guard_digits() + orders + len(str(terms)) + 2
+    bits = int(digits * math.log2(10)) + 1
+    scaled = _arctan_scaled(x, terms, bits, _width(x))
+    return round_sig(Decimal(scaled * 10**digits >> bits).scaleb(-digits, _EXACT), precision)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=arguments(), as_decimal=st.booleans(),
+       terms=st.one_of(st.integers(1, 12), st.integers(1, 400)),
+       precision=st.integers(20, 800), guard=st.integers(0, 10))
+@example(x=Fraction(0), as_decimal=False, terms=1, precision=20, guard=0)
+@example(x=Fraction(-1), as_decimal=True, terms=400, precision=800, guard=0)
+@example(x=Fraction(1, 10**29 + 1), as_decimal=False, terms=3, precision=20, guard=0)
+# the former rule rounds the wrong way: the truncation lies 7.5e-6 units
+# in the last place from halfway
+@example(x=Fraction(3114098519622917983184851267896594431336,
+                    23810145403282698490939798692611434203709210224445979981025),
+         as_decimal=False, terms=4, precision=206, guard=0)
+def test_arctan_fast_gives_what_its_own_scale_gave(x, as_decimal, terms, precision, guard):
+    """arctan_fast returns the Decimal the former rule did, on int and
+    Decimal parts alike.  Before its last rounding each is within a tenth
+    of a unit in the last place of the truncation, so the two may part
+    only by one unit, where the truncation, read to 12 more digits, lies
+    that close to halfway between them.  There arctan_fast, within 1/400
+    of a unit, rounds to the truncation's side of halfway unless it lies
+    closer still."""
+    if as_decimal:
+        x = RationalParts(Decimal(x.numerator), Decimal(x.denominator))
+    with guard_digits_set_to(guard):
+        new, old = arctan_fast(x, terms, precision), _arctan_fast_own_scale(x, terms, precision)
+        if new != old:
+            finer = _arctan_fast_own_scale(x, terms, precision + 12)
+            case = x, terms, precision, guard
+            with localcontext(_EXACT):
+                unit = Decimal(1).scaleb(min(new.adjusted(), old.adjusted()) - precision + 1)
+                halfway = (new + old) / 2
+                assert abs(new - old) == unit, case
+                assert abs(finer - halfway) <= unit / 8, case
+                if 399 * abs(finer - halfway) > unit:
+                    assert (new > old) == (finer > halfway), case
+
+
+@pytest.mark.parametrize("x, terms, precision", [(Fraction(-10, 10212781), 3, 399),
+                                                  (Fraction(-4, 15), 319, 398)])
+def test_two_spare_digits_round_as_the_exact_truncation(x, terms, precision):
+    """These truncations lie 5e-4 and 6e-4 units in the last place from
+    halfway.  With no guard digits and one spare digit, arctan_fast
+    rounded both to the wrong side; two round them correctly."""
+    exact = arctan_fast_exact(x, terms)
+    ctx = Context(prec=precision, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    with guard_digits_set_to(0):
+        assert arctan_fast(x, terms, precision) == \
+            ctx.divide(Decimal(exact.numerator), Decimal(exact.denominator))
+
+
+def test_arctan_fast_refuses_no_terms_even_at_zero():
+    assert arctan_fast(0, 1, 30) == 0
+    with pytest.raises(DomainError, match="terms must be >= 1"):
+        arctan_fast(0, 0, 30)
+
+
 def _kernel_bound(terms: int) -> float:
     """_arctan_scaled's error bound, in units of 2^-bits."""
     return 2 * terms + 2 * math.log(2 * terms) + 6
@@ -117,7 +196,7 @@ def test_kernel_stays_within_its_error_bound(case):
     x, terms, bits = case
     exact = arctan_fast_exact(x, terms)
     num, den = exact.numerator, exact.denominator
-    miss = abs(_arctan_scaled(x, terms, bits) * den - (num << bits))
+    miss = abs(_arctan_scaled(x, terms, bits, _width(x)) * den - (num << bits))
     assert 1000 * miss <= int(1000 * _kernel_bound(terms)) * den, (x, terms, bits)
 
 
@@ -145,7 +224,7 @@ def _kernel_without_stop(x, terms, bits):
 @given(case=kernel_cases())
 def test_stop_at_zero_changes_no_bit(case):
     x, terms, bits = case
-    assert _arctan_scaled(x, terms, bits) == _kernel_without_stop(x, terms, bits), case
+    assert _arctan_scaled(x, terms, bits, _width(x)) == _kernel_without_stop(x, terms, bits), case
 
 
 @lru_cache(maxsize=None)
@@ -160,8 +239,7 @@ def test_arctan_sum_two_term_pair_reaches_reference_pi_without_guard_digits(k, p
     u1, u2 = _pair(k)
     # the lead branch's error is multiplied by 4 * 2^(k-1)
     need = precision + k + 5
-    terms = max(int(need / _term_rate(1, u1)),
-                int(need / _term_rate(u2.denominator, u2.numerator))) + 2
+    terms = max(int(need / _rate(1, u1)), int(need / _rate(u2.denominator, u2.numerator))) + 2
     with guard_digits_set_to(0):
         value = round_sig(arctan_sum(((2 ** (k + 1), u1), (4, u2)), precision, terms),
                           precision)
@@ -252,7 +330,7 @@ def test_digits_prefix_reads_what_as_tuple_read(coefficient, zeros, exponent, ne
 def test_term_rate_from_leading_bits_matches_the_full_parts(x, q_sign):
     p, q = x.numerator, q_sign * x.denominator
     full = float(int_log10(p * p + 4 * q * q) - 2 * int_log10(p))
-    assert math.isclose(_term_rate(p, q), full, rel_tol=1e-12), (p, q)
+    assert math.isclose(_rate(p, q), full, rel_tol=1e-12), (p, q)
 
 
 @st.composite

@@ -274,12 +274,14 @@ def test_rounded_u2_has_no_cap_and_leaves_the_gates_alone():
         rounded_u2(1, 5, 40)
 
 
-def test_oracle_depth_limit():
+def test_oracle_depth_limit(monkeypatch):
+    import machinlike.squaring as squaring
     with pytest.raises(DomainError):
         u2_direct_oracle(5, 13)
     with pytest.raises(DomainError, match="u1 must exceed 1, got 1"):
         u2_direct_oracle(1, 3)
-    assert u2_direct_oracle(5, 13, max_k=13) == u2_of(5, 13)
+    monkeypatch.setattr(squaring, "ORACLE_MAX_K", 13)
+    assert u2_direct_oracle(5, 13) == u2_of(5, 13)
 
 
 def test_degenerate_state_rejected(monkeypatch):
@@ -340,7 +342,7 @@ limit = sys.get_int_max_str_digits()
 assert limit == 4300, limit
 value = Fraction(-(3 ** 20000), 7 ** 6000)  # 9543 and 5071 digits
 write_fraction_file(sys.argv[1], value)
-assert Fraction(*read_fraction_parts(sys.argv[1])) == value
+assert read_fraction_parts(sys.argv[1]) == (value.numerator, value.denominator)
 formula = MachinFormula(((1, Fraction(5)), (-1, value)))
 with open(sys.argv[2], "w", encoding="ascii") as fh:
     fh.write(format_formula(formula))
