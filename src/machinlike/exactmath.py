@@ -444,7 +444,3 @@ def complex_mul(a, b):
 def complex_div(a, b):
     d = b[0] * b[0] + b[1] * b[1]
     return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
-
-
-def complex_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])

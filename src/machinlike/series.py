@@ -370,17 +370,18 @@ def auto_term_count(x: Fraction | RationalParts, precision: int) -> int:
 
 def arctan_sum(pairs: Iterable[tuple[int, Fraction | int | RationalParts]], precision: int,
                terms: int | None = None) -> Decimal:
-    """sum of coeff * atan(1/beta) over (coeff, beta) pairs, |beta| >= 1, to
-    work = precision + the digits of the largest |coeff| + the guard digits G
-    significant digits, each branch truncated after ``terms`` terms or, when
-    terms is None, after auto_term_count's at work digits.  Each beta's parts
-    (ints or Decimals) are read to their top 64 bits once, for the term rate
-    and the kernel's branch.  Every branch runs the kernel at one scale
-    2^-bits, within 10 t_i units of its t_i-term truncation; with
-    U = 10 sum |coeff_i| t_i, bits = len(U) + int((work + G) log2 10) + 1
-    keeps the exactly added total within 10^-(work + G) of the exact sum.
-    Floored to a multiple of 10^-(work + G), it is within twice that before
-    its one rounding to work digits."""
+    """sum of coeff * atan(1/beta) over (coeff, beta) pairs, |beta| >= 1, each
+    branch truncated after ``terms`` terms or, when terms is None, after
+    auto_term_count's at work = precision + the digits of the largest |coeff|
+    + the guard digits G.  Each beta's parts (ints or Decimals) are read to
+    their top 64 bits once, for the term rate and the kernel's branch.  Every
+    branch runs the kernel at one scale 2^-bits, within 10 t_i units of its
+    t_i-term truncation; with U = 10 sum |coeff_i| t_i,
+    bits = len(U) + int((work + G) log2 10) + 1 keeps the exactly added total
+    within 10^-(work + G) of the exact sum.  Floored to a multiple of
+    10^-(work + G), it is within an absolute 2 * 10^-(work + G) before its
+    one rounding to work significant digits, so a sum far below 1 keeps
+    fewer than work of them."""
     branches = [(coeff, reciprocal(beta)) for coeff, beta in pairs]
     guard = guard_digits()
     work = precision + int_digit_count(max(abs(coeff) for coeff, _ in branches)) + guard

@@ -21,7 +21,8 @@ Past the desk-scale cap, measure needs u2 only to its first digits.
 rounded_u2 runs the same loop under a rounding context of W digits, on
 z(1)'s unit-modulus parts, closes with the same (A + B)/(A - B), and
 refuses, with PrecisionError, a W that the closing subtraction leaves too
-few correct digits of.
+few correct digits of.  u2_direct_oracle, verify's check on the chain,
+shares none of its code: it doubles a tangent in lowest-terms Fractions.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, local
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import (
-    ConsistencyError, DegenerateFormulaError, DomainError, FormulaParseError, PrecisionError)
+from .errors import DegenerateFormulaError, DomainError, FormulaParseError, PrecisionError
 from .exactmath import (
-    _EXACT, RationalParts, _as_int, complex_add, complex_div, complex_mul, coprime_fraction,
-    format_rational, parse_rational_parts, parsed_lines)
+    _EXACT, RationalParts, _as_int, coprime_fraction, format_rational, parse_rational_parts,
+    parsed_lines)
 
 # Above this depth the chain's integers pass a million digits (they
 # double per step).  No gcd is taken on u2's parts, so the Decimal chain
@@ -55,8 +55,9 @@ _PEAK_BYTES_PER_PART_BYTE = 19
 # chain is faster, but its parts then cost 5-90 ms more to print and parse.
 _DECIMAL_BITS = 2048
 
-# Deepest k verify runs the naive direct oracle at; its cost grows about
-# fourfold per step (32 ms at k = 12, 0.14 s at k = 13, 2 vCPUs, Python 3.11).
+# Deepest k verify runs the direct oracle at; its cost grows about fourfold
+# per step (best of 5 on the ladder's u1: 2.0 ms at k = 12, 8.7 ms at k = 13,
+# 37 ms at k = 14; 2 vCPUs, Python 3.11).
 ORACLE_MAX_K = 12
 
 
@@ -227,28 +228,24 @@ def rounded_u2(u1: Fraction | int, k: int, precision: int, work: int | None = No
 
 def u2_direct_oracle(u1: Fraction | int, k: int) -> Fraction:
     """u2 straight from its definition, with none of the iteration's
-    structure: generic complex rational arithmetic squares
-    z = (u1 + i)/(u1 - i) and the arctangent argument 2/(z + i) + i is
-    inverted.  Deliberately naive, hence the depth limit ORACLE_MAX_K.
+    structure: 1/u2 = tan(pi/4 - phi) with phi = 2**(k-1) atan(1/u1), so
+    t = tan(phi) by the double-angle step t -> 2t/(1 - t^2), k-1 times from
+    1/u1, and u2 = (1 + t)/(1 - t).  One Fraction, in lowest terms after
+    every operation; no common denominator and no closing of parts.  Its
+    cost sets the depth limit ORACLE_MAX_K.
 
-    The imaginary part must cancel to exactly zero; anything else means
-    the two routes do not describe the same number.
+    Neither divisor can vanish: t = +-1 would need the t before it to be
+    -1 +- sqrt(2), which is irrational, and t starts at 1/u1, in (0, 1).
     """
     u1 = Fraction(u1)
     if u1 <= 1:
         raise DomainError(f"u1 must exceed 1, got {u1}")
     if not 2 <= k <= ORACLE_MAX_K:
         raise DomainError(f"oracle depth k={k} outside [2, {ORACLE_MAX_K}]")
-    one, zero = Fraction(1), Fraction(0)
-    z = complex_div((u1, one), (u1, -one))
+    t = 1 / u1
     for _ in range(k - 1):
-        z = complex_mul(z, z)
-    arg = complex_add(complex_div((Fraction(2), zero), complex_add(z, (zero, one))), (zero, one))
-    if arg[1] != 0:
-        raise ConsistencyError(f"imaginary residue {arg[1]} in the closing arctangent argument")
-    if arg[0] == 0:
-        raise DegenerateFormulaError("closing arctangent argument vanished")
-    return 1 / arg[0]
+        t = 2 * t / (1 - t * t)
+    return (1 + t) / (1 - t)
 
 
 def write_fraction_file(path, value: Fraction | RationalParts) -> None:

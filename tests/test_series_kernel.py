@@ -303,6 +303,18 @@ def test_arctan_sum_stays_within_its_bound_of_the_exact_truncations(pairs, terms
     assert abs(Fraction(value) * den - num) <= bound * den, (pairs, terms)
 
 
+
+def test_arctan_sum_bound_is_absolute_for_a_sum_far_below_one():
+    """At x = 10^-20 the floor at 10^-(work + G) leaves about 31 significant
+    digits of the 51 that work counts; the docstring promises only the
+    absolute bound."""
+    with guard_digits_set_to(0):
+        value = arctan_sum([(1, 10**20)], 50, 5)
+    work = 50 + 1
+    exact = arctan_fast_exact(Fraction(1, 10**20), 5)
+    assert abs(Fraction(value) - exact) <= 2 * Fraction(10) ** -work
+    assert len(value.as_tuple().digits) < work
+
 def _digits_prefix_by_tuple(value: Decimal, count: int) -> str:
     """digits_prefix's former reading of the digits, through as_tuple."""
     if value == 0:

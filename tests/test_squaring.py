@@ -284,6 +284,32 @@ def test_oracle_depth_limit(monkeypatch):
     assert u2_direct_oracle(5, 13) == u2_of(5, 13)
 
 
+def test_oracle_shares_no_code_with_the_chain(monkeypatch):
+    import machinlike.exactmath as exactmath
+    import machinlike.squaring as squaring
+    expected = {k: u2_of(u1_of_k(k), k) for k in range(2, 13)}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached the chain or the complex helpers")
+
+    for name in ("shared_parts", "closing_parts", "_denominator", "init_state"):
+        monkeypatch.setattr(squaring, name, forbidden)
+    # the helpers at their home and at any name squaring imports them under
+    for module in (exactmath, squaring):
+        for name in ("complex_mul", "complex_div"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for k, u2 in expected.items():
+        assert u2_direct_oracle(u1_of_k(k), k) == u2, k
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(min_value=2, max_value=10**6).flatmap(
+           lambda p: st.builds(Fraction, st.just(p), st.integers(min_value=1, max_value=p - 1))),
+       st.integers(min_value=2, max_value=7))
+def test_oracle_agrees_with_chain_on_rational_u1(u1, k):
+    assert u2_direct_oracle(u1, k) == u2_of(u1, k)
+
+
 def test_degenerate_state_rejected(monkeypatch):
     import machinlike.squaring as squaring
     # no rational u1 reaches A == B (that is z(k-1) = e^(i pi/4)); fake the chain
