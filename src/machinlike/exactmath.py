@@ -439,8 +439,3 @@ def parsed_lines(path, parse):
 def complex_mul(a, b):
     """(re, im) product; works for any field-like component type."""
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def complex_div(a, b):
-    d = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)

@@ -1,19 +1,19 @@
 """Rapidly convergent arctangent series and the pi assembly built on them.
 
-The workhorse expansion is
+The workhorse expansion, at x = p/q, is
 
-    atan(x) = 2 * sum_{m>=1} (1/(2m-1)) * a_m/(a_m^2 + b_m^2),
+    atan(x) = 2 * sum_{m>=1} Im c^(2m-1) / ((2m-1) s^(2m-1)),
+    c = p(p + 2iq),  s = p^2 + 4q^2,  |c|^2 = p^2 s,
+    c^2 = p^2 (K + 4ipq),  K = p^2 - 4q^2,
 
-where a_m and b_m are the imaginary and real parts of (1 + 2i/x)^(2m-1).
-At x = p/q the scaled parts A_m = a_m * p^(2m-1) and B_m = b_m * p^(2m-1)
-are integers obeying
-
-    A_1 = 2q,  B_1 = p,
-    A' = A*K + C*B,  B' = B*K - C*A,   K = p^2 - 4q^2,  C = 4pq,
-    A^2 + B^2 = s^(2m-1),   s = p^2 + 4q^2,
-
-so each term contributes about log10(s/p^2) decimal digits, and the exact
-truncation (arctan_fast_exact, series_error) sums them over one denominator.
+so each term contributes about log10(s/p^2) decimal digits.  One binary
+splitter, _split, sums the exact truncation (arctan_fast_exact,
+series_error): term m is (1/b_m) prod_(j<=m) p_j/q_j, here with the ratio
+p_m/q_m = c^2/s^2 (2c/s at m = 1) and b_m = 2m - 1.  A run of terms keeps
+P, Q and B, the products of its p_j, q_j and b_j, and T, its sum being
+T/(BQ); adjacent runs join as (P1 P2, Q1 Q2, B1 B2, B2 Q2 T1 + B1 P1 T2).
+Euler's series, first term pq/r and real ratio 2m p^2/((2m+1) r) from
+term m, r = p^2 + q^2, is its other user.
 
 One fixed-point integer kernel, _arctan_scaled, sums the series instead,
 carrying y_m = Im w^(2m-1), w = x/(x + 2i), by a two-term real
@@ -38,7 +38,6 @@ from collections.abc import Iterable
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError, PrecisionError
@@ -51,7 +50,6 @@ from .exactmath import (
     _scaled_floor,
     RationalParts,
     coinciding_digits,
-    complex_div,
     complex_mul,
     fraction_to_decimal,
     guard_digits,
@@ -61,15 +59,6 @@ from .exactmath import (
     round_sig,
     working_context,
 )
-
-
-def _scaled_parts(p: int, q: int):
-    """Yield (A_m, B_m) at x = p/q for m = 1, 2, ...: the module docstring's recurrence."""
-    big_a, big_b = 2 * q, p
-    k_fac, c_fac = p * p - 4 * q * q, 4 * p * q
-    while True:
-        yield big_a, big_b
-        big_a, big_b = big_a * k_fac + c_fac * big_b, big_b * k_fac - c_fac * big_a
 
 
 _LOG10_2, _LOG2_10 = 0.3010299956639812, 3.321928094887362
@@ -169,58 +158,75 @@ def arctan_fast(x: Fraction | int | RationalParts, terms: int, precision: int) -
     return round_sig(arctan_sum([(1, reciprocal(x))], precision + orders + 2, terms), precision)
 
 
-def _fast_chain(x: Fraction):
-    """Yield (n_m, f_m) for the fast series at x != 0: term m is
-    n_m/(f_1 ... f_m), and f_1 ... f_m = 1*3*...*(2m-1) * s^(2m-1)."""
-    p, q = x.numerator, x.denominator
-    s = p * p + 4 * q * q
-    psq, ssq = p * p, s * s
-    ppow, odd, f = p, 1, s    # p^(2m-1), 1*3*...*(2m-3), f_m
-    for m, (big_a, _) in enumerate(_scaled_parts(p, q), start=1):
-        yield 2 * big_a * ppow * odd, f
-        ppow *= psq
-        odd *= 2 * m - 1
-        f = (2 * m + 1) * ssq
+def _split(ratio, lo: int, hi: int) -> tuple:
+    """(P, Q, B, T) of the run of terms lo..hi-1 of sum_m (1/b_m) prod_(j<=m) p_j/q_j,
+    (p_m, q_m, b_m) = ratio(m), by binary splitting (Haible and Papanikolaou,
+    1998), the product started at the run's first term.  p, P and T are
+    Gaussian integers (re, im), the rest integers; only +, - and * touch them."""
+    if hi - lo == 1:
+        p, q, b = ratio(lo)
+        return p, q, b, p
+    mid = (lo + hi) // 2
+    p1, q1, b1, t1 = _split(ratio, lo, mid)
+    p2, q2, b2, t2 = _split(ratio, mid, hi)
+    scale, (re, im) = b2 * q2, complex_mul(p1, t2)
+    return (complex_mul(p1, p2), q1 * q2, b1 * b2,
+            (scale * t1[0] + b1 * re, scale * t1[1] + b1 * im))
 
 
-def _euler_chain(x: Fraction):
-    """Yield (n_m, f_m) for Euler's series at x != 0: term m is
-    n_m/(f_1 ... f_m), and the term ratio is (2m/(2m+1)) * x^2/(1+x^2)."""
+# The memory ceiling of an exact truncation, whose parts reach about
+# (M + 1) len(q_(M+1) b_(M+1)) bits at M terms: peak RSS over the base ran
+# 13-15 bytes per byte of them at 0.25-0.67 MB (series_error and the bare
+# truncation, x = 1e-6, 1e-100, 1e-400; 2 vCPUs, Python 3.11).
+_SPLIT_MEMORY_BUDGET = 6 * 2**30
+_SPLIT_PEAK_BYTES_PER_PART_BYTE = 16
+
+
+def _series_ratio(x: Fraction, series: str):
+    """ratio(m) = (p_m, q_m, b_m) for _split of the fast or Euler series at
+    x = p/q != 0, as the module docstring gives them; Euler's first term,
+    i pq/r, carries a factor i so that both series read Im T."""
     p, q = x.numerator, x.denominator
+    if series == "fast":
+        c, s = (p * p, 2 * p * q), p * p + 4 * q * q
+        c_sq, s_sq = complex_mul(c, c), s * s
+        return lambda m: ((2 * c[0], 2 * c[1]), s, 1) if m == 1 else (c_sq, s_sq, 2 * m - 1)
     r = p * p + q * q
-    n, f = p * q, r
-    for m in count(1):
-        yield n, f
-        n, f = n * 2 * m * p * p, (2 * m + 1) * r
+    return lambda m: (((0, p * q), r, 1) if m == 1
+                      else ((2 * (m - 1) * p * p, 0), (2 * m - 1) * r, 1))
 
 
-def _chained_sum(chain, terms: int) -> tuple[int, int]:
-    """(N, D), unreduced: the first ``terms`` terms of chain summed over
-    their common denominator D = f_1 ... f_terms, with no gcd."""
-    num, den = 0, 1
-    for n, f in islice(chain, terms):
-        num, den = num * f + n, den * f
-    return num, den
-
-
-def _exact_truncation(series_chain, x: Fraction | int, terms: int) -> Fraction:
-    """The first ``terms`` of series_chain(x), summed exactly with one reduction."""
+def _truncation(x: Fraction | int, terms: int, series: str) -> tuple[Fraction, RationalParts]:
+    """The first ``terms`` terms of the fast or Euler series at x, summed
+    exactly by _split, and the first omitted term's magnitude, unreduced."""
     x = Fraction(x)
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
     if x == 0:
-        return Fraction(0)
-    return Fraction(*_chained_sum(series_chain(x), terms))
+        return Fraction(0), RationalParts(0, 1)
+    ratio = _series_ratio(x, series)
+    p_next, q_next, b_next = ratio(terms + 1)
+    # each part of the split grows by about len(q_m b_m) bits a term
+    part_bits = (terms + 1) * (q_next * b_next).bit_length()
+    peak = part_bits // 8 * _SPLIT_PEAK_BYTES_PER_PART_BYTE
+    if peak > _SPLIT_MEMORY_BUDGET:
+        raise DomainError(
+            f"{terms} terms need exact parts of about {part_bits:.2e} bits, "
+            f"an estimated {peak / 2**30:.3g} GiB at peak, past the "
+            f"{_SPLIT_MEMORY_BUDGET // 2**30} GiB memory budget")
+    big_p, big_q, big_b, t = _split(ratio, 1, terms + 1)
+    omitted = RationalParts(abs(complex_mul(big_p, p_next)[1]), big_q * q_next * b_next)
+    return Fraction(t[1], big_b * big_q), omitted
 
 
 def arctan_fast_exact(x: Fraction | int, terms: int) -> Fraction:
     """The same truncation as arctan_fast, kept as an exact rational."""
-    return _exact_truncation(_fast_chain, x, terms)
+    return _truncation(x, terms, "fast")[0]
 
 
 def arctan_euler_exact(x: Fraction | int, terms: int) -> Fraction:
     """Exact rational value of the Euler truncation."""
-    return _exact_truncation(_euler_chain, x, terms)
+    return _truncation(x, terms, "euler")[0]
 
 
 def arctan_complex(x: Fraction | int, terms: int, precision: int) -> Decimal:
@@ -235,10 +241,10 @@ def arctan_complex(x: Fraction | int, terms: int, precision: int) -> Decimal:
         return Decimal(0)
     with working_context(precision + guard_digits()):
         t = fraction_to_decimal(2 / x, precision + guard_digits())
-        one, zero = Decimal(1), Decimal(0)
-        v = complex_div((one, zero), (one, t))    # 1/(1 + 2i/x)
+        d = 1 + t * t
+        v = (1 / d, -t / d)    # 1/(1 + 2i/x)
         vsq = complex_mul(v, v)
-        power, total = v, zero
+        power, total = v, Decimal(0)
         for m in range(1, terms + 1):
             total += 2 * power[1] / Decimal(2 * m - 1)
             if m < terms:
@@ -291,12 +297,8 @@ def series_error(x: Fraction | int, terms: int, series: str = "fast") -> Decimal
     x = abs(x)    # every truncation is odd in x, so the error is even
     if x >= SERIES_ERROR_X_BOUND:
         raise DomainError(f"the Maclaurin reference needs |x| < {SERIES_ERROR_X_BOUND}")
-    chain = (_fast_chain if series == "fast" else _euler_chain)(x)
-    num, den = _chained_sum(chain, terms)
-    trunc = Fraction(num, den)
     # the first omitted term sets the scale of the answer
-    n, f = next(chain)
-    first_omitted = RationalParts(abs(n), den * f)
+    trunc, first_omitted = _truncation(x, terms, series)
     r = 1 / (1 - x * x)
     orders = -float(rational_log10_abs(x))
     # at most D/(2 log10(1/x)) + 1 nonzero terms at scale 10**D

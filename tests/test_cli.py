@@ -1,6 +1,7 @@
 """Command line behavior: JSON summaries, artifacts, exit codes."""
 
 import json
+import time
 from decimal import Decimal, localcontext
 
 import pytest
@@ -168,6 +169,18 @@ def test_allow_huge_past_the_memory_budget_is_refused_before_any_work(
     code, out, err = run(capsys, command, "--k", "40", "--allow-huge")
     assert (code, out) == (EXIT_DOMAIN, "")
     assert err.startswith("error: k=40 ") and "memory budget" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_error_curve_past_the_memory_budget_is_refused_before_any_summing(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "error-curve", "--terms", "100000000", "--samples", "3")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("error: 100000000 terms need exact parts of about ")
+    assert "GiB at peak, past the 6 GiB memory budget" in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -15,7 +15,6 @@ from machinlike.exactmath import (
     RationalParts,
     coinciding_digits,
     coprime_fraction,
-    complex_div,
     complex_mul,
     digits_prefix,
     format_rational,
@@ -276,5 +275,3 @@ def test_complex_helpers_on_fractions():
     a = (Fraction(1, 2), Fraction(1, 3))
     b = (Fraction(2), Fraction(-1))
     assert complex_mul(a, b) == (Fraction(4, 3), Fraction(1, 6))
-    prod = complex_mul(complex_div(a, b), b)
-    assert prod == a

@@ -1,13 +1,15 @@
 """Series engines: fast, Euler, complex cross-check, reference pi."""
 
+import hashlib
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from machinlike import cli, series
 from machinlike.errors import ConsistencyError, DomainError, PrecisionError
 from machinlike.exactmath import (
     RationalParts, coinciding_digits, fraction_to_decimal, round_sig, working_context)
@@ -15,7 +17,8 @@ from machinlike.formulas import two_term_formula
 from machinlike.radical import u1_of_k
 from machinlike.series import (
     _maclaurin_scaled,
-    _scaled_parts,
+    _series_ratio,
+    _split,
     arctan_complex,
     arctan_euler_exact,
     arctan_fast,
@@ -50,11 +53,89 @@ def test_fast_series_fifth():
 
 @given(st.fractions(min_value=Fraction(-3), max_value=Fraction(3)).filter(lambda f: f != 0))
 def test_coeff_magnitude_law(x):
-    """A^2 + B^2 == s^(2m-1), s = p^2 + 4q^2, exactly, every step."""
+    """The splitter's P over the fast series' terms 1..m is 2c^(2m-1),
+    c = p(p + 2iq), so |P/2|^2 == (p^2 s)^(2m-1), s = p^2 + 4q^2, exactly."""
     p, q = x.numerator, x.denominator
     s = p * p + 4 * q * q
-    for m, (big_a, big_b) in enumerate(islice(_scaled_parts(p, q), 5), start=1):
-        assert big_a ** 2 + big_b ** 2 == s ** (2 * m - 1)
+    for m in range(1, 6):
+        big_p = _split(_series_ratio(x, "fast"), 1, m + 1)[0]
+        assert (big_p[0] // 2) ** 2 + (big_p[1] // 2) ** 2 == (p * p * s) ** (2 * m - 1)
+
+
+def _fast_sum_by_definition(x, terms):
+    """-2 sum Im w^(2m-1)/(2m-1), w = x/(x + 2i), in Fraction complex arithmetic."""
+    mul = lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    w = (x * x / (x * x + 4), -2 * x / (x * x + 4))    # x (x - 2i)/(x^2 + 4)
+    w_sq, power, total = mul(w, w), w, Fraction(0)
+    for m in range(1, terms + 1):
+        total -= 2 * power[1] / (2 * m - 1)
+        power = mul(power, w_sq)
+    return total
+
+
+def _euler_sum_by_definition(x, terms):
+    """Euler's terms in closed form, 2^2n (n!)^2/(2n+1)! x^(2n+1)/(1+x^2)^(n+1)."""
+    return sum(Fraction(4**n * math.factorial(n)**2, math.factorial(2 * n + 1))
+               * x**(2 * n + 1) / (1 + x * x)**(n + 1) for n in range(terms))
+
+
+@st.composite
+def signed_rationals(draw):
+    """x = +-p/q with parts of up to 1, 3 or 30 digits: |x| > 1, tiny |x|
+    and every size between."""
+    p, q = (draw(st.integers(1, 10 ** draw(st.sampled_from((1, 3, 30))))) for _ in "pq")
+    return Fraction(draw(st.sampled_from((-1, 1))) * p, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=signed_rationals(), terms=st.integers(1, 80))
+@example(x=Fraction(-1, 10**30), terms=80)
+@example(x=Fraction(10**30 - 1, 7), terms=80)
+def test_exact_truncations_equal_their_definitions(x, terms):
+    assert arctan_fast_exact(x, terms) == _fast_sum_by_definition(x, terms)
+    assert arctan_euler_exact(x, terms) == _euler_sum_by_definition(x, terms)
+
+
+def _digest(value):
+    return hashlib.sha256(f"{value.numerator:x}/{value.denominator:x}".encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("terms, fast, euler", [(1000, "0ec1e461480c54f1", "4a95b2b03d0267bf"),
+                                                (3000, "2a57eace3a108bb2", "96c5f08eaa270a15")])
+def test_deep_truncations_keep_their_values(terms, fast, euler):
+    """Digests of arctan_fast_exact at 1/5 and arctan_euler_exact at -3/7,
+    as the former term-by-term chained sums gave them."""
+    assert _digest(arctan_fast_exact(Fraction(1, 5), terms)) == fast
+    assert _digest(arctan_euler_exact(Fraction(-3, 7), terms)) == euler
+
+
+def test_series_error_at_3000_terms_keeps_its_value():
+    x = Fraction(1, 10**6)
+    assert series_error(x, 3000) == Decimal("1.101033249E-37816")
+    assert series_error(x, 3000, series="euler") == Decimal("1.617819371E-36008")
+
+
+def test_splitter_and_kernel_share_no_code(monkeypatch, capsys):
+    """The exact truncations run without the kernel, and the kernel, the
+    complex route and the reference pi without the splitter."""
+    x = Fraction(1, 5)
+    expected = (arctan_fast_exact(x, 30), arctan_euler_exact(x, 30), series_error(x, 10),
+                arctan_fast(x, 30, 40), arctan_complex(x, 30, 40))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a route reached code it must not share")
+
+    with monkeypatch.context() as patch:
+        for name in ("_arctan_scaled", "_branch_float"):
+            patch.setattr(series, name, forbidden)
+        assert (arctan_fast_exact(x, 30), arctan_euler_exact(x, 30),
+                series_error(x, 10)) == expected[:3]
+    monkeypatch.setattr(series, "_split", forbidden)
+    series._pi_scaled.cache_clear()
+    assert reference_pi(30) == PI_30
+    assert (arctan_fast(x, 30, 40), arctan_complex(x, 30, 40)) == expected[3:]
+    assert cli.main(["compute-pi", "--fixture", "machin-1706", "--precision", "50"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_euler_matches_fast_in_the_limit():
@@ -115,6 +196,8 @@ def test_series_error_domain():
         series_error(Fraction(95, 100), 10)
     with pytest.raises(DomainError):
         series_error(Fraction(1, 5), 0)
+    with pytest.raises(DomainError, match="GiB at peak, past the 6 GiB memory budget"):
+        series_error(Fraction(1, 10**6), 10**8)
 
 
 def test_reference_pi_truncates():

@@ -32,8 +32,8 @@ from machinlike.radical import u1_of_k
 from machinlike.series import (
     _arctan_scaled,
     _branch_float,
-    _chained_sum,
-    _fast_chain,
+    _series_ratio,
+    _split,
     _term_rate,
     arctan_fast,
     arctan_fast_exact,
@@ -278,7 +278,9 @@ def _exact_sum(pairs, terms):
     num, den = 0, 1
     for coeff, beta in pairs:
         x = reciprocal(beta)
-        n, d = _chained_sum(_fast_chain(Fraction(int(x.numerator), int(x.denominator))), terms)
+        _, q, b, t = _split(_series_ratio(Fraction(int(x.numerator), int(x.denominator)),
+                                          "fast"), 1, terms + 1)
+        n, d = t[1], b * q
         num, den = num * d + coeff * n * den, den * d
     return num, den
 
