@@ -39,6 +39,7 @@ from .errors import (
     UsageError,
 )
 from .exactmath import (
+    _write_lines,
     RationalParts,
     coinciding_digits,
     coprime_fraction,
@@ -288,12 +289,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"verification failed at k={k}", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
-
-
-def _write_lines(path: str, lines) -> None:
-    """``lines`` to ``path`` in ASCII, each ended by "\n" on every platform."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(line + "\n" for line in lines)
 
 
 def _sci(value: Fraction | Decimal, digits: int) -> str:

@@ -10,19 +10,22 @@ irrational or a quotient is finally needed.
 Integer parts come in two kinds: an ``int``, or an integral ``Decimal`` of
 exponent 0.  The squaring chain moves its parts to Decimal once they pass
 a few thousand bits, since libmpdec multiplies them with a number-theoretic
-transform and prints and parses them in one linear pass, so fraction files
-are written with str and read with Decimal(text).  The part readers
-(int_digit_count, int_log10, reciprocal, coprime_fraction and the private
-_part_abs, _bit_length and _scaled_floor) take either kind and return
-exactly what the int code returns.  They keep clear of three traps:
-abs(), unary - and unary + round a Decimal to the ambient context (28
-digits by default); Decimal // truncates toward zero where int // floors;
-and int() of a huge Decimal is quadratic.  No code here changes the
-ambient or global decimal context.
+transform and prints and parses them in one linear pass, so every part is
+printed as str(_as_decimal(part)) and fraction files are read with
+Decimal(text).  A part changes kind only through _as_int and _as_decimal.
+The part readers (int_digit_count, int_log10, reciprocal, coprime_fraction
+and the private _part_abs, _bit_length and _scaled_floor) take either kind
+and return exactly what the int code returns.  They keep clear of four
+traps: abs(), unary - and unary + round a Decimal to the ambient context
+(28 digits by default); Decimal // truncates toward zero where int //
+floors; int() of a huge Decimal is quadratic; and so is Decimal() of a
+huge int.  No code here changes the ambient or global decimal context.
 
-Integers to and from text: int_to_text and text_to_int convert in
+Integers to and from text: _as_decimal and text_to_int convert in
 subquadratic time and under any int<->str digit limit, which the package
-never changes; ``parsed_lines`` holds the line rule of every input file.
+never changes.  ``parsed_lines`` holds the line rule of every input file
+and ``_write_lines`` that of every output file; _refuse_past_budget holds
+the one memory budget of the exact computations.
 Rationals have three shapes here: a Fraction in lowest terms,
 coprime_fraction building one from parts known to be coprime with no gcd,
 and RationalParts, the parts as written, read with no gcd at all.
@@ -121,12 +124,19 @@ def fraction_to_decimal(value: Fraction | int | RationalParts, precision: int) -
         with localcontext(_EXACT) as exact:
             scaled = exact.divide_int(exact.scaleb(size, shift), den)
     with working_context(work):
-        dec = Decimal(scaled).scaleb(-shift)
+        dec = _as_decimal(scaled).scaleb(-shift)
     if num < 0:
         # copy_negate flips the sign without touching the active context;
         # a bare unary minus would round to its 28-digit default
         dec = dec.copy_negate()
     return round_sig(dec, precision)
+
+
+# Conversion leaves: Decimal(int) pays a quadratic pass on 2048 bits at most,
+# and int(str) sees at most 640 digits, the lowest digit limit an
+# interpreter accepts; neither Decimal(int) nor str(Decimal) is limited.
+_LEAF_BITS = 2048
+_LEAF_DIGITS = 640
 
 
 # A Decimal part this short is read as an int: converting it is cheap, and
@@ -138,6 +148,38 @@ def _as_int(n: int | Decimal) -> int:
     """An int part as it is; an integral Decimal through its text, since
     int() of a huge Decimal is quadratic."""
     return n if isinstance(n, int) else text_to_int(format(n, "f"))
+
+
+def _as_decimal(n: int | Decimal) -> Decimal:
+    """A Decimal part as it is; an int as an exact Decimal of exponent 0, in
+    subquadratic time and under any int<->str digit limit.
+
+    A wide int is split at powers 2^w down to 2048-bit pieces and rebuilt
+    under _EXACT, so libmpdec's number-theoretic multiply does the base
+    conversion that Decimal(n) would do quadratically.
+    """
+    if isinstance(n, Decimal):
+        return n
+    if n.bit_length() <= _LEAF_BITS:
+        return Decimal(n)
+    powers = {}    # 2^w as a Decimal, kept for this call only
+
+    def power(w):
+        if w not in powers:
+            half = w >> 1
+            powers[w] = Decimal(1 << w) if w <= _LEAF_BITS else power(half) * power(w - half)
+        return powers[w]
+
+    def build(m, w):    # 0 <= m < 2^w
+        if w <= _LEAF_BITS:
+            return Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return build(hi, w - half) * power(half) + build(m - (hi << half), half)
+
+    with localcontext(_EXACT):
+        value = build(abs(n), n.bit_length())
+    return value.copy_negate() if n < 0 else value
 
 
 def _part_abs(n: int | Decimal) -> int | Decimal:
@@ -161,7 +203,7 @@ def _scaled_floor(num: int | Decimal, den: int | Decimal, shift: int) -> int:
     """
     if isinstance(num, int) and isinstance(den, int):
         return (num << shift) // den if shift >= 0 else num // (den << -shift)
-    num, den = Decimal(num), Decimal(den)    # an int here is short: den = 1
+    num, den = _as_decimal(num), _as_decimal(den)
     digits = max(num.adjusted() - den.adjusted() + int(shift * 0.30103), 0) + 30
     ctx = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
     quotient = ctx.divide(ctx.multiply(ctx.plus(num), ctx.power(2, shift)), ctx.plus(den))
@@ -232,24 +274,9 @@ def rational_log10_abs(value: Fraction | int | RationalParts, precision: int = 4
 
 
 def int_digit_count(n: int | Decimal) -> int:
-    """Number of decimal digits of |n|, without materializing the string."""
-    if n == 0:
-        return 1
-    if isinstance(n, Decimal):
-        return n.adjusted() + 1
-    n = abs(n)
-    if n.bit_length() <= 128:
-        return len(str(n))
-    log = int_log10(n, 30)
-    floor_log = int(log)
-    frac = log - floor_log
-    # only near a power of ten can the log estimate be off by one
-    if frac < Decimal("1e-10") or frac > 1 - Decimal("1e-10"):
-        if n >= 10 ** (floor_log + 1):
-            floor_log += 1
-        elif n < 10**floor_log:
-            floor_log -= 1
-    return floor_log + 1
+    """Number of decimal digits of |n|, from its exponent as a Decimal; a
+    wide int pays _as_decimal's conversion."""
+    return _as_decimal(n).adjusted() + 1
 
 
 def coinciding_digits(a: Decimal, b: Decimal) -> int:
@@ -282,40 +309,6 @@ def digits_prefix(value: Decimal, count: int) -> str:
     ctx = Context(prec=count, rounding=ROUND_DOWN, Emax=MAX_EMAX, Emin=MIN_EMIN)
     mantissa = format(ctx.plus(value.copy_abs()), "E").partition("E")[0]
     return mantissa.replace(".", "").ljust(count, "0")
-
-
-# Conversion leaves: Decimal(int) pays a quadratic pass on 2048 bits at most,
-# and int(str) sees at most 640 digits, the lowest digit limit an
-# interpreter accepts; neither Decimal(int) nor str(Decimal) is limited.
-_LEAF_BITS = 2048
-_LEAF_DIGITS = 640
-
-
-def int_to_text(n: int) -> str:
-    """str(n), in subquadratic time and under any int<->str digit limit.
-
-    n is split at powers 2^w down to 2048-bit pieces and rebuilt as one
-    exact Decimal, so libmpdec's number-theoretic multiply does the base
-    conversion; str(Decimal) then prints it in one linear pass.
-    """
-    powers = {}    # 2^w as a Decimal, kept for this call only
-
-    def power(w):
-        if w not in powers:
-            half = w >> 1
-            powers[w] = Decimal(1 << w) if w <= _LEAF_BITS else power(half) * power(w - half)
-        return powers[w]
-
-    def build(m, w):    # 0 <= m < 2^w
-        if w <= _LEAF_BITS:
-            return Decimal(m)
-        half = w >> 1
-        hi = m >> half
-        return build(hi, w - half) * power(half) + build(m - (hi << half), half)
-
-    with localcontext(_EXACT):
-        text = str(build(abs(n), n.bit_length()))
-    return "-" + text if n < 0 else text
 
 
 def text_to_int(text: str) -> int:
@@ -397,10 +390,8 @@ _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def format_rational(value: Fraction | RationalParts) -> str:
-    """Render as num/den with the sign on the numerator, den always shown.
-    A Decimal part is printed by str, in one linear pass."""
-    return "/".join(str(part) if isinstance(part, Decimal) else int_to_text(part)
-                    for part in (value.numerator, value.denominator))
+    """Render as num/den with the sign on the numerator, den always shown."""
+    return "/".join(str(_as_decimal(part)) for part in (value.numerator, value.denominator))
 
 
 def parse_rational_parts(text: str) -> tuple:
@@ -434,6 +425,28 @@ def parsed_lines(path, parse):
                     yield parse(line)
                 except FormulaParseError as exc:
                     raise FormulaParseError(str(exc), line=lineno) from None
+
+
+def _write_lines(path, lines) -> None:
+    """``lines`` to ``path`` in ASCII, each ended by "\n" on every platform."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+# The memory ceiling of every exact computation, which even allow_huge does
+# not lift.
+_MEMORY_BUDGET = 6 * 2**30
+
+
+def _refuse_past_budget(what: str, part_bits: int, peak_bytes_per_part_byte: int) -> None:
+    """Raise DomainError, before any work, when parts of about ``part_bits``
+    bits at the caller's measured peak RSS per byte of them would pass
+    _MEMORY_BUDGET; ``what`` opens the message."""
+    peak = part_bits // 8 * peak_bytes_per_part_byte
+    if peak > _MEMORY_BUDGET:
+        raise DomainError(
+            f"{what} of about {part_bits:.2e} bits, an estimated {peak / 2**30:.3g} GiB "
+            f"at peak, past the {_MEMORY_BUDGET // 2**30} GiB memory budget")
 
 
 def complex_mul(a, b):

@@ -21,6 +21,7 @@ from typing import NamedTuple
 from .errors import DomainError, FormulaParseError, PrecisionError
 from .exactmath import (
     _EXACT,
+    _as_decimal,
     _as_int,
     _bit_length,
     _part_abs,
@@ -29,7 +30,6 @@ from .exactmath import (
     format_rational,
     guard_digits,
     int_digit_count,
-    int_to_text,
     parsed_lines,
     rational_log10_abs,
     reciprocal,
@@ -309,7 +309,7 @@ def format_formula(formula: MachinFormula) -> str:
         raise DomainError("cannot serialize a formula with magnitude-only terms")
     lines = []
     for coeff, beta in formula.terms:
-        lines.append(f"{int_to_text(coeff)} * atan({format_rational(reciprocal(beta))})")
+        lines.append(f"{_as_decimal(coeff)} * atan({format_rational(reciprocal(beta))})")
     return "\n".join(lines) + "\n"
 
 

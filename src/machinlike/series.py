@@ -43,10 +43,12 @@ from typing import NamedTuple
 from .errors import ConsistencyError, DomainError, PrecisionError
 from .exactmath import (
     _EXACT,
+    _as_decimal,
     _as_int,
     _bit_length,
     _leading_bits,
     _part_abs,
+    _refuse_past_budget,
     _scaled_floor,
     RationalParts,
     coinciding_digits,
@@ -174,14 +176,6 @@ def _split(ratio, lo: int, hi: int) -> tuple:
             (scale * t1[0] + b1 * re, scale * t1[1] + b1 * im))
 
 
-# The memory ceiling of an exact truncation, whose parts reach about
-# (M + 1) len(q_(M+1) b_(M+1)) bits at M terms: peak RSS over the base ran
-# 13-15 bytes per byte of them at 0.25-0.67 MB (series_error and the bare
-# truncation, x = 1e-6, 1e-100, 1e-400; 2 vCPUs, Python 3.11).
-_SPLIT_MEMORY_BUDGET = 6 * 2**30
-_SPLIT_PEAK_BYTES_PER_PART_BYTE = 16
-
-
 def _series_ratio(x: Fraction, series: str):
     """ratio(m) = (p_m, q_m, b_m) for _split of the fast or Euler series at
     x = p/q != 0, as the module docstring gives them; Euler's first term,
@@ -196,37 +190,37 @@ def _series_ratio(x: Fraction, series: str):
                       else ((2 * (m - 1) * p * p, 0), (2 * m - 1) * r, 1))
 
 
-def _truncation(x: Fraction | int, terms: int, series: str) -> tuple[Fraction, RationalParts]:
+def _truncation(x: Fraction | int, terms: int, series: str) -> tuple[RationalParts, RationalParts]:
     """The first ``terms`` terms of the fast or Euler series at x, summed
-    exactly by _split, and the first omitted term's magnitude, unreduced."""
+    exactly by _split, as (Im T, BQ), and the first omitted term's
+    magnitude, both unreduced."""
     x = Fraction(x)
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
     if x == 0:
-        return Fraction(0), RationalParts(0, 1)
+        return RationalParts(0, 1), RationalParts(0, 1)
     ratio = _series_ratio(x, series)
     p_next, q_next, b_next = ratio(terms + 1)
-    # each part of the split grows by about len(q_m b_m) bits a term
-    part_bits = (terms + 1) * (q_next * b_next).bit_length()
-    peak = part_bits // 8 * _SPLIT_PEAK_BYTES_PER_PART_BYTE
-    if peak > _SPLIT_MEMORY_BUDGET:
-        raise DomainError(
-            f"{terms} terms need exact parts of about {part_bits:.2e} bits, "
-            f"an estimated {peak / 2**30:.3g} GiB at peak, past the "
-            f"{_SPLIT_MEMORY_BUDGET // 2**30} GiB memory budget")
+    # each part of the split grows by about len(q_m b_m) bits a term; peak RSS
+    # over the base ran 13-15 bytes per byte of them at 0.25-0.67 MB (x = 1e-6,
+    # 1e-100, 1e-400; 2 vCPUs, Python 3.11), and the budget takes 16
+    _refuse_past_budget(f"{terms} terms need exact parts",
+                        (terms + 1) * (q_next * b_next).bit_length(), 16)
     big_p, big_q, big_b, t = _split(ratio, 1, terms + 1)
     omitted = RationalParts(abs(complex_mul(big_p, p_next)[1]), big_q * q_next * b_next)
-    return Fraction(t[1], big_b * big_q), omitted
+    return RationalParts(t[1], big_b * big_q), omitted
 
 
 def arctan_fast_exact(x: Fraction | int, terms: int) -> Fraction:
     """The same truncation as arctan_fast, kept as an exact rational."""
-    return _truncation(x, terms, "fast")[0]
+    total = _truncation(x, terms, "fast")[0]
+    return Fraction(total.numerator, total.denominator)
 
 
 def arctan_euler_exact(x: Fraction | int, terms: int) -> Fraction:
     """Exact rational value of the Euler truncation."""
-    return _truncation(x, terms, "euler")[0]
+    total = _truncation(x, terms, "euler")[0]
+    return Fraction(total.numerator, total.denominator)
 
 
 def arctan_complex(x: Fraction | int, terms: int, precision: int) -> Decimal:
@@ -282,10 +276,10 @@ SERIES_ERROR_X_BOUND = Fraction(9, 10)
 def series_error(x: Fraction | int, terms: int, series: str = "fast") -> Decimal:
     """|atan(x) - truncation| for the fast or euler series.
 
-    The truncation is an exact rational; the reference is
-    _maclaurin_scaled(|p|, q, 10**D)/10**D, whose drift bound (in units of
-    10**-D) is pushed ten orders below the difference being measured, so
-    the leading digits returned are true regardless of how tiny the error is.
+    The truncation T/(BQ) and the reference M/10**D, M =
+    _maclaurin_scaled(|p|, q, 10**D), are compared as |M BQ - T 10**D|, with
+    no gcd; M's drift bound (in units of 10**-D) is pushed ten orders below
+    the difference, so the leading digits returned are true however tiny.
     """
     x = Fraction(x)
     if series not in ("fast", "euler"):
@@ -306,10 +300,11 @@ def series_error(x: Fraction | int, terms: int, series: str = "fast") -> Decimal
     digits = int(15 - float(rational_log10_abs(first_omitted)))
     digits += len(str(int(drift(digits))))
     for _ in range(6):
-        diff = abs(Fraction(_maclaurin_scaled(x.numerator, x.denominator, 10**digits),
-                            10**digits) - trunc)
-        if drift(digits) * 10**10 < diff * 10**digits:
-            return fraction_to_decimal(diff, 10)
+        scale = 10**digits
+        diff = abs(_maclaurin_scaled(x.numerator, x.denominator, scale) * trunc.denominator
+                   - trunc.numerator * scale)
+        if drift(digits) * 10**10 * trunc.denominator < diff:
+            return fraction_to_decimal(RationalParts(diff, scale * trunc.denominator), 10)
         digits *= 2
     raise ConsistencyError("Maclaurin drift bound failed to clear the measured error")
 
@@ -334,7 +329,7 @@ def reference_pi(precision: int) -> Decimal:
     """
     if precision < 1:
         raise DomainError(f"precision must be >= 1, got {precision}")
-    return Decimal(_pi_scaled(precision)).scaleb(-precision, _EXACT)
+    return _as_decimal(_pi_scaled(precision)).scaleb(-precision, _EXACT)
 
 
 def _term_rate(p: tuple[int, int], q: tuple[int, int]) -> float:
@@ -395,8 +390,8 @@ def arctan_sum(pairs: Iterable[tuple[int, Fraction | int | RationalParts]], prec
     units = 10 * sum(abs(coeff) * count for coeff, _, count, _ in runs)
     bits = units.bit_length() + int((work + guard) * _LOG2_10) + 1
     total = sum(coeff * _arctan_scaled(x, count, bits, width) for coeff, x, count, width in runs)
-    return round_sig(Decimal(total * 10**(work + guard) >> bits).scaleb(-(work + guard), _EXACT),
-                     work)
+    floored = _as_decimal(total * 10**(work + guard) >> bits)
+    return round_sig(floored.scaleb(-(work + guard), _EXACT), work)
 
 
 class ConvergenceReport(NamedTuple):

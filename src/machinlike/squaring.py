@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 from .errors import DegenerateFormulaError, DomainError, FormulaParseError, PrecisionError
 from .exactmath import (
-    _EXACT, RationalParts, _as_int, coprime_fraction, format_rational, parse_rational_parts,
-    parsed_lines)
+    _EXACT, RationalParts, _as_decimal, _as_int, _refuse_past_budget, _write_lines,
+    coprime_fraction, format_rational, parse_rational_parts, parsed_lines)
 
 # Above this depth the chain's integers pass a million digits (they
 # double per step).  No gcd is taken on u2's parts, so the Decimal chain
@@ -42,11 +42,6 @@ from .exactmath import (
 # 0.81 s, compute-pi --u2-file 0.20 s and verify, which squares the parts
 # once more for its unit-circle check, 1.8 s (2 vCPUs, Python 3.11).
 DESK_SCALE_MAX_K = 20
-
-# The memory ceiling of shared_parts, which even allow_huge does not lift
-# (the model is in its docstring).
-_MEMORY_BUDGET = 6 * 2**30
-_PEAK_BYTES_PER_PART_BYTE = 19
 
 # shared_parts' switch to Decimal, on the model's bit length of its
 # parts: best of 5, ms, for the chain behind generate at k = 13/14/15/16
@@ -106,10 +101,10 @@ def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
     to depth 16..21: 1.9/4.4/9.6/20.5/41.8/86.4 MiB over a 16.5 MiB base;
     2 vCPUs, Python 3.11), and verify's, with its unit-circle check,
     15-17 (k = 17..20: 2.1/4.5/9.4/18.6 MiB over 16.6 MiB); the model
-    takes 19.  A chain whose estimate passes _MEMORY_BUDGET (6 GiB)
-    raises DomainError before it starts, with or without allow_huge.  On the ladder's u1 that admits
-    the pair through k = 27 (an estimated 3.9 GiB) and refuses it from
-    k = 28 (8.2 GiB).
+    takes 19.  A chain whose estimate passes exactmath's 6 GiB memory
+    budget raises DomainError before it starts, with or without allow_huge.
+    On the ladder's u1 that admits the pair through k = 27 (an estimated
+    3.9 GiB) and refuses it from k = 28 (8.2 GiB).
 
     With a rounding ``context`` the same loop runs under it on z(1)'s
     unit-modulus parts x and y, each rounded once, and returns x(k) and
@@ -129,22 +124,16 @@ def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
     # like every rational point of the unit circle, z(1) has one reduced denominator
     bits = start.x.denominator.bit_length()
     if context is not None:
-        x, y = (context.divide(Decimal(v.numerator), Decimal(v.denominator))
+        x, y = (context.divide(_as_decimal(v.numerator), _as_decimal(v.denominator))
                 for v in start[1:])
     else:
         context = _EXACT
         x, y = start.x.numerator, start.y.numerator
-        part_bits = bits << (k - _least)
-        peak = part_bits // 8 * _PEAK_BYTES_PER_PART_BYTE
-        if peak > _MEMORY_BUDGET:
-            raise DomainError(
-                f"k={k} needs squaring-chain parts of about {part_bits:.2e} bits, "
-                f"an estimated {peak / 2**30:.3g} GiB at peak, past the "
-                f"{_MEMORY_BUDGET // 2**30} GiB memory budget")
+        _refuse_past_budget(f"k={k} needs squaring-chain parts", bits << (k - _least), 19)
     with localcontext(context):
         for _ in range(k - _least):
             if isinstance(x, int) and bits > _DECIMAL_BITS:
-                x, y = Decimal(x), Decimal(y)
+                x, y = _as_decimal(x), _as_decimal(y)
             x, y = (x - y) * (x + y), 2 * x * y
             bits *= 2
     return x, y
@@ -157,7 +146,7 @@ def _denominator(u1: Fraction | int, k: int) -> int | Decimal:
     if k < 2 or den.bit_length() << (k - 2) <= _DECIMAL_BITS:
         return den ** (1 << (k - 1))
     with localcontext(_EXACT) as exact:
-        return exact.power(Decimal(den), 1 << (k - 1))
+        return exact.power(_as_decimal(den), 1 << (k - 1))
 
 
 def state_at(u1: Fraction | int, k: int, allow_huge: bool = False) -> ComplexRationalState:
@@ -250,8 +239,7 @@ def u2_direct_oracle(u1: Fraction | int, k: int) -> Fraction:
 
 def write_fraction_file(path, value: Fraction | RationalParts) -> None:
     """One line, ``[-]num/den`` in ASCII decimal, newline terminated."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_rational(value) + "\n")
+    _write_lines(path, [format_rational(value)])
 
 
 def read_fraction_parts(path) -> tuple:

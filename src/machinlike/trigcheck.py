@@ -28,6 +28,7 @@ from typing import NamedTuple
 from .errors import DomainError, PrecisionError
 from .exactmath import (
     _EXACT,
+    _as_decimal,
     _as_int,
     coinciding_digits,
     coprime_fraction,
@@ -65,7 +66,7 @@ def dec_arctan(x: Decimal, precision: int) -> Decimal:
         shift, p, q = True, q - p, q + p
     scaled = series._maclaurin_scaled(p, q, 10**places)
     with working_context(work):
-        total = Decimal(scaled).scaleb(-places)
+        total = _as_decimal(scaled).scaleb(-places)
         if flip or shift:
             pi = series.reference_pi(work)
             if shift:

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from machinlike import cli
 from machinlike.errors import DomainError
 from machinlike.exactmath import (
+    _as_decimal,
     _as_int,
     _bit_length,
     _scaled_floor,
@@ -27,7 +28,6 @@ from machinlike.exactmath import (
     format_rational,
     int_digit_count,
     int_log10,
-    int_to_text,
     reciprocal,
 )
 from machinlike.formulas import MachinFormula
@@ -40,7 +40,7 @@ from machinlike.squaring import (
 
 def _dec(n: int) -> Decimal:
     """n as an exact Decimal of exponent 0, as the chain and the file reader make them."""
-    return Decimal(int_to_text(n))
+    return Decimal(str(_as_decimal(n)))
 
 
 def _run(argv):
@@ -66,7 +66,7 @@ def test_generate_writes_the_direct_oracles_u2_through_k12(tmp_path):
 
 def test_generate_prints_its_decimal_parts_as_u2_ofs_ints_print_past_the_oracle(tmp_path):
     # the same chain: generate writes its Decimal parts with str, u2_of's
-    # Fraction is printed from ints by int_to_text
+    # Fraction is printed from ints by str(_as_decimal(part))
     for k in range(ORACLE_MAX_K + 1, 17):
         expected = format_rational(u2_of(u1_of_k(k), k)) + "\n"
         assert _generated_u2_text(tmp_path, k) == expected, k
@@ -80,12 +80,12 @@ def _reference_parts(u1: int, k: int) -> list[str]:
         state = square_step(state)
     d = _as_int(_denominator(u1, k - 1))
     a, b = int(state.x * d), int(state.y * d)
-    return [int_to_text(a + b), int_to_text(a - b)]
+    return [str(_as_decimal(a + b)), str(_as_decimal(a - b))]
 
 
 def test_the_chain_moves_to_decimal_once_its_parts_pass_2048_bits():
     small = closing_parts(40, 6)    # 176-bit parts stay ints
-    assert [int_to_text(part) for part in small] == _reference_parts(40, 6)
+    assert [str(_as_decimal(part)) for part in small] == _reference_parts(40, 6)
     assert all(type(part) is int for part in small)
     big = closing_parts(u1_of_k(12), 12)
     assert all(isinstance(part, Decimal) for part in big)

@@ -12,6 +12,7 @@ from machinlike.errors import DomainError, FormulaParseError
 from machinlike.exactmath import (
     _LEAF_BITS,
     _LEAF_DIGITS,
+    _as_decimal,
     RationalParts,
     coinciding_digits,
     coprime_fraction,
@@ -22,7 +23,6 @@ from machinlike.exactmath import (
     guard_digits,
     int_digit_count,
     int_log10,
-    int_to_text,
     parse_rational_parts,
     rational_log10_abs,
     reciprocal,
@@ -132,7 +132,7 @@ def test_int_digit_count_matches_str():
 
 def test_int_digit_count_just_below_a_power_of_ten():
     # the 40-digit estimate of log10(10**107 - 1) rounds up to 107,
-    # so the count must be corrected down
+    # so the count cannot be read from that logarithm
     assert int_log10(10**107 - 1, 30) >= 107
     assert int_digit_count(10**107 - 1) == 107
 
@@ -245,7 +245,7 @@ def _around(width):
     return [m * width + d for m in (1, 2, 3, 4, 7) for d in (-1, 0, 1)]
 
 
-# bit lengths at and next to each split width of int_to_text, and 0..2
+# bit lengths at and next to each split width of _as_decimal, and 0..2
 BIT_LENGTHS = st.sampled_from([0, 1, 2] + _around(_LEAF_BITS))
 # digit counts at and next to each split width of text_to_int
 DIGIT_COUNTS = st.sampled_from([1, 2] + _around(_LEAF_DIGITS))
@@ -254,12 +254,48 @@ DIGIT_COUNTS = st.sampled_from([1, 2] + _around(_LEAF_DIGITS))
 @settings(max_examples=150, deadline=None)
 @given(n=BIT_LENGTHS.flatmap(lambda b: st.integers(1 << b >> 1, (1 << b) - 1)),
        negative=st.booleans())
-def test_int_to_text_equals_str(n, negative):
+def test_as_decimal_prints_as_str(n, negative):
     n = -n if negative else n
-    text = int_to_text(n)
+    text = str(_as_decimal(n))
     with _no_int_text_limit():
         assert text == str(n)
     assert text_to_int(text) == n
+
+
+# 0, 2^2048 +- 2 and 2^4096 +- 2, where _as_decimal's leaves and splits
+# begin, and random widths up to 10^5 digits (332,193 bits)
+EDGE_INTS = [0] + [(1 << b) + d for b in (_LEAF_BITS, 2 * _LEAF_BITS) for d in range(-2, 3)]
+WIDE_INTS = st.one_of(
+    st.sampled_from(EDGE_INTS),
+    st.tuples(st.integers(1, 332_193), st.randoms(use_true_random=False)).map(
+        lambda drawn: drawn[1].getrandbits(drawn[0]) | 1 << (drawn[0] - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=WIDE_INTS, negative=st.booleans())
+def test_as_decimal_equals_decimal_of_the_int(n, negative):
+    n = -n if negative else n
+    value = _as_decimal(n)
+    assert value == Decimal(n)
+    with _no_int_text_limit():
+        assert str(value) == str(n)
+
+
+@given(d=st.decimals())
+def test_as_decimal_passes_a_decimal_through(d):
+    assert _as_decimal(d) is d
+
+
+@settings(max_examples=60, deadline=None)
+@given(e=st.one_of(st.sampled_from([1, 2, 616, 617, 618, 4300, 20_000]), st.integers(1, 20_000)),
+       negative=st.booleans())
+def test_int_digit_count_beside_powers_of_ten(e, negative):
+    # 10^e - 1, 10^e and 10^e + 1, as ints and as integral Decimals
+    sign = "-" if negative else ""
+    for n, text, digits in ((10**e - 1, "9" * e, e), (10**e, "1" + "0" * e, e + 1),
+                            (10**e + 1, "1" + "0" * (e - 1) + "1", e + 1)):
+        assert int_digit_count(-n if negative else n) == digits, (e, text[:3])
+        assert int_digit_count(Decimal(sign + text)) == digits, (e, text[:3])
 
 
 @settings(max_examples=150, deadline=None)
