@@ -12,7 +12,6 @@ Fractions, check the whole construction from the outside.
 
 from .errors import (
     ConsistencyError,
-    DegenerateFormulaError,
     DomainError,
     FormulaParseError,
     PrecisionError,
@@ -81,7 +80,6 @@ __all__ = [
     "ConsistencyError",
     "ConvergenceReport",
     "DESK_SCALE_MAX_K",
-    "DegenerateFormulaError",
     "DomainError",
     "FormulaParseError",
     "MAX_LADDER_K",

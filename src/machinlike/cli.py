@@ -32,7 +32,6 @@ from fractions import Fraction
 from . import formulas, series, squaring, trigcheck
 from .errors import (
     ConsistencyError,
-    DegenerateFormulaError,
     DomainError,
     FormulaParseError,
     PrecisionError,
@@ -45,6 +44,7 @@ from .exactmath import (
     coprime_fraction,
     digits_prefix,
     fraction_to_decimal,
+    guard_digits,
     int_digit_count,
     reciprocal,
 )
@@ -120,9 +120,10 @@ _BOUNDS = (("k", 2, MAX_LADDER_K), ("precision", 20, None), ("terms", 1, None),
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Refuse every option value the parser lets through, before any work,
-    and read error-curve's bounds as Fractions.  The Namespace of a command
-    holds only that command's options."""
+    """Refuse every option value the parser lets through, and a bad
+    MACHINLIKE_GUARD_DIGITS, before any work, and read error-curve's bounds
+    as Fractions.  The Namespace of a command holds only that command's
+    options."""
     for flag in ("x_min", "x_max"):
         if hasattr(args, flag):
             try:
@@ -152,6 +153,7 @@ def _check_args(args: argparse.Namespace) -> None:
         lift = ("" if args.command == "compute-pi" else
                 "; pass --allow-huge to proceed (expect long integer runtimes)")
         raise UsageError(f"--k {k} exceeds the desk-scale cap {DESK_SCALE_MAX_K}{lift}")
+    guard_digits()    # raises DomainError on a bad MACHINLIKE_GUARD_DIGITS
 
 
 def _emit(payload: dict) -> None:
@@ -199,11 +201,6 @@ def _load_formula(args: argparse.Namespace) -> formulas.MachinFormula:
     return formulas.fixtures()[args.fixture]
 
 
-def _auto_terms(formula: formulas.MachinFormula, precision: int) -> int:
-    """Truncation order that clears ``precision`` digits on every branch."""
-    return max(series.auto_term_count(reciprocal(beta), precision) for _, beta in formula.terms)
-
-
 def cmd_compute_pi(args: argparse.Namespace) -> int:
     precision = args.precision
     if args.k is None:
@@ -216,7 +213,9 @@ def cmd_compute_pi(args: argparse.Namespace) -> int:
         formula = formulas.two_term_formula(args.k, u2_value=u2)
     # the formula evaluated: wide cotangents become Lehmer's integer levels
     formula = formulas.lehmer_reduced(formula, precision)
-    terms = args.terms or _auto_terms(formula, precision)
+    # the truncation order that clears precision digits on every branch
+    terms = args.terms or max(series.auto_term_count(reciprocal(beta), precision)
+                              for _, beta in formula.terms)
     # pi is the sum at 4 * coeff; 8 spare digits keep rounding out of the digit file
     value = series.arctan_sum([(4 * c, beta) for c, beta in formula.terms],
                               precision + 8, terms)
@@ -359,8 +358,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormulaParseError, DomainError, DegenerateFormulaError,
-            PrecisionError) as exc:
+    except (FormulaParseError, DomainError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ConsistencyError as exc:

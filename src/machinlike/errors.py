@@ -9,11 +9,6 @@ class PrecisionError(ArithmeticError):
     """The requested precision cannot be honored; retry with more digits."""
 
 
-class DegenerateFormulaError(ArithmeticError):
-    """A would-be formula collapses, e.g. a zero denominator for the
-    closing cotangent."""
-
-
 class ConsistencyError(RuntimeError):
     """Two routes to the same exact quantity disagreed."""
 

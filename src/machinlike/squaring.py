@@ -5,8 +5,8 @@ k-1 times lands on z(k) = x(k) + i*y(k), still rational and still on the
 unit circle, and the closing cotangent of the two-term identity is
 u2 = x(k)/(1 - y(k)).  Everything here is exact but rounded_u2.
 
-One loop, shared_parts, squares z's two integer numerators under an
-exact Decimal context.  They start as ints and move to Decimal past
+One exact chain, shared_parts, squares z's two integer numerators under
+an exact Decimal context.  They start as ints and move to Decimal past
 _DECIMAL_BITS, where libmpdec's number-theoretic multiply beats Python's
 and a part prints and parses in one linear pass.  No loop squares their
 common denominator D, z(1)'s reduced denominator to the 2**(k-1);
@@ -18,11 +18,12 @@ writes its u2 file with str, which compute-pi --u2-file reads back as
 Decimals.  init_state and square_step are the plain Fraction reference.
 
 Past the desk-scale cap, measure needs u2 only to its first digits.
-rounded_u2 runs the same loop under a rounding context of W digits, on
-z(1)'s unit-modulus parts, closes with the same (A + B)/(A - B), and
-refuses, with PrecisionError, a W that the closing subtraction leaves too
-few correct digits of.  u2_direct_oracle, verify's check on the chain,
-shares none of its code: it doubles a tangent in lowest-terms Fractions.
+rounded_u2 runs the same squaring step in its own loop under a rounding
+context of W digits, on z(1)'s unit-modulus parts, closes with the same
+(A + B)/(A - B), and refuses, with PrecisionError, a W that the closing
+subtraction leaves too few correct digits of.  u2_direct_oracle, verify's
+check on the chain, shares none of its code: it doubles a tangent in
+lowest-terms Fractions.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, local
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DegenerateFormulaError, DomainError, FormulaParseError, PrecisionError
+from .errors import DomainError, FormulaParseError, PrecisionError
 from .exactmath import (
     _EXACT, RationalParts, _as_decimal, _as_int, _refuse_past_budget, _write_lines,
     coprime_fraction, format_rational, parse_rational_parts, parsed_lines)
@@ -79,8 +80,8 @@ def square_step(state: ComplexRationalState) -> ComplexRationalState:
 
 
 def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
-                 *, context: Context | None = None, _least: int = 1) -> tuple:
-    """Integer fast path: (X, Y) with z(k) = (X + iY)/D.
+                 *, _least: int = 1) -> tuple:
+    """The exact chain: (X, Y) with z(k) = (X + iY)/D.
 
     The squaring step maps (X, Y) to ((X-Y)(X+Y), 2XY) and D to D*D, so
     no per-step gcd is ever taken, and the loop leaves D to _denominator.
@@ -105,17 +106,10 @@ def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
     budget raises DomainError before it starts, with or without allow_huge.
     On the ladder's u1 that admits the pair through k = 27 (an estimated
     3.9 GiB) and refuses it from k = 28 (8.2 GiB).
-
-    With a rounding ``context`` the same loop runs under it on z(1)'s
-    unit-modulus parts x and y, each rounded once, and returns x(k) and
-    y(k) rounded; rounded_u2 bounds the error.  (From the integer
-    numerators a rounded chain overflows even MAX_EMAX from k = 58 on the
-    ladder's u1.)  The parts stay as wide as the context, so neither the
-    desk-scale cap nor the memory model applies.
     """
     if k < _least:
         raise DomainError(f"k must be >= {_least}, got {k}")
-    if context is None and k > DESK_SCALE_MAX_K and not allow_huge:
+    if k > DESK_SCALE_MAX_K and not allow_huge:
         raise DomainError(
             f"k={k} exceeds the desk-scale cap of {DESK_SCALE_MAX_K}: the iteration "
             f"integers double per step, reaching millions of digits past k=20 (pass "
@@ -123,14 +117,9 @@ def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
     start = init_state(u1)
     # like every rational point of the unit circle, z(1) has one reduced denominator
     bits = start.x.denominator.bit_length()
-    if context is not None:
-        x, y = (context.divide(_as_decimal(v.numerator), _as_decimal(v.denominator))
-                for v in start[1:])
-    else:
-        context = _EXACT
-        x, y = start.x.numerator, start.y.numerator
-        _refuse_past_budget(f"k={k} needs squaring-chain parts", bits << (k - _least), 19)
-    with localcontext(context):
+    _refuse_past_budget(f"k={k} needs squaring-chain parts", bits << (k - _least), 19)
+    x, y = start.x.numerator, start.y.numerator
+    with localcontext(_EXACT):
         for _ in range(k - _least):
             if isinstance(x, int) and bits > _DECIMAL_BITS:
                 x, y = _as_decimal(x), _as_decimal(y)
@@ -165,10 +154,9 @@ def closing_parts(u1: Fraction | int, k: int, allow_huge: bool = False) -> tuple
     opposite parity, so the parts are coprime, and (A + B)^2 + (A - B)^2 = 2D^2.
     The sign of u2 may sit on either part.  The parts are shared_parts':
     ints, or integral Decimals to combine only under exactmath._EXACT.
+    A - B cannot vanish: A = B with A^2 + B^2 = D^2 would make sqrt(2) = D/|A|.
     """
     a, b = shared_parts(u1, k, allow_huge, _least=2)
-    if a == b:
-        raise DegenerateFormulaError("y(k) = 1 leaves the closing cotangent undefined")
     with localcontext(_EXACT):
         return a + b, a - b
 
@@ -180,9 +168,11 @@ def u2_of(u1: Fraction | int, k: int, allow_huge: bool = False) -> Fraction:
 
 
 def rounded_u2(u1: Fraction | int, k: int, precision: int, work: int | None = None) -> Decimal:
-    """u2 within a relative 10**-precision, from shared_parts run under a
-    rounding context of W = ``work`` digits (default precision + 2k + 20),
-    closed as (A + B)/(A - B) under it.  The value keeps all W digits.
+    """u2 within a relative 10**-precision, from z(1)'s unit-modulus parts
+    x and y squared k - 2 times under a rounding context of W = ``work``
+    digits (default precision + 2k + 20), closed as (A + B)/(A - B) under
+    it.  The value keeps all W digits.  (From the integer numerators a
+    rounded chain overflows even MAX_EMAX from k = 58 on the ladder's u1.)
 
     The bound.  One rounding errs by at most u = 10**(1 - W)/2 relative.
     z(1)'s parts, each rounded once, start within u of z(1), and |z| = 1.
@@ -198,14 +188,19 @@ def rounded_u2(u1: Fraction | int, k: int, precision: int, work: int | None = No
     Fewer than ``precision`` such digits raise PrecisionError: no value is
     returned whose digits cancelled away.  On the ladder's u1, L is about
     log10 |u2|, under 20 through k = 64, so the default W spares about
-    1.7 k + 16 - L digits.
+    1.7 k + 16 - L digits.  The parts stay as wide as the context, so
+    neither the desk-scale cap nor the memory budget applies.
     """
+    if k < 2:
+        raise DomainError(f"k must be >= 2, got {k}")
     if work is None:
         work = precision + 2 * k + 20
-    context = Context(prec=work, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    a, b = shared_parts(u1, k, context=context, _least=2)
-    with localcontext(context):
-        s, t = a + b, a - b
+    start = init_state(u1)
+    with localcontext(Context(prec=work, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        x, y = (_as_decimal(v.numerator) / _as_decimal(v.denominator) for v in start[1:])
+        for _ in range(k - 2):
+            x, y = (x - y) * (x + y), 2 * x * y
+        s, t = x + y, x - y
         if s and t:
             lost = max(0, -s.adjusted(), -t.adjusted())
             if work - lost - (k - 2) * 30103 // 100000 - 4 >= precision:

@@ -1,5 +1,6 @@
 """Command line behavior: JSON summaries, artifacts, exit codes."""
 
+import hashlib
 import json
 import time
 from decimal import Decimal, localcontext
@@ -325,6 +326,17 @@ def test_measure_past_the_cap_scores_u2_as_an_80_digit_trig_value_does(capsys, k
             == [str(c) for c in expected])
 
 
+def test_measure_past_the_cap_prints_its_recorded_summaries(capsys):
+    # one recorded digest pins every byte of measure's JSON at k = 21..64,
+    # all 40 digits of each contribution included
+    digest = hashlib.sha256()
+    for k in range(squaring.DESK_SCALE_MAX_K + 1, 65):
+        code, out, err = run(capsys, "measure", "--k", str(k))
+        assert code == EXIT_OK, err
+        digest.update(out.encode())
+    assert digest.hexdigest() == "646a470e64915e814247b4302d31330178e72d458c4c1857ecb55ef75a108645"
+
+
 def test_measure_formula_parse_failure(tmp_path, capsys):
     path = tmp_path / "broken.txt"
     path.write_text("4 * atan(1/5)\n?? * atan(1/7)\n", encoding="ascii")
@@ -380,6 +392,19 @@ def test_measure_cotangent_just_above_one(tmp_path, capsys, monkeypatch, exponen
         assert err.count("\n") == 1 and len(err.encode()) < 200, err
     # the refusal bound is log10 |cotangent| < 1e-12, whatever the guard digits
     assert (code == EXIT_OK) == (exponent < 12)
+
+
+@pytest.mark.parametrize("guard", ["abc", "-1"])
+def test_bad_guard_digits_are_refused_before_any_work(tmp_path, capsys, monkeypatch, guard):
+    monkeypatch.setenv("MACHINLIKE_GUARD_DIGITS", guard)
+    out = str(tmp_path / "out.txt")
+    for argv in (("generate", "--k", "5"), ("compute-pi", "--k", "5"),
+                 ("measure-sweep", "--k-max", "5"), ("error-curve",)):
+        code, stdout, err = run(capsys, *argv, "--out", out)
+        assert code == EXIT_DOMAIN, argv
+        assert stdout == "" and err.count("\n") == 1, argv
+        assert err.startswith("error: MACHINLIKE_GUARD_DIGITS must be"), err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rejected_cotangent_names_its_size_past_60_digits(tmp_path, capsys):
@@ -529,7 +554,7 @@ def test_compute_pi_explicit_short_truncation_reports_not_ok(capsys):
 
 def test_compute_pi_auto_terms_shortfall_exits_5(capsys, monkeypatch):
     from machinlike import cli
-    monkeypatch.setattr(cli, "_auto_terms", lambda formula, precision: 2)
+    monkeypatch.setattr(cli.series, "auto_term_count", lambda x, precision: 2)
     code, out, err = run(capsys, "compute-pi", "--k", "3", "--precision", "50", main=cli.main)
     assert code == EXIT_VERIFY
     payload = json.loads(out)

@@ -28,7 +28,7 @@ from machinlike.series import (
     reference_pi,
     series_error,
 )
-from machinlike.squaring import u2_of
+from machinlike.squaring import rounded_u2, u2_of
 
 PI_30 = Decimal("3.141592653589793238462643383279")
 
@@ -287,6 +287,20 @@ def test_convergence_scan_reads_the_formulas_exact_parts(k):
     parts = convergence_scan(k, u1, u2, 8, 400)
     lowest = convergence_scan(k, u1, u2_of(u1_of_k(k), k), 8, 400)
     assert [getattr(parts, f) for f in fields] == [getattr(lowest, f) for f in fields]
+
+
+@pytest.mark.parametrize("k, precision, measure", [
+    (27, 1200, "0.245319"), (40, 1200, "0.164262"), (64, 1800, "0.104573")])
+def test_the_papers_pairs_past_the_cap_keep_the_rate_law(k, precision, measure):
+    """The paper's headline, e = 0.245319 and about 16 digits a term at
+    k = 27, and deeper pairs: u2 from the rounded chain, read exactly, is
+    right to 20 digits past the scan's, and the fitted rate lies within
+    criterion 08's 0.7 of 4.1/e."""
+    u1 = u1_of_k(k)
+    u2 = Fraction(*rounded_u2(u1, k, precision + 20).as_integer_ratio())
+    report = convergence_scan(k, u1, u2, 40, precision)
+    assert str(report.measure) == measure
+    assert abs(report.fitted_rate - report.predicted_rate) <= Decimal("0.7"), report
 
 
 def test_convergence_scan_digits_increase():

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from machinlike.errors import (
     ConsistencyError,
-    DegenerateFormulaError,
     DomainError,
     FormulaParseError,
     PrecisionError,
@@ -219,10 +218,12 @@ def test_memory_budget_holds_under_allow_huge():
 
 def _rounded_error_bound(u1, k, work):
     """rounded_u2's bound, 146 * 2**m * 10**(L - W), from the cancellation L
-    its docstring defines, read off the rounded chain itself."""
-    context = Context(prec=work, rounding=ROUND_HALF_EVEN, Emax=10**6, Emin=-10**6)
-    a, b = shared_parts(u1, k, context=context, _least=2)
-    s, t = context.add(a, b), context.subtract(a, b)
+    its docstring defines, read off a rounded chain of the test's own."""
+    with localcontext(Context(prec=work, rounding=ROUND_HALF_EVEN, Emax=10**6, Emin=-10**6)):
+        x, y = (Decimal(v.numerator) / Decimal(v.denominator) for v in init_state(u1)[1:])
+        for _ in range(k - 2):
+            x, y = (x - y) * (x + y), 2 * x * y
+        s, t = x + y, x - y
     lost = max(0, -s.adjusted(), -t.adjusted())
     return Decimal(146 * 2 ** (k - 2)).scaleb(lost - work)
 
@@ -274,6 +275,19 @@ def test_rounded_u2_has_no_cap_and_leaves_the_gates_alone():
         rounded_u2(1, 5, 40)
 
 
+def test_rounded_u2_runs_no_exact_chain(monkeypatch):
+    import machinlike.squaring as squaring
+    expected = {k: rounded_u2(u1_of_k(k), k, 50) for k in (21, 27, 64)}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rounded_u2 reached the exact chain")
+
+    for name in ("shared_parts", "closing_parts"):
+        monkeypatch.setattr(squaring, name, forbidden)
+    for k, value in expected.items():
+        assert str(rounded_u2(u1_of_k(k), k, 50)) == str(value), k
+
+
 def test_oracle_depth_limit(monkeypatch):
     import machinlike.squaring as squaring
     with pytest.raises(DomainError):
@@ -307,15 +321,6 @@ def test_oracle_shares_no_code_with_the_chain(monkeypatch):
        st.integers(min_value=2, max_value=7))
 def test_oracle_agrees_with_chain_on_rational_u1(u1, k):
     assert u2_direct_oracle(u1, k) == u2_of(u1, k)
-
-
-def test_degenerate_state_rejected(monkeypatch):
-    import machinlike.squaring as squaring
-    # no rational u1 reaches A == B (that is z(k-1) = e^(i pi/4)); fake the chain
-    monkeypatch.setattr(squaring, "shared_parts",
-                        lambda u1, k, allow_huge=False, _least=1: (3, 3))
-    with pytest.raises(DegenerateFormulaError):
-        closing_parts(5, 3)
 
 
 def test_u2_of_k1_rejected():
