@@ -58,9 +58,7 @@ from .formulas import (
 from .series import (
     ConvergenceReport,
     arctan_complex,
-    arctan_euler_exact,
     arctan_fast,
-    arctan_fast_exact,
     convergence_scan,
     reference_pi,
     series_error,
@@ -92,9 +90,7 @@ __all__ = [
     "UsageError",
     "ValidationResult",
     "arctan_complex",
-    "arctan_euler_exact",
     "arctan_fast",
-    "arctan_fast_exact",
     "closing_parts",
     "coinciding_digits",
     "convergence_scan",

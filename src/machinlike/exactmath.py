@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import numbers
 import os
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import (
@@ -386,9 +385,6 @@ def reciprocal(value: Fraction | int | RationalParts) -> RationalParts:
     return RationalParts(den if num > 0 else _negated(den), _part_abs(num))
 
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
-
-
 def format_rational(value: Fraction | RationalParts) -> str:
     """Render as num/den with the sign on the numerator, den always shown."""
     return "/".join(str(_as_decimal(part)) for part in (value.numerator, value.denominator))
@@ -399,10 +395,11 @@ def parse_rational_parts(text: str) -> tuple:
     belongs to the numerator only; a signed or zero denominator is rejected.
     The parts are always integral Decimals, made by _EXACT.create_decimal
     in one linear pass, to combine only under _EXACT."""
-    match = _RATIONAL_RE.fullmatch(text.strip())
-    if match is None:
+    num, slash, den = text.strip().partition("/")
+    # isdecimal takes the Unicode decimal digits a regex's \d takes, not isdigit's "²"
+    if not (num[1:] if num[:1] in "+-" else num).isdecimal() or slash and not den.isdecimal():
         raise FormulaParseError(f"not a rational literal: {text.strip()!r}")
-    num, den = map(_EXACT.create_decimal, (match.group(1), match.group(2) or "1"))
+    num, den = map(_EXACT.create_decimal, (num, den or "1"))
     if den == 0:
         raise FormulaParseError(f"zero denominator: {text.strip()!r}")
     return num, den

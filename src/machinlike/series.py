@@ -7,8 +7,8 @@ The workhorse expansion, at x = p/q, is
     c^2 = p^2 (K + 4ipq),  K = p^2 - 4q^2,
 
 so each term contributes about log10(s/p^2) decimal digits.  One binary
-splitter, _split, sums the exact truncation (arctan_fast_exact,
-series_error): term m is (1/b_m) prod_(j<=m) p_j/q_j, here with the ratio
+splitter, _split, sums the exact truncation (_truncation, which
+series_error measures): term m is (1/b_m) prod_(j<=m) p_j/q_j, here with the ratio
 p_m/q_m = c^2/s^2 (2c/s at m = 1) and b_m = 2m - 1.  A run of terms keeps
 P, Q and B, the products of its p_j, q_j and b_j, and T, its sum being
 T/(BQ); adjacent runs join as (P1 P2, Q1 Q2, B1 B2, B2 Q2 T1 + B1 P1 T2).
@@ -209,18 +209,6 @@ def _truncation(x: Fraction | int, terms: int, series: str) -> tuple[RationalPar
     big_p, big_q, big_b, t = _split(ratio, 1, terms + 1)
     omitted = RationalParts(abs(complex_mul(big_p, p_next)[1]), big_q * q_next * b_next)
     return RationalParts(t[1], big_b * big_q), omitted
-
-
-def arctan_fast_exact(x: Fraction | int, terms: int) -> Fraction:
-    """The same truncation as arctan_fast, kept as an exact rational."""
-    total = _truncation(x, terms, "fast")[0]
-    return Fraction(total.numerator, total.denominator)
-
-
-def arctan_euler_exact(x: Fraction | int, terms: int) -> Fraction:
-    """Exact rational value of the Euler truncation."""
-    total = _truncation(x, terms, "euler")[0]
-    return Fraction(total.numerator, total.denominator)
 
 
 def arctan_complex(x: Fraction | int, terms: int, precision: int) -> Decimal:

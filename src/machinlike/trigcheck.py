@@ -43,22 +43,27 @@ from . import formulas, series, squaring
 from .radical import u1_of_k
 
 
-def dec_arctan(x: Decimal, precision: int) -> Decimal:
-    """Arctangent of a Decimal, summed by series._maclaurin_scaled.
+def dec_arctan(x: Decimal | Fraction, precision: int) -> Decimal:
+    """Arctangent of any exact rational, Decimal or Fraction, summed by
+    series._maclaurin_scaled.
 
     x is read as its exact ratio p/q, which atan(x) = pi/2 - atan(1/x) and
     atan(x) = pi/4 - atan((1 - x)/(1 + x)) bring to at most 1/2.  There
     r = 1/(1 - x^2) <= 4/3 and at most J < 1.7 D + 1 terms survive at scale
     10**D, so the loop's stated drift, J (1 + r) + r^2 units of 10**-D, is
-    under 4 D + 5 units.  The result is at least min(0.9 |x|, 0.4), so at
-    D = work + 10 + max(-x.adjusted(), 0) that drift is at most
-    (4 D + 5) * 10**-10 of the last working digit.
+    under 4 D + 5 units.  The result is at least min(0.9 |x|, 0.4), and
+    |x| > 10**-n with n = len(q) - len(p) + 1 (decimal digits), never below
+    a Decimal's -x.adjusted(), so at D = work + 10 + max(n, 0) that drift
+    is at most (4 D + 5) * 10**-10 of the last working digit.
     """
+    if isinstance(x, Decimal) and not x.is_finite():
+        raise DomainError(f"cannot take the arctangent of {x}")
     if x == 0:
         return Decimal(0)
     work = precision + guard_digits()
-    places = work + 10 + max(-x.adjusted(), 0)
-    p, q = x.copy_abs().as_integer_ratio()
+    p, q = x.as_integer_ratio()
+    p = abs(p)
+    places = work + 10 + max(int_digit_count(q) - int_digit_count(p) + 1, 0)
     flip, shift = p > q, False
     if flip:
         p, q = q, p
@@ -83,6 +88,8 @@ def dec_sin_cos(theta: Decimal, precision: int) -> tuple[Decimal, Decimal]:
     large angle (2^(k-1) arctangents get large fast) still leaves a
     full-precision remainder.
     """
+    if not theta.is_finite():
+        raise DomainError(f"cannot take the sine and cosine of {theta}")
     work = precision + guard_digits()
     mag = max(theta.adjusted() + 1, 0) if theta != 0 else 0
     big = work + 2 * mag + 5
@@ -114,7 +121,8 @@ def u2_trig(u1: int, k: int, precision: int) -> Decimal:
     """The closing cotangent by closed-form trigonometry.
 
     Returns cos(phi)/(1 - sin(phi)) to ``precision`` significant digits,
-    phi = 2^(k-1) * atan(2*u1/(u1^2 - 1)).  If the denominator vanishes
+    phi = 2^(k-1) * atan(2*u1/(u1^2 - 1)), the argument handed to dec_arctan
+    as its exact Fraction and never rounded.  If the denominator vanishes
     below 10**-precision at the widest attempted working precision the
     pair is degenerate for this precision and PrecisionError is raised.
     """
@@ -128,9 +136,8 @@ def u2_trig(u1: int, k: int, precision: int) -> Decimal:
     cushion = 2 * k + 40
     for _ in range(7):
         work = precision + k + cushion + guard_digits()
-        arg_d = fraction_to_decimal(arg, work)
         with working_context(work):
-            phi = Decimal(2) ** (k - 1) * dec_arctan(arg_d, work)
+            phi = Decimal(2) ** (k - 1) * dec_arctan(arg, work)
             sin_phi, cos_phi = dec_sin_cos(phi, work)
             denom = 1 - sin_phi
             if denom == 0:

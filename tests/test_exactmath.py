@@ -194,6 +194,11 @@ def test_parse_rational():
         parse_rational_parts("7/-3")
     with pytest.raises(FormulaParseError):
         parse_rational_parts("seven")
+    # any Unicode decimal digit is a digit, as in a regex's \d; nothing else is
+    assert parse_rational_parts("\u0663/\u0664") == (3, 4)
+    for text in ("5/", "/5", "5/3/2", "5 / 3", "--5", "+", "\u00b2", "1_0"):
+        with pytest.raises(FormulaParseError, match="not a rational literal"):
+            parse_rational_parts(text)
 
 
 @given(st.fractions())

@@ -20,9 +20,7 @@ from machinlike.series import (
     _series_ratio,
     _split,
     arctan_complex,
-    arctan_euler_exact,
     arctan_fast,
-    arctan_fast_exact,
     arctan_sum,
     convergence_scan,
     reference_pi,
@@ -33,9 +31,15 @@ from machinlike.squaring import rounded_u2, u2_of
 PI_30 = Decimal("3.141592653589793238462643383279")
 
 
+def exact_truncation(x, terms, kind="fast"):
+    """The first ``terms`` terms of the fast or Euler series at x, summed exactly."""
+    total = series._truncation(x, terms, kind)[0]
+    return Fraction(total.numerator, total.denominator)
+
+
 def test_single_term_at_one():
     assert arctan_fast(1, 1, 30) == Decimal("0.8")
-    assert arctan_fast_exact(1, 1) == Fraction(4, 5)
+    assert exact_truncation(1, 1) == Fraction(4, 5)
 
 
 def test_fast_series_converges_at_one():
@@ -92,8 +96,8 @@ def signed_rationals(draw):
 @example(x=Fraction(-1, 10**30), terms=80)
 @example(x=Fraction(10**30 - 1, 7), terms=80)
 def test_exact_truncations_equal_their_definitions(x, terms):
-    assert arctan_fast_exact(x, terms) == _fast_sum_by_definition(x, terms)
-    assert arctan_euler_exact(x, terms) == _euler_sum_by_definition(x, terms)
+    assert exact_truncation(x, terms) == _fast_sum_by_definition(x, terms)
+    assert exact_truncation(x, terms, "euler") == _euler_sum_by_definition(x, terms)
 
 
 def _digest(value):
@@ -103,10 +107,10 @@ def _digest(value):
 @pytest.mark.parametrize("terms, fast, euler", [(1000, "0ec1e461480c54f1", "4a95b2b03d0267bf"),
                                                 (3000, "2a57eace3a108bb2", "96c5f08eaa270a15")])
 def test_deep_truncations_keep_their_values(terms, fast, euler):
-    """Digests of arctan_fast_exact at 1/5 and arctan_euler_exact at -3/7,
+    """Digests of the exact fast truncation at 1/5 and the Euler one at -3/7,
     as the former term-by-term chained sums gave them."""
-    assert _digest(arctan_fast_exact(Fraction(1, 5), terms)) == fast
-    assert _digest(arctan_euler_exact(Fraction(-3, 7), terms)) == euler
+    assert _digest(exact_truncation(Fraction(1, 5), terms)) == fast
+    assert _digest(exact_truncation(Fraction(-3, 7), terms, "euler")) == euler
 
 
 def test_series_error_at_3000_terms_keeps_its_value():
@@ -119,8 +123,8 @@ def test_splitter_and_kernel_share_no_code(monkeypatch, capsys):
     """The exact truncations run without the kernel, and the kernel, the
     complex route and the reference pi without the splitter."""
     x = Fraction(1, 5)
-    expected = (arctan_fast_exact(x, 30), arctan_euler_exact(x, 30), series_error(x, 10),
-                arctan_fast(x, 30, 40), arctan_complex(x, 30, 40))
+    expected = (exact_truncation(x, 30), exact_truncation(x, 30, "euler"),
+                series_error(x, 10), arctan_fast(x, 30, 40), arctan_complex(x, 30, 40))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a route reached code it must not share")
@@ -128,7 +132,7 @@ def test_splitter_and_kernel_share_no_code(monkeypatch, capsys):
     with monkeypatch.context() as patch:
         for name in ("_arctan_scaled", "_branch_float"):
             patch.setattr(series, name, forbidden)
-        assert (arctan_fast_exact(x, 30), arctan_euler_exact(x, 30),
+        assert (exact_truncation(x, 30), exact_truncation(x, 30, "euler"),
                 series_error(x, 10)) == expected[:3]
     monkeypatch.setattr(series, "_split", forbidden)
     series._pi_scaled.cache_clear()
@@ -141,14 +145,14 @@ def test_splitter_and_kernel_share_no_code(monkeypatch, capsys):
 def test_euler_matches_fast_in_the_limit():
     for x in (Fraction(1, 5), Fraction(1, 40), Fraction(-3, 7)):
         fast = arctan_fast(x, 60, 50)
-        euler = fraction_to_decimal(arctan_euler_exact(x, 400), 50)
+        euler = fraction_to_decimal(exact_truncation(x, 400, "euler"), 50)
         assert coinciding_digits(fast, euler) >= 45, x
 
 
 def test_euler_exact_matches_decimal_path():
     # Euler's terms in closed form, 2^2n (n!)^2/(2n+1)! x^(2n+1)/(1+x^2)^(n+1),
     # summed in Decimal: no term ratio shared with the exact recurrence
-    exact = arctan_euler_exact(Fraction(1, 5), 30)
+    exact = exact_truncation(Fraction(1, 5), 30, "euler")
     with working_context(70):
         x = Decimal(1) / 5
         dec = sum(Decimal(4**n * math.factorial(n)**2) / math.factorial(2 * n + 1)
@@ -165,7 +169,7 @@ def test_complex_evaluation_agrees_with_integer_path():
 
 def test_zero_argument_short_circuits():
     assert arctan_fast(0, 5, 30) == 0
-    assert arctan_euler_exact(0, 5) == 0
+    assert exact_truncation(0, 5, "euler") == 0
     assert arctan_complex(0, 5, 30) == 0
     assert series_error(0, 5) == 0
 
@@ -175,7 +179,7 @@ def test_bad_term_counts():
         with pytest.raises(DomainError):
             fn(Fraction(1, 5), 0, 30)
     with pytest.raises(DomainError):
-        arctan_euler_exact(Fraction(1, 5), 0)
+        exact_truncation(Fraction(1, 5), 0, "euler")
 
 
 def test_series_error_frozen_values():
@@ -224,7 +228,8 @@ def test_maclaurin_scaled_within_its_drift_bound(pq, digits):
     while scale * x ** (2 * count + 1) >= 1:
         count += 1
     # Euler's term ratio stays below x^2/(1 + x^2) < 0.45: 4D + 60 terms pass D + 20 digits
-    atan = Fraction(fraction_to_decimal(arctan_euler_exact(x, 4 * digits + 60), digits + 10))
+    euler = exact_truncation(x, 4 * digits + 60, "euler")
+    atan = Fraction(fraction_to_decimal(euler, digits + 10))
     assert abs(_maclaurin_scaled(p, q, scale) - scale * atan) < count * (1 + r) + r * r
 
 

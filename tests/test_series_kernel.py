@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from machinlike import cli
+from machinlike import cli, series
 from machinlike.errors import DomainError
 from machinlike.exactmath import (
     _EXACT, RationalParts, _bit_length, _leading_bits, coinciding_digits, digits_prefix,
@@ -36,12 +36,17 @@ from machinlike.series import (
     _split,
     _term_rate,
     arctan_fast,
-    arctan_fast_exact,
     arctan_sum,
     auto_term_count,
     reference_pi,
 )
 from machinlike.squaring import u2_of
+
+
+def exact_truncation(x, terms, kind="fast"):
+    """The first ``terms`` terms of the fast or Euler series at x, summed exactly."""
+    total = series._truncation(x, terms, kind)[0]
+    return Fraction(total.numerator, total.denominator)
 
 
 @contextmanager
@@ -79,7 +84,7 @@ def test_kernel_matches_exact_truncation(x, terms, precision, guard):
     place (a value straddling a rounding boundary)."""
     with guard_digits_set_to(guard):
         fast = arctan_fast(x, terms, precision)
-        exact = fraction_to_decimal(arctan_fast_exact(x, terms), precision)
+        exact = fraction_to_decimal(exact_truncation(x, terms), precision)
     top = max(fast.adjusted(), exact.adjusted())
     assert abs(fast - exact) <= Decimal(1).scaleb(top - precision + 1), (x, terms)
 
@@ -149,7 +154,7 @@ def test_two_spare_digits_round_as_the_exact_truncation(x, terms, precision):
     """These truncations lie 5e-4 and 6e-4 units in the last place from
     halfway.  With no guard digits and one spare digit, arctan_fast
     rounded both to the wrong side; two round them correctly."""
-    exact = arctan_fast_exact(x, terms)
+    exact = exact_truncation(x, terms)
     ctx = Context(prec=precision, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
     with guard_digits_set_to(0):
         assert arctan_fast(x, terms, precision) == \
@@ -194,7 +199,7 @@ def kernel_cases(draw):
 @given(case=kernel_cases())
 def test_kernel_stays_within_its_error_bound(case):
     x, terms, bits = case
-    exact = arctan_fast_exact(x, terms)
+    exact = exact_truncation(x, terms)
     num, den = exact.numerator, exact.denominator
     miss = abs(_arctan_scaled(x, terms, bits, _width(x)) * den - (num << bits))
     assert 1000 * miss <= int(1000 * _kernel_bound(terms)) * den, (x, terms, bits)
@@ -274,7 +279,7 @@ def cotangents(draw):
 
 def _exact_sum(pairs, terms):
     """(N, D), unreduced: sum coeff * the exact t-term truncation at
-    x = 1/beta, arctan_fast_exact's sum left without its gcd."""
+    x = 1/beta, the splitter's exact sum left without its gcd."""
     num, den = 0, 1
     for coeff, beta in pairs:
         x = reciprocal(beta)
@@ -313,7 +318,7 @@ def test_arctan_sum_bound_is_absolute_for_a_sum_far_below_one():
     with guard_digits_set_to(0):
         value = arctan_sum([(1, 10**20)], 50, 5)
     work = 50 + 1
-    exact = arctan_fast_exact(Fraction(1, 10**20), 5)
+    exact = exact_truncation(Fraction(1, 10**20), 5)
     assert abs(Fraction(value) - exact) <= 2 * Fraction(10) ** -work
     assert len(value.as_tuple().digits) < work
 

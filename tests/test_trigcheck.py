@@ -1,5 +1,6 @@
 """Decimal trigonometry and the closed-form cross-checks."""
 
+import hashlib
 import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -114,6 +115,41 @@ def test_dec_arctan_matches_the_fast_kernel(x, precision):
     assert abs(Fraction(value) - Fraction(reference)) * 100 <= 51 * unit, (x, precision)
 
 
+@pytest.mark.parametrize("guard", ["0", None])
+@settings(max_examples=100, deadline=None)
+@given(x=atan_arguments(), precision=st.integers(5, 120))
+def test_dec_arctan_reads_a_fraction_as_its_decimal(guard, x, precision):
+    """A Fraction and the terminating Decimal of the same value are one
+    exact rational p/q to dec_arctan, so the results are equal, at no guard
+    digits and at the default budget."""
+    with pytest.MonkeyPatch.context() as patch:
+        if guard is None:
+            patch.delenv("MACHINLIKE_GUARD_DIGITS", raising=False)
+        else:
+            patch.setenv("MACHINLIKE_GUARD_DIGITS", guard)
+        assert dec_arctan(Fraction(x), precision) == dec_arctan(x, precision)
+
+
+@pytest.mark.parametrize("precision", [5, 40, 120])
+def test_dec_arctan_of_the_exact_trig_argument(precision):
+    # u2_trig's argument 2u/(u^2 - 1), read unrounded: 4/3 at u = 2 takes
+    # both exact steps, u = 3 and 4 the shifted branch, and u >= 5 the direct one
+    for u in range(2, 41):
+        x = Fraction(2 * u, u * u - 1)
+        value = dec_arctan(x, precision)
+        reference = fast_arctan(x, precision + 15)
+        unit = Fraction(10) ** (value.adjusted() - precision + 1)
+        assert abs(Fraction(value) - Fraction(reference)) * 100 <= 51 * unit, (u, precision)
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "sNaN"])
+def test_trig_helpers_refuse_a_non_finite_argument(text):
+    with pytest.raises(DomainError, match="cannot take the arctangent"):
+        dec_arctan(Decimal(text), 40)
+    with pytest.raises(DomainError, match="cannot take the sine and cosine"):
+        dec_sin_cos(Decimal(text), 40)
+
+
 def test_dec_sin_cos_at_one():
     s, c = dec_sin_cos(Decimal(1), 40)
     assert round_sig(s, 40) == SIN_1
@@ -160,6 +196,17 @@ def test_u2_trig_retries_when_1_minus_sin_cancels(monkeypatch):
     assert len(precisions) == 2 and precisions[1] > precisions[0]
     exact = u2_of(COT_PI_16, 3)
     assert abs(Fraction(trig) - exact) <= abs(exact) / 10**99
+
+
+def test_u2_trig_outputs_are_pinned():
+    """str(u2_trig) at k = 2..12 and precision 60 and 100, then at cot(pi/16)
+    and criterion 10's k = 27, as they read when the argument was still
+    rounded to the working precision before the arctangent."""
+    calls = [(u1_of_k(k), k, precision) for k in range(2, 13) for precision in (60, 100)]
+    calls += [(COT_PI_16, 3, 100), (85445659, 27, 40)]
+    text = "\n".join(str(u2_trig(*call)) for call in calls)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7779fd2511572ad8c9eff1844fc7e928cebdb799e2f6ac7f7d88dc8bc9457ccc")
 
 
 def test_u2_trig_domain(monkeypatch):
