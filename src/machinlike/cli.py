@@ -38,6 +38,7 @@ from .errors import (
     UsageError,
 )
 from .exactmath import (
+    _EXACT,
     _write_lines,
     RationalParts,
     coinciding_digits,
@@ -65,8 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, k=False, precision=False, terms=False, out=False,
+    def common(p, run, *, k=False, precision=False, terms=False, out=False,
                formula=False, allow_huge=False):
+        p.set_defaults(run=run)    # main calls args.run(args)
         # a formula comes from exactly one source: --k, --formula or --fixture
         sources = p.add_mutually_exclusive_group(required=True) if formula else p
         if k:
@@ -87,20 +89,20 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="lift the k <= 20 desk-scale cap")
 
     p = sub.add_parser("generate", help="derive the pair (u1, u2) at index k")
-    common(p, k=True, precision=True, out=True, allow_huge=True)
+    common(p, cmd_generate, k=True, precision=True, out=True, allow_huge=True)
 
     p = sub.add_parser("compute-pi", help="evaluate pi from a formula")
-    common(p, k=True, precision=True, terms=True, out=True, formula=True)
+    common(p, cmd_compute_pi, k=True, precision=True, terms=True, out=True, formula=True)
     p.add_argument("--u2-file", help="reload the closing cotangent of --k")
 
     p = sub.add_parser("measure", help="digits-per-term measure of a formula")
-    common(p, k=True, formula=True)
+    common(p, cmd_measure, k=True, formula=True)
 
     p = sub.add_parser("verify", help="independent cross-checks at index k")
-    common(p, k=True, precision=True, allow_huge=True)
+    common(p, cmd_verify, k=True, precision=True, allow_huge=True)
 
     p = sub.add_parser("error-curve", help="truncation error over an interval")
-    common(p, terms=True, out=True)
+    common(p, cmd_error_curve, terms=True, out=True)
     p.set_defaults(terms=10)
     p.add_argument("--series", choices=("fast", "euler"), default="fast")
     p.add_argument("--samples", type=int, default=41)
@@ -108,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", default="1/1000000")
 
     p = sub.add_parser("measure-sweep", help="measure vs k table")
-    common(p, out=True)
+    common(p, cmd_measure_sweep, out=True)
     p.add_argument("--k-max", type=int, default=16)
 
     return parser
@@ -296,7 +298,7 @@ def _sci(value: Fraction | Decimal, digits: int) -> str:
     exponent keeps at least two digits, zero's too."""
     rounded = fraction_to_decimal(value, digits)
     exponent = rounded.adjusted() if rounded else 0
-    return f"{rounded.scaleb(-exponent):.{digits - 1}f}E{exponent:+03d}"
+    return f"{rounded.scaleb(-exponent, _EXACT):.{digits - 1}f}E{exponent:+03d}"
 
 
 def cmd_error_curve(args: argparse.Namespace) -> int:
@@ -336,16 +338,6 @@ def cmd_measure_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "generate": cmd_generate,
-    "compute-pi": cmd_compute_pi,
-    "measure": cmd_measure,
-    "verify": cmd_verify,
-    "error-curve": cmd_error_curve,
-    "measure-sweep": cmd_measure_sweep,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -354,7 +346,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         _check_args(args)
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

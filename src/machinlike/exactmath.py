@@ -5,7 +5,11 @@ counts significant decimal digits of the result.  Internally they carry
 ``guard_digits()`` extra digits, so the digits handed back are actually
 correct.  Anything exactly representable stays an ``int`` or ``Fraction``
 for as long as possible; ``Decimal`` enters only where a value is
-irrational or a quotient is finally needed.
+irrational or a quotient is finally needed.  The package computes in two
+decimal contexts of its own: working_context's, which rounds half even at
+the precision asked for, and _EXACT, which refuses to round.  Every
+Decimal step that can round runs in one of them, so no result depends on
+the caller's context: its rounding, precision, exponent limits and traps.
 
 Integer parts come in two kinds: an ``int``, or an integral ``Decimal`` of
 exponent 0.  The squaring chain moves its parts to Decimal once they pass
@@ -38,8 +42,8 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import (
-    Context, Decimal, Inexact, MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, ROUND_FLOOR,
-    localcontext)
+    Context, Decimal, DivisionByZero, Inexact, InvalidOperation, MAX_EMAX, MAX_PREC,
+    MIN_EMIN, Overflow, ROUND_FLOOR, ROUND_HALF_EVEN, localcontext)
 from fractions import Fraction
 
 from .errors import DomainError, FormulaParseError
@@ -47,8 +51,11 @@ from .errors import DomainError, FormulaParseError
 DEFAULT_GUARD_DIGITS = 10
 
 _LOG10_2 = Decimal("0.30102999566398119521373889472449302676818988146210854131042746112852790792954564")
+_TRAPS = [InvalidOperation, DivisionByZero, Overflow]
+# working_context's template: the caller's context never enters a result
+_ROUNDING = Context(rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=_TRAPS)
 # integer arithmetic on Decimals: a result that would need rounding raises
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[*_TRAPS, Inexact])
 
 
 def guard_digits() -> int:
@@ -73,14 +80,14 @@ def guard_digits() -> int:
 
 @contextmanager
 def working_context(precision: int):
-    """Decimal context with ``precision`` digits and exponent limits wide
+    """The package's rounding context at ``precision`` digits, a copy of one
+    template, never of the caller's context: half even, trapping
+    InvalidOperation, DivisionByZero and Overflow, with exponent limits wide
     enough for series whose terms span thousands of orders of magnitude."""
     if precision < 1:
         raise DomainError(f"context precision must be >= 1, got {precision}")
-    with localcontext() as ctx:
+    with localcontext(_ROUNDING) as ctx:
         ctx.prec = precision
-        ctx.Emax = MAX_EMAX
-        ctx.Emin = MIN_EMIN
         yield ctx
 
 
@@ -124,11 +131,7 @@ def fraction_to_decimal(value: Fraction | int | RationalParts, precision: int) -
             scaled = exact.divide_int(exact.scaleb(size, shift), den)
     with working_context(work):
         dec = _as_decimal(scaled).scaleb(-shift)
-    if num < 0:
-        # copy_negate flips the sign without touching the active context;
-        # a bare unary minus would round to its 28-digit default
-        dec = dec.copy_negate()
-    return round_sig(dec, precision)
+    return round_sig(dec if num > 0 else dec.copy_negate(), precision)
 
 
 # Conversion leaves: Decimal(int) pays a quadratic pass on 2048 bits at most,
@@ -204,12 +207,12 @@ def _scaled_floor(num: int | Decimal, den: int | Decimal, shift: int) -> int:
         return (num << shift) // den if shift >= 0 else num // (den << -shift)
     num, den = _as_decimal(num), _as_decimal(den)
     digits = max(num.adjusted() - den.adjusted() + int(shift * 0.30103), 0) + 30
-    ctx = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    quotient = ctx.divide(ctx.multiply(ctx.plus(num), ctx.power(2, shift)), ctx.plus(den))
-    slack = quotient.copy_abs().scaleb(4 - digits, ctx)
-    low = ctx.subtract(quotient, slack).to_integral_value(ROUND_FLOOR)
-    if low == ctx.add(quotient, slack).to_integral_value(ROUND_FLOOR):
-        return _as_int(low)
+    with working_context(digits) as ctx:
+        quotient = ctx.divide(ctx.multiply(ctx.plus(num), ctx.power(2, shift)), ctx.plus(den))
+        slack = quotient.copy_abs().scaleb(4 - digits, ctx)
+        low = ctx.subtract(quotient, slack).to_integral_value(ROUND_FLOOR)
+        if low == ctx.add(quotient, slack).to_integral_value(ROUND_FLOOR):
+            return _as_int(low)
     with localcontext(_EXACT) as exact:
         if shift >= 0:
             num *= exact.power(2, shift)
@@ -292,7 +295,7 @@ def coinciding_digits(a: Decimal, b: Decimal) -> int:
         return max(-a.as_tuple().exponent, -b.as_tuple().exponent, 0)
     diff = _EXACT.subtract(a, b).copy_abs()
     adjusted = diff.adjusted()
-    if diff == Decimal(1).scaleb(adjusted):
+    if diff == Decimal(1).scaleb(adjusted, _EXACT):
         return -adjusted
     return -(adjusted + 1)
 
@@ -305,9 +308,8 @@ def digits_prefix(value: Decimal, count: int) -> str:
         raise DomainError(f"digit count must be >= 1, got {count}")
     if not value.is_finite():
         raise DomainError(f"cannot take digits of {value}")
-    ctx = Context(prec=count, rounding=ROUND_DOWN, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    mantissa = format(ctx.plus(value.copy_abs()), "E").partition("E")[0]
-    return mantissa.replace(".", "").ljust(count, "0")
+    mantissa = format(value.copy_abs(), "E").partition("E")[0]
+    return mantissa.replace(".", "")[:count].ljust(count, "0")
 
 
 def text_to_int(text: str) -> int:

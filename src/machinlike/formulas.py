@@ -176,9 +176,9 @@ def validate_formula(formula: MachinFormula, precision: int) -> ValidationResult
     work = precision + guard_digits()
     with working_context(work):
         residual = total - series.reference_pi(work)
-    threshold = Decimal(1).scaleb(-(precision - 5))
+    threshold = Decimal(1).scaleb(5 - precision, _EXACT)
     return ValidationResult(
-        valid=abs(residual) < threshold,
+        valid=residual.copy_abs() < threshold,
         residual=round_sig(residual, 10),
         threshold=threshold,
         precision=precision,

@@ -417,10 +417,10 @@ def convergence_scan(k: int, u1: Fraction | int | RationalParts, u2: Fraction | 
     with working_context(40):
         e = 1 / rational_log10_abs(u1, 30) + 1 / rational_log10_abs(u2, 30)
         predicted = Decimal("4.1") / e
-    if precision < int(max_terms * float(predicted)) + 20:
-        raise PrecisionError(
-            f"precision {precision} cannot resolve {max_terms} terms at "
-            f"~{predicted:.1f} digits/term; need {int(max_terms * float(predicted)) + 20}")
+        need = int(max_terms * float(predicted)) + 20
+        if precision < need:    # the format below rounds in this context
+            raise PrecisionError(f"precision {precision} cannot resolve {max_terms} terms "
+                                 f"at ~{predicted:.1f} digits/term; need {need}")
     reference = reference_pi(precision)
     pair = ((2 ** (k + 1), u1), (4, u2))
     digits = [coinciding_digits(reference, round_sig(arctan_sum(pair, precision, m), precision))
@@ -429,11 +429,11 @@ def convergence_scan(k: int, u1: Fraction | int | RationalParts, u2: Fraction | 
     tail = digits[-window:]
     with working_context(20):
         fitted = (Decimal(tail[-1]) - Decimal(tail[0])) / (window - 1)
-    return ConvergenceReport(
-        k=k, u1=u1, u2=u2, precision=precision,
-        orders=tuple(range(1, max_terms + 1)),
-        digits=tuple(digits),
-        fitted_rate=fitted.quantize(Decimal("0.01")),
-        measure=e.quantize(Decimal("0.000001")),
-        predicted_rate=predicted.quantize(Decimal("0.01")),
-    )
+        return ConvergenceReport(
+            k=k, u1=u1, u2=u2, precision=precision,
+            orders=tuple(range(1, max_terms + 1)),
+            digits=tuple(digits),
+            fitted_rate=fitted.quantize(Decimal("0.01")),
+            measure=e.quantize(Decimal("0.000001")),
+            predicted_rate=predicted.quantize(Decimal("0.01")),
+        )

@@ -28,14 +28,14 @@ lowest-terms Fractions.
 
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, FormulaParseError, PrecisionError
 from .exactmath import (
     _EXACT, RationalParts, _as_decimal, _as_int, _refuse_past_budget, _write_lines,
-    coprime_fraction, format_rational, parse_rational_parts, parsed_lines)
+    coprime_fraction, format_rational, parse_rational_parts, parsed_lines, working_context)
 
 # Above this depth the chain's integers pass a million digits (they
 # double per step).  No gcd is taken on u2's parts, so the Decimal chain
@@ -196,7 +196,7 @@ def rounded_u2(u1: Fraction | int, k: int, precision: int, work: int | None = No
     if work is None:
         work = precision + 2 * k + 20
     start = init_state(u1)
-    with localcontext(Context(prec=work, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+    with working_context(work):
         x, y = (_as_decimal(v.numerator) / _as_decimal(v.denominator) for v in start[1:])
         for _ in range(k - 2):
             x, y = (x - y) * (x + y), 2 * x * y

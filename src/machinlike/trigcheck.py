@@ -188,9 +188,11 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
     Checks: (A + B)^2 + (A - B)^2 == 2D^2, under exactmath._EXACT with D
     from a closed form the chain never touches, is the unit circle
     A^2 + B^2 == D^2 there (equivalent to the check at k); the trig closed
-    form agrees with u2 = (A + B)/(A - B) to at least precision - k - 10
-    digits; up to ORACLE_MAX_K the direct oracle reproduces it term for
-    term; and pi = 4*(2^(k-1) atan(1/u1) + atan(1/u2)) passes
+    form agrees with u2 = (A + B)/(A - B) to precision - 1 significant
+    digits, precision - 2 - u2.adjusted() places (all of u2_trig's digits
+    agreed over k = 2..20, precision 20..100 and guard digits 0 and 10); up
+    to ORACLE_MAX_K the direct oracle reproduces it term for term; and
+    pi = 4*(2^(k-1) atan(1/u1) + atan(1/u2)) passes
     formulas.validate_formula, the check generate runs.
     """
     u1 = u1_of_k(k)  # refuses k outside 2..MAX_LADDER_K
@@ -202,7 +204,7 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
     trig = u2_trig(u1, k, precision)
     exact_dec = fraction_to_decimal(exact_u2, precision + 10)
     agreement = coinciding_digits(trig, exact_dec)
-    required = precision - k - 10
+    required = precision - 2 - exact_dec.adjusted()
 
     oracle_matched = None
     if k <= squaring.ORACLE_MAX_K:
@@ -227,7 +229,7 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
         required_digits=required,
         unit_circle_exact=unit_exact,
         oracle_matched=oracle_matched,
-        identity_residual=abs(identity.residual),
+        identity_residual=identity.residual.copy_abs(),
         identity_threshold=identity.threshold,
         precision=precision,
         ok=ok,

@@ -567,7 +567,7 @@ def test_out_of_memory_exits_4_with_one_line(capsys, monkeypatch):
 
     def exhausted(cfg):
         raise MemoryError
-    monkeypatch.setitem(cli._DISPATCH, "verify", exhausted)
+    monkeypatch.setattr(cli, "cmd_verify", exhausted)
     code, out, err = run(capsys, "verify", "--k", "3", main=cli.main)
     assert code == EXIT_DOMAIN
     assert out == "" and err.count("\n") == 1 and "out of memory" in err

@@ -1,5 +1,6 @@
 """Decimal trigonometry and the closed-form cross-checks."""
 
+import functools
 import hashlib
 import json
 from decimal import Decimal, localcontext
@@ -277,7 +278,7 @@ def test_verify_k_json_view_is_pinned():
     assert text == (
         '{"k": 3, "u1": 5, "u2_num_digits": 3, "u2_den_digits": 1, '
         '"u2_leading": "-23900000000000000000", "agreement_digits": 47, '
-        '"required_digits": 27, "unit_circle_exact": true, "oracle_matched": true, '
+        '"required_digits": 36, "unit_circle_exact": true, "oracle_matched": true, '
         '"identity_residual": "6E-51", "identity_threshold": "1E-35", '
         '"precision": 40, "ok": true}')
 
@@ -285,10 +286,10 @@ def test_verify_k_json_view_is_pinned():
 # verify's fields at k = 13..16, precision 60, past the oracle's depth:
 # (u2_num_digits, u2_den_digits, u2_leading, agreement_digits, required_digits)
 VERIFY_PAST_THE_ORACLE = {
-    13: (14610, 14605, "-35111300630927761626", 55, 37),
-    14: (32918, 32914, "-35102402049881300754", 56, 36),
-    15: (70768, 70764, "-35100178109294520740", 55, 35),
-    16: (146468, 146463, "-10346992408450235807", 55, 34),
+    13: (14610, 14605, "-35111300630927761626", 55, 54),
+    14: (32918, 32914, "-35102402049881300754", 56, 54),
+    15: (70768, 70764, "-35100178109294520740", 55, 54),
+    16: (146468, 146463, "-10346992408450235807", 55, 53),
 }
 
 
@@ -326,6 +327,38 @@ def test_verify_k_catches_a_wrong_chain(monkeypatch, capsys):
         assert result.oracle_matched is oracle, k
         assert result.agreement_digits >= result.required_digits, k
         assert result.ok is False, k
+
+
+def test_verify_k_trig_check_asks_for_all_but_one_digit(monkeypatch):
+    """The trig value must keep precision - 1 significant digits of u2 at
+    every desk depth and precision, so a sign-flipped one fails even at
+    precision 20 and k = 15..20."""
+    import machinlike.trigcheck as trigcheck
+    # each depth's chain and closed-form D run once for the five precisions
+    for name in ("closing_parts", "_denominator"):
+        monkeypatch.setattr(squaring, name, functools.cache(getattr(squaring, name)))
+    for k in range(2, DESK_SCALE_MAX_K + 1):
+        for precision in (20, 21, 25, 60, 100):
+            result = verify_k(k, precision)
+            assert result.ok and result.required_digits >= 1, (k, precision)
+    real = trigcheck.u2_trig
+    monkeypatch.setattr(trigcheck, "u2_trig", lambda u1, k, p: real(u1, k, p).copy_negate())
+    for k in range(15, DESK_SCALE_MAX_K + 1):
+        assert verify_k(k, 20).ok is False, k
+
+
+def test_u2_trig_keeps_all_but_one_digit_past_the_cap():
+    # against the rounded chain at 20 digits more, from k = 21 to where
+    # 1 - sin(phi) falls below 10**-20 at precision 20, and to k = 64 at 40
+    for precision, depths in ((20, range(21, 34)), (40, range(21, 65))):
+        for k in depths:
+            u1 = u1_of_k(k)
+            rounded = squaring.rounded_u2(u1, k, precision + 20)
+            agreement = coinciding_digits(u2_trig(u1, k, precision), rounded)
+            assert agreement + rounded.adjusted() + 1 >= precision - 1, (k, precision)
+    for k in range(34, 65):
+        with pytest.raises(PrecisionError, match=r"below 10\*\*-20"):
+            u2_trig(u1_of_k(k), k, 20)
 
 
 def test_verify_k_rejects_k1():
