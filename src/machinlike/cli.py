@@ -39,6 +39,7 @@ from .errors import (
 )
 from .exactmath import (
     _EXACT,
+    _refuse_past_budget,
     _write_lines,
     RationalParts,
     coinciding_digits,
@@ -120,10 +121,20 @@ def _build_parser() -> argparse.ArgumentParser:
 _BOUNDS = (("k", 2, MAX_LADDER_K), ("precision", 20, None), ("terms", 1, None),
            ("k_max", 2, MAX_LADDER_K), ("samples", 3, None))
 
+# Peak RSS over the interpreter's per byte of a --precision P run's widest
+# working integer, about 2**(3.322 (P + 25 + 2G)) with G guard digits:
+# reference pi's 10**(P + 25) and arctan_sum's 2**bits, which carries the
+# G digits twice.  At P = 10**5 (2 vCPUs, Python 3.11) compute-pi took
+# 9.5-12.6, generate 6.3 and verify, whose trig check works on Decimals of
+# P digits, 172 (158 at P = 30,000).
+_PRECISION_PEAK_PER_BYTE = 16
+_VERIFY_PEAK_PER_BYTE = 192
+
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Refuse every option value the parser lets through, and a bad
-    MACHINLIKE_GUARD_DIGITS, before any work, and read error-curve's bounds
+    """Refuse every option value the parser lets through, a bad
+    MACHINLIKE_GUARD_DIGITS and a --precision whose working integers would
+    pass the memory budget, before any work, and read error-curve's bounds
     as Fractions.  The Namespace of a command holds only that command's
     options."""
     for flag in ("x_min", "x_max"):
@@ -155,7 +166,19 @@ def _check_args(args: argparse.Namespace) -> None:
         lift = ("" if args.command == "compute-pi" else
                 "; pass --allow-huge to proceed (expect long integer runtimes)")
         raise UsageError(f"--k {k} exceeds the desk-scale cap {DESK_SCALE_MAX_K}{lift}")
-    guard_digits()    # raises DomainError on a bad MACHINLIKE_GUARD_DIGITS
+    guard = guard_digits()    # raises DomainError on a bad MACHINLIKE_GUARD_DIGITS
+    precision = getattr(args, "precision", None)
+    if precision is not None:
+        _refuse_past_budget(f"--precision {precision} needs working integers",
+                            (precision + 25 + 2 * guard) * 3322 // 1000,
+                            _VERIFY_PEAK_PER_BYTE if args.command == "verify"
+                            else _PRECISION_PEAK_PER_BYTE)
+
+
+def _text(value) -> str:
+    """str(value), a Decimal written by _EXACT: str() would read the
+    caller's capitals."""
+    return _EXACT.to_sci_string(value) if isinstance(value, Decimal) else str(value)
 
 
 def _emit(payload: dict) -> None:
@@ -171,7 +194,8 @@ def _emit(payload: dict) -> None:
 def cmd_generate(args: argparse.Namespace) -> int:
     k = args.k
     u1 = u1_of_k(k)
-    # past its first steps the chain runs in Decimal, whose parts print in one pass
+    # from k = 13 the chain runs in Decimal past its first steps, whose parts
+    # print in one pass
     u2 = coprime_fraction(*squaring.closing_parts(u1, k, args.allow_huge))
     out = args.out or f"u2-k{k}.txt"
     squaring.write_fraction_file(out, u2)
@@ -185,9 +209,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "u1": u1,
         "u2_num_digits": int_digit_count(u2.numerator),
         "u2_den_digits": int_digit_count(u2.denominator),
-        "e": str(report.e),
+        "e": _text(report.e),
         "valid": check.valid,
-        "residual": str(check.residual),
+        "residual": _text(check.residual),
         "validation_precision": check.precision,
         "out": out,
     }
@@ -269,12 +293,12 @@ def cmd_measure(args: argparse.Namespace) -> int:
         formula, path = _measured_pair(args.k)
     report = formulas.lehmer_measure(formula)
     contributions = [
-        {"coefficient": coeff, "inverse_log10_cotangent": str(contrib)}
+        {"coefficient": coeff, "inverse_log10_cotangent": _text(contrib)}
         for (coeff, _), contrib in zip(formula.terms, report.contributions)
     ]
     _emit({
         "formula": formula.name or "formula",
-        "e": str(report.e),
+        "e": _text(report.e),
         "path": path,
         "contributions": contributions,
     })
@@ -327,12 +351,12 @@ def cmd_measure_sweep(args: argparse.Namespace) -> int:
     for k in range(2, args.k_max + 1):
         formula, path = _measured_pair(k)
         rows.append((k, formula.terms[0][1], formulas.lehmer_measure(formula).e, path))
-    _write_lines(out, ["k,u1,e,path", *(",".join(map(str, row)) for row in rows)])
+    _write_lines(out, ["k,u1,e,path", *(",".join(map(_text, row)) for row in rows)])
     _emit({
         "k_max": args.k_max,
         "rows": len(rows),
-        "e_first": str(rows[0][2]),
-        "e_last": str(rows[-1][2]),
+        "e_first": _text(rows[0][2]),
+        "e_last": _text(rows[-1][2]),
         "out": out,
     })
     return EXIT_OK

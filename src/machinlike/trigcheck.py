@@ -175,8 +175,9 @@ class TrigCheckResult(NamedTuple):
     ok: bool
 
     def to_json_dict(self) -> dict:
-        """Every field in declaration order, Decimals as strings."""
-        return {name: str(v) if isinstance(v, Decimal) else v
+        """Every field in declaration order, Decimals as strings written by
+        exactmath._EXACT, whatever the caller's capitals."""
+        return {name: _EXACT.to_sci_string(v) if isinstance(v, Decimal) else v
                 for name, v in self._asdict().items()}
 
 
@@ -184,7 +185,8 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
     """Run every independent check on the pair generated at k.
 
     squaring.closing_parts runs generate's chain once, to (A + B, A - B)
-    from the state (A + iB)/D at k - 1, Decimal parts past its first steps.
+    from the state (A + iB)/D at k - 1: ints through k = 12, and from
+    k = 13 Decimal parts past its first steps.
     Checks: (A + B)^2 + (A - B)^2 == 2D^2, under exactmath._EXACT with D
     from a closed form the chain never touches, is the unit circle
     A^2 + B^2 == D^2 there (equivalent to the check at k); the trig closed

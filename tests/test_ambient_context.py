@@ -1,9 +1,11 @@
 """No result reads the caller's decimal context.
 
 Every public call and every command gives under a caller's unusual
-context (rounding mode, precision, exponent limits, trapped signals)
-exactly what it gives under the default context.  The contexts' capitals
-and clamp are left out: they change only how str() writes an exponent.
+context (rounding mode, precision, exponent limits, trapped signals, a
+lower-case exponent) exactly what it gives under the default context.
+A public call's value is written by repr under the default context,
+since repr writes a Decimal's exponent in the caller's capitals; a
+command's output is compared as it was printed.
 """
 
 import contextlib
@@ -35,6 +37,7 @@ AMBIENT = {
     "exponents-99": Context(Emin=-99, Emax=99),
     "traps": Context(traps=[InvalidOperation, DivisionByZero, Overflow,
                             Inexact, Rounded, Subnormal, Underflow]),
+    "capitals-0": Context(capitals=0),
 }
 
 # Machin's formula with u2 off by 1.4276e-31: a residual of -9.9968e-36, a
@@ -83,11 +86,14 @@ COMMANDS = [
 
 
 def _outcome(call):
-    """repr of what ``call`` returns, or of what it raises."""
+    """repr of what ``call`` returns, written under the default context, or
+    of what it raises."""
     try:
-        return repr(call())
+        value = call()
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
+    with localcontext(Context()):
+        return repr(value)
 
 
 def _command(argv, where):

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from machinlike import squaring, trigcheck
+from machinlike import series, squaring, trigcheck
 from machinlike.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -183,6 +183,44 @@ def test_error_curve_past_the_memory_budget_is_refused_before_any_summing(
     assert (code, out) == (EXIT_DOMAIN, "")
     assert err == ("error: 100000000 terms need exact parts of about 1.12e+10 bits, an "
                    "estimated 20.9 GiB at peak, past the 6 GiB memory budget\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, figures", [
+    (["compute-pi", "--fixture", "machin-1706", "--precision", "100000000000", "--out", "pi.txt"],
+     "--precision 100000000000 needs working integers of about 3.32e+11 bits, "
+     "an estimated 619 GiB"),
+    (["generate", "--k", "5", "--precision", "1000000000"],
+     "--precision 1000000000 needs working integers of about 3.32e+09 bits, "
+     "an estimated 6.19 GiB"),
+    # verify's trig check peaks at about 12 times compute-pi's per digit
+    (["verify", "--k", "5", "--precision", "100000000"],
+     "--precision 100000000 needs working integers of about 3.32e+08 bits, "
+     "an estimated 7.43 GiB"),
+    # a width past a float's range is named, not raised
+    (["verify", "--k", "5", "--precision", "1" + "0" * 400],
+     f"--precision 1{'0' * 400} needs working integers of about inf bits, an estimated inf GiB"),
+], ids=["compute-pi", "generate", "verify", "verify-past-a-float"])
+def test_precision_past_the_memory_budget_is_refused_before_any_work(
+        tmp_path, monkeypatch, capsys, argv, figures):
+    def reached(*args, **kwargs):
+        raise AssertionError("work started")
+    for module, name in ((series, "arctan_sum"), (series, "reference_pi"),
+                         (trigcheck, "u2_trig")):
+        monkeypatch.setattr(module, name, reached)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err == f"error: {figures} at peak, past the 6 GiB memory budget\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_error_curve_terms_past_a_floats_range_are_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "error-curve", "--terms", "1" + "0" * 400, "--samples", "3")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.endswith(" terms need exact parts of about inf bits, an estimated inf GiB "
+                        "at peak, past the 6 GiB memory budget\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,8 +1,9 @@
 """Integer parts held as Decimals: generate's chain, its u2 file, and the
 part readers that compute-pi and validation read them through.
 
-Past its first steps, the squaring chain runs in Decimal under an exact
-context, and compute-pi --u2-file reads the file back as Decimals.
+A squaring chain whose parts end past 32,768 bits (k >= 13 on the ladder)
+runs in Decimal under an exact context past its first steps, and
+compute-pi --u2-file reads the file back as Decimals.
 Every reader must give on Decimal(n) exactly what it gives on the int n,
 so that every output stays byte-identical to the int code's.
 """
@@ -34,7 +35,7 @@ from machinlike.formulas import MachinFormula
 from machinlike.radical import u1_of_k
 from machinlike.series import _arctan_scaled, _branch_float, arctan_fast, auto_term_count
 from machinlike.squaring import (
-    ORACLE_MAX_K, _denominator, closing_parts, init_state, read_fraction_parts, square_step,
+    ORACLE_MAX_K, _denominator, _ends_in_decimal, closing_parts, init_state, read_fraction_parts, square_step,
     u2_direct_oracle, u2_of)
 
 
@@ -83,20 +84,26 @@ def _reference_parts(u1: int, k: int) -> list[str]:
     return [str(_as_decimal(a + b)), str(_as_decimal(a - b))]
 
 
-def test_the_chain_moves_to_decimal_once_its_parts_pass_2048_bits():
+def test_a_chain_runs_in_ints_unless_its_parts_end_past_32768_bits():
     small = closing_parts(40, 6)    # 176-bit parts stay ints
     assert [str(_as_decimal(part)) for part in small] == _reference_parts(40, 6)
     assert all(type(part) is int for part in small)
-    big = closing_parts(u1_of_k(12), 12)
-    assert all(isinstance(part, Decimal) for part in big)
-    assert [str(part) for part in big] == _reference_parts(u1_of_k(12), 12)
-    # on the ladder's u1 the parts change kind between k = 9 and 10; generate's
-    # u2 below that stays a Fraction, which perfbench's wrong-u2-file test adds to.
-    # The closed-form D at k - 1 takes the parts' kind.
+    # k = 12's closing parts, about 22,200 bits, stay ints; k = 13's, about
+    # 48,500, move to Decimal on the way
+    for k, kind in ((12, int), (13, Decimal)):
+        parts = closing_parts(u1_of_k(k), k)
+        assert all(type(part) is kind for part in parts), k
+        assert [str(_as_decimal(part)) for part in parts] == _reference_parts(u1_of_k(k), k)
+    # generate's u2 through k = 12 stays a Fraction, which perfbench's
+    # wrong-u2-file test adds to.  The closed-form D at k - 1 takes the parts' kind.
     for k in range(2, 17):
         kinds = {type(part) for part in closing_parts(u1_of_k(k), k)}
         kinds.add(type(_denominator(u1_of_k(k), k - 1)))
-        assert kinds == ({int} if k <= 9 else {Decimal}), k
+        assert kinds == ({int} if k <= 12 else {Decimal}), k
+    # the rule itself: final parts of 32,768 bits stay ints, one bit more moves
+    # them; a chain of no steps keeps z(1)'s ints however wide
+    assert not _ends_in_decimal(16_384, 1) and _ends_in_decimal(16_385, 1)
+    assert not _ends_in_decimal(1 << 20, 0)
 
 
 def _digits(count: int, seed: int) -> int:

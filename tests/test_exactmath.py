@@ -1,5 +1,6 @@
 """Numeric plumbing: contexts, conversions, digit bookkeeping."""
 
+import random
 import sys
 from contextlib import contextmanager
 from decimal import Decimal, getcontext
@@ -140,6 +141,22 @@ def test_int_digit_count_just_below_a_power_of_ten():
 @given(st.integers(min_value=1, max_value=10**200))
 def test_int_digit_count_property(n):
     assert int_digit_count(n) == len(str(n))
+
+
+def _random_int(bits: int, seed: int, negative: bool) -> int:
+    n = random.Random(seed).getrandbits(bits)
+    return -n if negative else n
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.one_of(
+    # +-(10^j + d) beside every power of ten the int path compares against
+    st.builds(lambda j, d, negative: (-1 if negative else 1) * (10**j + d),
+              st.integers(0, 20_000), st.sampled_from([-1, 0, 1]), st.booleans()),
+    st.builds(_random_int, st.integers(0, 100_000), st.integers(0, 2**32), st.booleans())))
+def test_int_digit_count_of_an_int_is_its_decimals(n):
+    # the int path reads a bit length; a Decimal of the same value, its exponent
+    assert int_digit_count(n) == _as_decimal(n).adjusted() + 1
 
 
 def test_coinciding_digits_examples():

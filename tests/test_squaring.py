@@ -139,7 +139,7 @@ u1_values = st.one_of(
 @settings(deadline=None, max_examples=60)
 @given(u1_values, st.integers(min_value=2, max_value=9))
 def test_u2_from_the_state_one_squaring_short(u1, k):
-    # past 2,048 bits the parts are Decimals: read them as ints
+    # a chain whose parts end past 32,768 bits has Decimal parts: read them as ints
     num, den = map(_as_int, closing_parts(u1, k))
     d = _as_int(_denominator(u1, k - 1))
     assert Fraction(num, den) == u2_of(u1, k) == u2_direct_oracle(u1, k)

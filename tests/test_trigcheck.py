@@ -317,11 +317,12 @@ def test_verify_k_catches_a_wrong_chain(monkeypatch, capsys):
     assert result.ok is False
     assert main(["verify", "--k", "6", "--precision", "60"]) == EXIT_VERIFY
     assert json.loads(capsys.readouterr().out)["ok"] is False
-    # at Decimal depths: k = 12, where the unit circle and the oracle both
-    # flag the part, and k = 14, past the oracle, where the unit circle
-    # does; the trig closed form sees only leading digits and passes
-    for k, oracle in ((12, False), (14, None)):
-        assert all(isinstance(part, Decimal) for part in real(u1_of_k(k), k))
+    # deeper: k = 12, the oracle's last depth, where the unit circle and the
+    # oracle both flag the int part, and k = 14, past the oracle, where the
+    # unit circle flags the Decimal part; the trig closed form sees only
+    # leading digits and passes
+    for k, oracle, kind in ((12, False, int), (14, None, Decimal)):
+        assert all(type(part) is kind for part in real(u1_of_k(k), k))
         result = verify_k(k, precision=60)
         assert result.unit_circle_exact is False, k
         assert result.oracle_matched is oracle, k
