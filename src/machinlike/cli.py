@@ -124,11 +124,12 @@ _BOUNDS = (("k", 2, MAX_LADDER_K), ("precision", 20, None), ("terms", 1, None),
 # Peak RSS over the interpreter's per byte of a --precision P run's widest
 # working integer, about 2**(3.322 (P + 25 + 2G)) with G guard digits:
 # reference pi's 10**(P + 25) and arctan_sum's 2**bits, which carries the
-# G digits twice.  At P = 10**5 (2 vCPUs, Python 3.11) compute-pi took
-# 9.5-12.6, generate 6.3 and verify, whose trig check works on Decimals of
-# P digits, 172 (158 at P = 30,000).
+# G digits twice.  At P = 10**5 (2 vCPUs, Python 3.11, fresh processes)
+# compute-pi took 9.5-12.6, generate 6.3 and verify, whose trig check
+# works on Decimals of P digits, 33-47 at k = 2, 3 and 12 (12-35 at
+# P = 30,000).
 _PRECISION_PEAK_PER_BYTE = 16
-_VERIFY_PEAK_PER_BYTE = 192
+_VERIFY_PEAK_PER_BYTE = 64
 
 
 def _check_args(args: argparse.Namespace) -> None:

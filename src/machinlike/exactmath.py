@@ -40,6 +40,7 @@ and RationalParts, the parts as written, read with no gcd at all.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import os
 from contextlib import contextmanager
@@ -295,7 +296,14 @@ def int_digit_count(n: int | Decimal) -> int:
     if n < 10:
         return 1
     d = (n.bit_length() - 1) * _LOG10_2_NUM // _LOG10_2_DEN
-    return d + 1 + (n >= 10 ** (d + 1))
+    return d + 1 + (n >= _power_of_ten(d + 1))
+
+
+# verify counts u2's two parts about seven times a request, at the same
+# two widths: building 10**d took about 64 us at 23,500 bits
+@functools.lru_cache(maxsize=32)
+def _power_of_ten(d: int) -> int:
+    return 10**d
 
 
 def coinciding_digits(a: Decimal, b: Decimal) -> int:

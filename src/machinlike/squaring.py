@@ -26,8 +26,8 @@ rounded_u2 runs the same squaring step in its own loop under a rounding
 context of W digits, on z(1)'s unit-modulus parts, closes with the same
 (A + B)/(A - B), and refuses, with PrecisionError, a W that the closing
 subtraction leaves too few correct digits of.  u2_direct_oracle, verify's
-check on the chain, shares none of its code: it doubles a tangent in
-lowest-terms Fractions.
+check on the chain, shares none of its code: it doubles a tangent on two
+coprime ints, which halving alone keeps in lowest terms, with no gcd.
 """
 
 from __future__ import annotations
@@ -69,8 +69,9 @@ _DECIMAL_BITS = 2048
 _INT_CHAIN_BITS = 32768
 
 # Deepest k verify runs the direct oracle at; its cost grows about fourfold
-# per step (best of 5 on the ladder's u1: 2.0 ms at k = 12, 8.7 ms at k = 13,
-# 37 ms at k = 14; 2 vCPUs, Python 3.11).
+# per step (best of 5 on the ladder's u1: 0.18 ms at k = 12, 0.62 ms at
+# k = 13, 2.3 ms at k = 14; 2 vCPUs, Python 3.11).  A deeper limit would
+# change verify's oracle_matched at those k from null to true.
 ORACLE_MAX_K = 12
 
 
@@ -242,9 +243,18 @@ def u2_direct_oracle(u1: Fraction | int, k: int) -> Fraction:
     """u2 straight from its definition, with none of the iteration's
     structure: 1/u2 = tan(pi/4 - phi) with phi = 2**(k-1) atan(1/u1), so
     t = tan(phi) by the double-angle step t -> 2t/(1 - t^2), k-1 times from
-    1/u1, and u2 = (1 + t)/(1 - t).  One Fraction, in lowest terms after
-    every operation; no common denominator and no closing of parts.  Its
-    cost sets the depth limit ORACLE_MAX_K.
+    1/u1, and u2 = (1 + t)/(1 - t).  No common denominator and no closing
+    of parts.  Its cost sets the depth limit ORACLE_MAX_K.
+
+    t = a/b is kept as two coprime ints, the sign on either.  A step maps
+    it to 2ab/(b^2 - a^2) and the close to (b + a)/(b - a), and each pair
+    is brought to lowest terms by halving both when both are even, so no
+    gcd is taken.  That suffices: an odd prime dividing 2ab divides a or
+    b, and then, dividing b^2 - a^2 or b + a or b - a, the other too.  So
+    gcd(2ab, b^2 - a^2) and gcd(b + a, b - a) are powers of 2, and
+    at most 2: if one of a and b is even, b^2 - a^2 and b +- a are odd;
+    if both are odd, 2ab is 2 times an odd number, and b + a and b - a,
+    which sum to 2b, cannot both be multiples of 4.
 
     Neither divisor can vanish: t = +-1 would need the t before it to be
     -1 +- sqrt(2), which is irrational, and t starts at 1/u1, in (0, 1).
@@ -254,10 +264,15 @@ def u2_direct_oracle(u1: Fraction | int, k: int) -> Fraction:
         raise DomainError(f"u1 must exceed 1, got {u1}")
     if not 2 <= k <= ORACLE_MAX_K:
         raise DomainError(f"oracle depth k={k} outside [2, {ORACLE_MAX_K}]")
-    t = 1 / u1
+    a, b = u1.denominator, u1.numerator
     for _ in range(k - 1):
-        t = 2 * t / (1 - t * t)
-    return (1 + t) / (1 - t)
+        a, b = 2 * a * b, (b - a) * (b + a)
+        if not (a | b) & 1:
+            a, b = a >> 1, b >> 1
+    p, q = b + a, b - a
+    if not (p | q) & 1:
+        p, q = p >> 1, q >> 1
+    return coprime_fraction(p, q)
 
 
 def write_fraction_file(path, value: Fraction | RationalParts) -> None:

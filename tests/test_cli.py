@@ -193,9 +193,9 @@ def test_error_curve_past_the_memory_budget_is_refused_before_any_summing(
     (["generate", "--k", "5", "--precision", "1000000000"],
      "--precision 1000000000 needs working integers of about 3.32e+09 bits, "
      "an estimated 6.19 GiB"),
-    # verify's trig check peaks at about 12 times compute-pi's per digit
-    (["verify", "--k", "5", "--precision", "100000000"],
-     "--precision 100000000 needs working integers of about 3.32e+08 bits, "
+    # verify's trig check peaks at about 4 times compute-pi's per digit
+    (["verify", "--k", "5", "--precision", "300000000"],
+     "--precision 300000000 needs working integers of about 9.97e+08 bits, "
      "an estimated 7.43 GiB"),
     # a width past a float's range is named, not raised
     (["verify", "--k", "5", "--precision", "1" + "0" * 400],

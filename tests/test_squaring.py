@@ -323,6 +323,37 @@ def test_oracle_agrees_with_chain_on_rational_u1(u1, k):
     assert u2_direct_oracle(u1, k) == u2_of(u1, k)
 
 
+def fraction_oracle(u1, k):
+    """The direct oracle as Fractions, each operation reduced by a gcd: the
+    reference the two-int doubling must reproduce."""
+    t = 1 / Fraction(u1)
+    for _ in range(k - 1):
+        t = 2 * t / (1 - t * t)
+    return (1 + t) / (1 - t)
+
+
+def same_fraction(got, want):
+    return type(got) is Fraction and (got.numerator, got.denominator) == (
+        want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_oracle_equals_the_fraction_doubling_on_the_ladder(k):
+    u1 = u1_of_k(k)
+    assert same_fraction(u2_direct_oracle(u1, k), fraction_oracle(u1, k))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(
+           st.integers(min_value=2, max_value=10**4),
+           st.integers(min_value=2, max_value=10**6).flatmap(
+               lambda p: st.builds(Fraction, st.just(p), st.integers(1, p - 1)))),
+       st.integers(min_value=2, max_value=12))
+def test_oracle_equals_the_fraction_doubling_on_rational_u1(u1, k):
+    # odd and even parts both: the halvings are the only reduction taken
+    assert same_fraction(u2_direct_oracle(u1, k), fraction_oracle(u1, k))
+
+
 def test_u2_of_k1_rejected():
     with pytest.raises(DomainError):
         u2_of(5, 1)

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from machinlike.errors import DomainError, PrecisionError
 from machinlike.exactmath import (
@@ -169,6 +169,46 @@ def test_dec_sin_cos_pythagorean():
         with working_context(50):
             residual = abs(s * s + c * c - 1)
         assert residual < Decimal("1e-40"), theta
+
+
+def taylor_sin_cos(theta: Decimal, digits: int) -> tuple[Decimal, Decimal]:
+    """sin and cos of theta by the plain Taylor sums, unhalved, on theta
+    reduced to [-pi, pi], every term at digits + 20 working digits."""
+    wide = digits + 2 * max(theta.adjusted() + 1, 0) + 20
+    with working_context(wide):
+        two_pi = 2 * reference_pi(wide)
+        r = theta - (theta / two_pi).to_integral_value() * two_pi
+    with working_context(digits + 20):
+        r = +r
+        sums = []
+        for term, n in ((r, 1), (Decimal(1), 0)):
+            total = Decimal(0)
+            while abs(term) > Decimal(1).scaleb(-digits - 25):
+                total += term
+                term = -term * r * r / ((n + 1) * (n + 2))
+                n += 2
+            sums.append(total)
+    return sums[0], sums[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.builds(lambda m, e: Decimal(m).scaleb(-e),
+                       st.integers(-10**12, 10**12), st.integers(6, 40)),
+       precision=st.integers(5, 2000), guard=st.integers(0, 10))
+@example(theta=Decimal("987654.321"), precision=2000, guard=0)
+@example(theta=Decimal("-3.1415926"), precision=1999, guard=10)
+def test_halved_sin_cos_matches_the_full_width_taylor_sums(theta, precision, guard):
+    """Correct to precision significant digits at every guard budget: within
+    half a unit of the last digit of the full-width sums, and the
+    10**-(precision + guard + 5) that bounds the halving's own error."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("MACHINLIKE_GUARD_DIGITS", str(guard))
+        values = dec_sin_cos(theta, precision)
+    for value, exact in zip(values, taylor_sin_cos(theta, precision + guard + 10)):
+        half_unit = Decimal(5).scaleb(value.adjusted() - precision) if value else 0
+        slack = Decimal(1).scaleb(-precision - guard - 5)
+        with working_context(precision + guard + 30):
+            assert abs(value - exact) <= half_unit + slack, (theta, precision, guard)
 
 
 def test_u2_trig_matches_exact_fraction():
