@@ -6,8 +6,8 @@ The pipeline in one breath: a nested radical ladder picks an integer u1
 at each depth k, an exact complex squaring chain turns (u1, k) into the
 closing cotangent u2 with pi/4 = 2^(k-1) atan(1/u1) + atan(1/u2), a
 rapidly convergent series turns any such formula into digits of pi, and
-closed-form trigonometry plus a direct oracle, tangent doubling in
-Fractions, check the whole construction from the outside.
+closed-form trigonometry plus a direct oracle, tangent doubling on two
+ints, check the whole construction from the outside.
 """
 
 from .errors import (

@@ -195,8 +195,7 @@ def _emit(payload: dict) -> None:
 def cmd_generate(args: argparse.Namespace) -> int:
     k = args.k
     u1 = u1_of_k(k)
-    # from k = 13 the chain runs in Decimal past its first steps, whose parts
-    # print in one pass
+    # from k = 13 the chain runs in Decimal, whose parts print in one pass
     u2 = coprime_fraction(*squaring.closing_parts(u1, k, args.allow_huge))
     out = args.out or f"u2-k{k}.txt"
     squaring.write_fraction_file(out, u2)

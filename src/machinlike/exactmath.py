@@ -12,12 +12,13 @@ Decimal step that can round runs in one of them, so no result depends on
 the caller's context: its rounding, precision, exponent limits and traps.
 
 Integer parts come in two kinds: an ``int``, or an integral ``Decimal`` of
-exponent 0.  A squaring chain whose parts end within 32,768 bits keeps
-them ints, which Python multiplies 2-7 times faster than libmpdec at
-2,048-22,000 bits; a longer one moves them to Decimal once they pass
-2,048 bits, since libmpdec multiplies wider ones with a number-theoretic
-transform and prints and parses them in one linear pass (the table is
-at squaring._INT_CHAIN_BITS).  Every part is printed as
+exponent 0.  A squaring chain's parts keep one kind from its first step
+to its last.  A chain whose parts end within 32,768 bits keeps them ints,
+which Python multiplies 2-7 times faster than libmpdec at 2,048-22,000
+bits; a longer one runs in Decimal throughout, since libmpdec multiplies
+the wide parts it ends on with a number-theoretic transform and prints
+and parses them in one linear pass (the table is at
+squaring._INT_CHAIN_BITS).  Every part is printed as
 str(_as_decimal(part)) and fraction files are read with Decimal(text).
 A part changes kind only through _as_int and _as_decimal.
 The part readers (int_digit_count, int_log10, reciprocal, coprime_fraction
@@ -147,11 +148,6 @@ _LEAF_BITS = 2048
 _LEAF_DIGITS = 640
 
 
-# A Decimal part this short is read as an int: converting it is cheap, and
-# every reader then runs the int code itself.
-_SHORT_DIGITS = 600
-
-
 def _as_int(n: int | Decimal) -> int:
     """An int part as it is; an integral Decimal through its text, since
     int() of a huge Decimal is quadratic."""
@@ -233,13 +229,15 @@ def _leading_bits(n: int | Decimal, window: int) -> tuple[int, int]:
     bit length of |n|: the top ``window`` bits and the power of two below
     them."""
     if isinstance(n, Decimal):
-        if n.adjusted() >= _SHORT_DIGITS + window // 3:
+        # window // 3 keeps the shift positive however wide the window
+        if n.adjusted() >= _LEAF_DIGITS + window // 3:
             # 10**adjusted <= |n| < 10**(adjusted + 1), so this leaves
             # window + 1 to window + 7 bits above the shift
             shift = int(n.adjusted() * 3.321928094887362) - window - 1
             top = _scaled_floor(n.copy_abs(), 1, -shift)
             extra = top.bit_length() - window
             return shift + extra, top >> extra
+        # a part this short is cheap to read as an int, for the int code below
         n = _as_int(n)
     n = abs(n)
     shift = max(n.bit_length() - window, 0)

@@ -164,7 +164,9 @@ def lehmer_measure(formula: MachinFormula) -> MeasureReport:
 def validate_formula(formula: MachinFormula, precision: int) -> ValidationResult:
     """Evaluate 4 times the formula's right side and compare against pi.
 
-    The threshold |4*sum - pi| < 10**-(precision - 5) leaves room for the
+    The sum runs over lehmer_reduced(formula, precision), the equal formula
+    compute-pi sums, so a wide cotangent costs what it costs there.  The
+    threshold |4*sum - pi| < 10**-(precision - 5) leaves room for the
     evaluation's own rounding while catching any wrong formula, whose
     residual, 4*sum - pi, would be astronomically larger.
     """
@@ -172,7 +174,8 @@ def validate_formula(formula: MachinFormula, precision: int) -> ValidationResult
         raise PrecisionError(f"validation precision must be >= 20, got {precision}")
     if not formula.exact():
         raise DomainError("cannot validate a formula with magnitude-only terms")
-    total = series.arctan_sum([(4 * coeff, beta) for coeff, beta in formula.terms], precision)
+    terms = lehmer_reduced(formula, precision).terms
+    total = series.arctan_sum([(4 * coeff, beta) for coeff, beta in terms], precision)
     work = precision + guard_digits()
     with working_context(work):
         residual = total - series.reference_pi(work)
@@ -192,7 +195,7 @@ def two_term_formula(k: int, u2_value: Cotangent | None = None,
     Pass ``u2_value`` (exact or magnitude-only) to reuse a known closing
     cotangent, and ``u1`` a known u1_of_k(k), instead of recomputing them.
     By default u2 is closing_parts' coprime pair as generate takes it: a
-    Fraction, or RationalParts of Decimals once the chain moved to them.
+    Fraction, or RationalParts of Decimals when the chain runs in them.
     Past the desk-scale cap pass u2_value=u2_of(u1, k, allow_huge=True).
     """
     if k < 2:

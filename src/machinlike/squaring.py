@@ -6,12 +6,12 @@ unit circle, and the closing cotangent of the two-term identity is
 u2 = x(k)/(1 - y(k)).  Everything here is exact but rounded_u2.
 
 One exact chain, shared_parts, squares z's two integer numerators under
-an exact Decimal context.  Their kind is fixed once, by _ends_in_decimal,
-from the width the final parts reach: a chain that ends within
-_INT_CHAIN_BITS runs in ints throughout, where Python's multiply is 2-7
-times faster than libmpdec's, and a longer one starts in ints and moves
-to Decimal past _DECIMAL_BITS, where libmpdec's number-theoretic multiply
-pays off over the chain and a part prints and parses in one linear pass.
+an exact Decimal context.  Their kind is fixed once, before the first
+step, by _ends_in_decimal, from the width the final parts reach: a chain
+that ends within _INT_CHAIN_BITS runs in ints, where Python's multiply is
+2-7 times faster than libmpdec's, and a longer one runs in Decimal, where
+libmpdec's number-theoretic multiply pays off over the chain and a part
+prints and parses in one linear pass.
 No loop squares their common denominator D, z(1)'s reduced denominator to
 the 2**(k-1); _denominator gives it, of the parts' kind by the same rule,
 where a value needs it.
@@ -48,22 +48,15 @@ from .exactmath import (
 # once more for its unit-circle check, 1.8 s (2 vCPUs, Python 3.11).
 DESK_SCALE_MAX_K = 20
 
-# A chain whose final parts pass _INT_CHAIN_BITS moves them to Decimal
-# here, on the model's bit length of its parts: best of 5, ms, for the
-# chain behind generate at k = 13/14/15/16 (2 vCPUs, Python 3.11), all-int
-# 1.5/5.4/15/38 against 2.0-2.2/4.9-5.0/7.2-9.6/18-22 switching at 512 to
-# 4,096 bits, and 2.4/5.4/7.9/19 at 8,192.  At k = 13 the int chain is
-# faster, but its parts then cost 5-90 ms more to print and parse.
-_DECIMAL_BITS = 2048
-
-# A chain whose final parts stay within this many bits runs in ints
-# throughout.  One squaring, best of three medians of 25, ms, int against
-# Decimal under _EXACT (2 vCPUs, Python 3.11): 0.0043/0.0121 at 2,048
-# bits, 0.048/0.339 at 11,000, 0.147/0.306 at 22,000, 0.305/0.557 at
-# 32,768, 0.545/0.585 at 47,000 and 2.84/2.49 at 131,072.  The bound sits
+# A chain whose final parts stay within this many bits runs in ints, and
+# a longer one in Decimal, each from its first step.  One squaring, best
+# of three medians of 25, ms, int against Decimal under _EXACT (2 vCPUs,
+# Python 3.11): 0.0043/0.0121 at 2,048 bits, 0.048/0.339 at 11,000,
+# 0.147/0.306 at 22,000, 0.305/0.557 at 32,768, 0.545/0.585 at 47,000
+# and 2.84/2.49 at 131,072.  The bound sits
 # between the ladder's closing parts at k = 12 (22.2k bits) and k = 13
 # (48.5k), so verify and compute-pi --k through k = 12 square, check the
-# unit circle and read u2 on ints, and generate from k = 13 on still
+# unit circle and read u2 on ints, and generate from k = 13 on squares,
 # prints and parses Decimals; at k = 12 generate pays about 1 ms more to
 # print its int parts through _as_decimal.
 _INT_CHAIN_BITS = 32768
@@ -109,11 +102,12 @@ def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
     stops at z(k-1), and k below 2 is refused.  Every message names k.
 
     The loop runs under exactmath._EXACT (prec=MAX_PREC, Inexact
-    trapped).  The parts start as ints.  When the model's size of D, below,
-    will end past _INT_CHAIN_BITS (_ends_in_decimal), they move to integral
-    Decimals once it passes _DECIMAL_BITS; otherwise they stay ints.  A
-    caller combines Decimal parts only under _EXACT: the default context
-    rounds them to 28 digits, or overflows.
+    trapped).  The parts keep one kind from the first step to the last.
+    When the model's size of D, below, will end past _INT_CHAIN_BITS
+    (_ends_in_decimal), z(1)'s numerators become integral Decimals before
+    the first step; otherwise they stay ints.  A caller combines Decimal
+    parts only under _EXACT: the default context rounds them to 28 digits,
+    or overflows.
 
     The parts at depth n have about bits(z(1)'s denominator) * 2**(n-1)
     bits.  generate's peak RSS above the interpreter's, on its Decimal
@@ -137,22 +131,18 @@ def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
     # like every rational point of the unit circle, z(1) has one reduced denominator
     bits = start.x.denominator.bit_length()
     _refuse_past_budget(f"k={k} needs squaring-chain parts", bits << (k - _least), 19)
-    move = _ends_in_decimal(bits, k - _least)
     x, y = start.x.numerator, start.y.numerator
+    if _ends_in_decimal(bits, k - _least):
+        x, y = _as_decimal(x), _as_decimal(y)
     with localcontext(_EXACT):
         for _ in range(k - _least):
-            if move and isinstance(x, int) and bits > _DECIMAL_BITS:
-                x, y = _as_decimal(x), _as_decimal(y)
             x, y = (x - y) * (x + y), 2 * x * y
-            bits *= 2
     return x, y
 
 
 def _ends_in_decimal(bits: int, steps: int) -> bool:
     """Whether a chain that squares parts of ``bits`` bits ``steps`` times
-    ends in Decimal: when its final parts pass _INT_CHAIN_BITS.  Before
-    the last step they are then past _INT_CHAIN_BITS / 2, above
-    _DECIMAL_BITS, so the move there always happens."""
+    runs in Decimal: when its final parts pass _INT_CHAIN_BITS."""
     return steps > 0 and bits << steps > _INT_CHAIN_BITS
 
 

@@ -211,7 +211,7 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
 
     squaring.closing_parts runs generate's chain once, to (A + B, A - B)
     from the state (A + iB)/D at k - 1: ints through k = 12, and from
-    k = 13 Decimal parts past its first steps.
+    k = 13 Decimals throughout.
     Checks: (A + B)^2 + (A - B)^2 == 2D^2, under exactmath._EXACT with D
     from a closed form the chain never touches, is the unit circle
     A^2 + B^2 == D^2 there (equivalent to the check at k); the trig closed

@@ -2,7 +2,7 @@
 part readers that compute-pi and validation read them through.
 
 A squaring chain whose parts end past 32,768 bits (k >= 13 on the ladder)
-runs in Decimal under an exact context past its first steps, and
+runs in Decimal under an exact context from its first step, and
 compute-pi --u2-file reads the file back as Decimals.
 Every reader must give on Decimal(n) exactly what it gives on the int n,
 so that every output stays byte-identical to the int code's.
@@ -15,7 +15,7 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from machinlike import cli
 from machinlike.errors import DomainError
@@ -35,8 +35,8 @@ from machinlike.formulas import MachinFormula
 from machinlike.radical import u1_of_k
 from machinlike.series import _arctan_scaled, _branch_float, arctan_fast, auto_term_count
 from machinlike.squaring import (
-    ORACLE_MAX_K, _denominator, _ends_in_decimal, closing_parts, init_state, read_fraction_parts, square_step,
-    u2_direct_oracle, u2_of)
+    ORACLE_MAX_K, _denominator, _ends_in_decimal, closing_parts, init_state, read_fraction_parts,
+    shared_parts, square_step, u2_direct_oracle, u2_of)
 
 
 def _dec(n: int) -> Decimal:
@@ -89,7 +89,7 @@ def test_a_chain_runs_in_ints_unless_its_parts_end_past_32768_bits():
     assert [str(_as_decimal(part)) for part in small] == _reference_parts(40, 6)
     assert all(type(part) is int for part in small)
     # k = 12's closing parts, about 22,200 bits, stay ints; k = 13's, about
-    # 48,500, move to Decimal on the way
+    # 48,500, are Decimals from the first step
     for k, kind in ((12, int), (13, Decimal)):
         parts = closing_parts(u1_of_k(k), k)
         assert all(type(part) is kind for part in parts), k
@@ -104,6 +104,58 @@ def test_a_chain_runs_in_ints_unless_its_parts_end_past_32768_bits():
     # them; a chain of no steps keeps z(1)'s ints however wide
     assert not _ends_in_decimal(16_384, 1) and _ends_in_decimal(16_385, 1)
     assert not _ends_in_decimal(1 << 20, 0)
+
+
+@st.composite
+def chain_ends(draw):
+    """(u1, k): a rational u1 > 1 whose z(1) has a reduced denominator of
+    3 to about 3,000 bits, and a k at which shared_parts' chain ends
+    within 2**17 bits, so that chains end on both sides of 32,768 bits."""
+    top = draw(st.integers(2, 1500))
+    num = draw(st.integers(1 << (top - 1), (1 << top) - 1))
+    u1 = Fraction(num, draw(st.integers(1, num - 1)))
+    bits = init_state(u1).x.denominator.bit_length()
+    return u1, draw(st.integers(2, ((1 << 17) // bits).bit_length()))
+
+
+def _reference_state(u1: Fraction, k: int):
+    """z(k) from the plain Fraction reference, and z(1)'s denominator to
+    the 2**(k-1), the chain's D at k, as ints."""
+    state = init_state(u1)
+    den = state.x.denominator ** (1 << (k - 1))
+    for _ in range(k - 1):
+        state = square_step(state)
+    return state, den
+
+
+def _one_kind(parts, decimal: bool):
+    kind = Decimal if decimal else int
+    assert all(type(part) is kind for part in parts), (kind, parts)
+    assert all(part.as_tuple().exponent == 0 for part in parts if decimal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain=chain_ends())
+# z(1)'s denominator has 14 bits: the model's 28,672-bit closing parts
+# stay ints, and shared_parts' 57,344 are Decimals
+@example(chain=(Fraction(163, 7), 13))
+# the ladder's u1 at k = 13: 49,152 and 98,304 bits, both Decimal
+@example(chain=(Fraction(u1_of_k(13)), 13))
+# a z(1) denominator of 3,000 bits: 24,000-bit closing parts at k = 5
+@example(chain=(Fraction(2**1500 + 3, 5), 5))
+@example(chain=(Fraction(2**1500 + 3, 5), 6))
+def test_a_chain_keeps_the_kind_its_end_names_from_its_first_step(chain):
+    u1, k = chain
+    bits = init_state(u1).x.denominator.bit_length()
+    state, den = _reference_state(u1, k)
+    x, y = parts = shared_parts(u1, k)
+    assert (Fraction(_as_int(x), den), Fraction(_as_int(y), den)) == (state.x, state.y)
+    _one_kind([*parts, _denominator(u1, k)], _ends_in_decimal(bits, k - 1))
+    state, den = _reference_state(u1, k - 1)
+    a, b = state.x * den, state.y * den
+    closing = closing_parts(u1, k)
+    assert [_as_int(part) for part in closing] == [a + b, a - b]
+    _one_kind([*closing, _denominator(u1, k - 1)], _ends_in_decimal(bits, k - 2))
 
 
 def _digits(count: int, seed: int) -> int:

@@ -17,9 +17,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from machinlike import cli
+from machinlike import cli, formulas, series
 from machinlike.exactmath import RationalParts, guard_digits, reciprocal, working_context
-from machinlike.formulas import MachinFormula, fixtures, lehmer_reduced, two_term_formula
+from machinlike.formulas import (
+    MachinFormula, fixtures, lehmer_reduced, two_term_formula, validate_formula)
 from machinlike.series import arctan_fast, reference_pi
 
 
@@ -105,6 +106,28 @@ def test_the_rule_reads_the_precision_and_the_width():
     wide = two_term_formula(13)
     assert lehmer_reduced(wide, 1000) == wide
     assert len(lehmer_reduced(wide, 2000).terms) > 2
+
+
+def test_validation_sums_the_levels_compute_pi_sums(monkeypatch):
+    """validate_formula hands arctan_sum the terms of lehmer_reduced at its
+    precision, and its result is the unreduced sum's."""
+    formula = two_term_formula(12)
+    reduced = lehmer_reduced(formula, 2000)
+    assert len(reduced.terms) > 2
+    summed = []
+    arctan_sum = series.arctan_sum
+
+    def spy(pairs, precision, *rest):
+        summed.append(list(pairs))
+        return arctan_sum(summed[-1], precision, *rest)
+
+    monkeypatch.setattr(series, "arctan_sum", spy)
+    result = validate_formula(formula, 2000)
+    assert summed == [[(4 * coeff, beta) for coeff, beta in reduced.terms]]
+    monkeypatch.setattr(formulas, "lehmer_reduced", lambda formula, precision: formula)
+    unreduced = validate_formula(formula, 2000)
+    assert len(summed[1]) == 2
+    assert result == unreduced and result.valid
 
 
 def _run(*argv):
