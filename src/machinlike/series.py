@@ -64,6 +64,7 @@ from .exactmath import (
 
 
 _LOG10_2, _LOG2_10 = 0.3010299956639812, 3.321928094887362
+_pi_places = 0    # the widest pi asked for: by _pi_scaled's bound, truncating it gives pi
 
 
 def _branch_float(x: Fraction | RationalParts, bits: int) -> tuple[int, int, int, int]:
@@ -315,9 +316,12 @@ def reference_pi(precision: int) -> Decimal:
     Maclaurin series, on purpose: convergence claims about the fast
     series are tested against a pi that shares no code with it.
     """
+    global _pi_places
     if precision < 1:
         raise DomainError(f"precision must be >= 1, got {precision}")
-    return _as_decimal(_pi_scaled(precision)).scaleb(-precision, _EXACT)
+    _pi_places = max(_pi_places, precision)
+    scaled = _pi_scaled(_pi_places) // 10**(_pi_places - precision)
+    return _as_decimal(scaled).scaleb(-precision, _EXACT)
 
 
 def _term_rate(p: tuple[int, int], q: tuple[int, int]) -> float:

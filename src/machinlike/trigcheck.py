@@ -1,25 +1,19 @@
 """Closed-form trigonometric cross-checks for generated pairs.
 
-With phi = 2^(k-1) * atan(2*u1/(u1^2 - 1)), the closing cotangent is
-exactly cos(phi)/(1 - sin(phi)).  Evaluating that in plain decimal
-trigonometry and comparing against the exact rational from the squaring
-chain catches errors in either path.  The trigonometry shares the
+The pair's definition, pi/4 = 2^(k-1) atan(1/u1) + atan(1/u2), makes the
+closing cotangent cot(pi/4 - 2^(k-1) atan(1/u1)).  Evaluating that in plain
+decimal trigonometry and comparing against the exact rational from the
+squaring chain catches errors in either path.  The trigonometry shares the
 Maclaurin loop and reference pi with series and never touches the
 squaring chain: dec_sin_cos sums a sine's Taylor series on the reduced
 angle halved about sqrt(0.83 W) times, for W working digits, and
-doubles back with its own loop.  The exact (sin phi, cos phi) is
-state_at's (y, x).
+doubles back with its own loop.
 verify_k reads generate's chain through squaring.closing_parts, Decimal
 parts and all, squares them for the unit circle under exactmath._EXACT,
 and checks the pair's identity through formulas.validate_formula, the
 check generate runs.  u2_trig has no other caller: measure past the
 desk-scale cap reads u2 from squaring.rounded_u2, so the closed form stays
 verify's independent check.
-
-The 1 - sin(phi) denominator is brutally ill-conditioned on purpose:
-sin(phi) approaches 1 like 2/u2^2, so roughly 2*log10|u2| digits die in
-the subtraction.  u2_trig measures the loss and retries with a wider
-working precision until the requested digits survive.
 """
 
 from __future__ import annotations
@@ -143,13 +137,19 @@ def dec_sin_cos(theta: Decimal, precision: int) -> tuple[Decimal, Decimal]:
 
 
 def u2_trig(u1: int, k: int, precision: int) -> Decimal:
-    """The closing cotangent by closed-form trigonometry.
+    """The closing cotangent cot(theta), theta = pi/4 - 2^(k-1) atan(1/u1),
+    by closed-form trigonometry, to ``precision`` significant digits.
 
-    Returns cos(phi)/(1 - sin(phi)) to ``precision`` significant digits,
-    phi = 2^(k-1) * atan(2*u1/(u1^2 - 1)), the argument handed to dec_arctan
-    as its exact Fraction and never rounded.  If the denominator vanishes
-    below 10**-precision at the widest attempted working precision the
-    pair is degenerate for this precision and PrecisionError is raised.
+    An error e in theta moves cot(theta) by under pi e/(2d) relative, to first
+    order, d being theta's distance from a multiple of pi/2.  With T = precision
+    + G + 5 (G guard digits) and 10**m > 2^(k-1), angle(L) reads atan(1/u1) to
+    T + L + m + 2 digits, off by 0.4 * 10**-(T + L + 1) once times 2^(k-1), and
+    pi and the reduction 3 digits wider: theta mod pi and d are within
+    10**-(T + L + 1).  At L = 20, the ladder's loss through k = 64, d is known
+    to a tenth unless it vanishes below 10**-(T + 20); L = -d.adjusted() bounds
+    pi/(2d) by 2 * 10**L, and L > 20 takes theta again.  dec_sin_cos at T + L
+    digits errs by under 10**-(T + L + 5), |sin| and |cos| exceed 10**-L/2, and
+    with the roundings to T + L digits u2 is within 2 * 10**-T relative.
     """
     if u1 <= 1:
         raise DomainError(f"u1 must be > 1, got {u1}")
@@ -157,29 +157,26 @@ def u2_trig(u1: int, k: int, precision: int) -> Decimal:
         raise DomainError(f"k must be >= 1, got {k}")
     if precision < 5:
         raise DomainError(f"precision must be >= 5, got {precision}")
-    arg = Fraction(2 * u1, u1 * u1 - 1)
-    cushion = 2 * k + 40
-    for _ in range(7):
-        work = precision + k + cushion + guard_digits()
-        with working_context(work):
-            phi = Decimal(2) ** (k - 1) * dec_arctan(arg, work)
-            sin_phi, cos_phi = dec_sin_cos(phi, work)
-            denom = 1 - sin_phi
-            if denom == 0:
-                loss = work
-            else:
-                if abs(denom) < Decimal(1).scaleb(-precision):
-                    raise PrecisionError(
-                        f"1 - sin(phi) is below 10**-{precision}; "
-                        f"the pair is degenerate at this precision")
-                loss = -denom.adjusted()
-                if work - loss >= precision + guard_digits():
-                    result = cos_phi / denom
-                    return round_sig(result, precision)
-        cushion = loss + precision + 20
-    raise PrecisionError(
-        f"cancellation in 1 - sin(phi) kept outrunning the working "
-        f"precision for u1={u1}, k={k}")
+    target, m = precision + guard_digits() + 5, (k - 1) * 30103 // 100000 + 1
+
+    def angle(loss: int) -> tuple[Decimal, Decimal]:
+        places = target + loss + m + 5
+        with working_context(places):
+            pi = series.reference_pi(places)
+            theta = pi / 4 - 2 ** (k - 1) * dec_arctan(1 / Fraction(u1), places - 3)
+            theta -= (theta / pi).to_integral_value() * pi
+            return theta, min(abs(theta), pi / 2 - abs(theta))
+
+    theta, distance = angle(20)
+    if distance < Decimal(1).scaleb(-target - 20):
+        raise PrecisionError(f"theta is within 10**-{target + 20} of a multiple of pi/2")
+    loss = -distance.adjusted()
+    if loss > 20:
+        theta, _ = angle(loss)
+    sin_theta, cos_theta = dec_sin_cos(theta, target + loss)
+    with working_context(target + loss):
+        u2 = round_sig(cos_theta / sin_theta, precision)
+        return u2.quantize(Decimal(1).scaleb(u2.adjusted() + 1 - precision))  # -7 as -7.000...
 
 
 class TrigCheckResult(NamedTuple):
@@ -216,8 +213,7 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
     from a closed form the chain never touches, is the unit circle
     A^2 + B^2 == D^2 there (equivalent to the check at k); the trig closed
     form agrees with u2 = (A + B)/(A - B) to precision - 1 significant
-    digits, precision - 2 - u2.adjusted() places (all of u2_trig's digits
-    agreed over k = 2..20, precision 20..100 and guard digits 0 and 10); up
+    digits, precision - 2 - u2.adjusted() places (u2_trig proves its own); up
     to ORACLE_MAX_K the direct oracle's parts equal u2's; and
     pi = 4*(2^(k-1) atan(1/u1) + atan(1/u2)) passes
     formulas.validate_formula, the check generate runs.

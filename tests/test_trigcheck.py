@@ -133,7 +133,7 @@ def test_dec_arctan_reads_a_fraction_as_its_decimal(guard, x, precision):
 
 @pytest.mark.parametrize("precision", [5, 40, 120])
 def test_dec_arctan_of_the_exact_trig_argument(precision):
-    # u2_trig's argument 2u/(u^2 - 1), read unrounded: 4/3 at u = 2 takes
+    # tan(2 atan(1/u)) = 2u/(u^2 - 1), read unrounded: 4/3 at u = 2 takes
     # both exact steps, u = 3 and 4 the shifted branch, and u >= 5 the direct one
     for u in range(2, 41):
         x = Fraction(2 * u, u * u - 1)
@@ -219,8 +219,9 @@ def test_u2_trig_matches_exact_fraction():
         assert coinciding_digits(trig, exact) >= 50 - k - 10, k
 
 
-# cot(pi/16) to 30 digits: at k = 3 the angle 4 * atan(2u1/(u1^2 - 1))
-# lands within about 1e-29 of pi/2, so 1 - sin(phi) cancels some 60 digits
+# cot(pi/16) to 30 digits: at k = 3, theta = pi/4 - 4 atan(1/u1) lies within
+# about 1e-30 of 0, past the first angle's 20 digits of loss, so u2_trig reads
+# the arctangent a second time, wider
 COT_PI_16 = Fraction("5.02733949212584810451497507106")
 
 
@@ -258,15 +259,41 @@ def test_u2_trig_domain(monkeypatch):
         u2_trig(5, 0, 40)
     with pytest.raises(DomainError):
         u2_trig(5, 3, 4)
-    # sin(phi) = 1 exactly: 1 - sin(phi) cancels at every working precision
-    monkeypatch.setattr(trigcheck, "dec_sin_cos", lambda theta, precision: (Decimal(1), Decimal(0)))
-    with pytest.raises(PrecisionError, match="kept outrunning the working precision"):
-        u2_trig(5, 3, 40)
-    # 1 - sin(phi) = 1e-41 is resolved, and below 10**-40
-    near_one = Decimal("0." + "9" * 41)
-    monkeypatch.setattr(trigcheck, "dec_sin_cos", lambda theta, precision: (near_one, Decimal(0)))
-    with pytest.raises(PrecisionError, match=r"1 - sin\(phi\) is below 10\*\*-40"):
-        u2_trig(5, 3, 40)
+    # an arctangent of pi/4 or 3 pi/4 to its own width puts theta = pi/4 - atan(1/u1)
+    # within that width of 0 or -pi/2, where u2 is infinite or 0
+    for quarters in (1, 3):
+        def quarter_turns(x, precision):
+            with working_context(precision):
+                return quarters * reference_pi(precision) / 4
+        monkeypatch.setattr(trigcheck, "dec_arctan", quarter_turns)
+        with pytest.raises(PrecisionError, match=r"theta is within 10\*\*-\d+ of a multiple of pi/2"):
+            u2_trig(5, 1, 40)
+
+
+@st.composite
+def rational_cotangents(draw):
+    """u1 = p/q in (1, 60], p, q <= 500."""
+    q = draw(st.integers(1, 499))
+    return Fraction(draw(st.integers(q + 1, min(60 * q, 500))), q)
+
+
+# theta within 1e-5 of -pi/2 or pi/2 (|u2| about 4e-6 and 9e-6) and of 0 (|u2| about
+# 3e5), then u1 below 2, where dec_arctan's argument takes the shifted branch
+@example(u1=Fraction(478, 145), k=4, precision=20, guard=0)
+@example(u1=Fraction(220, 147), k=3, precision=300, guard=10)
+@example(u1=Fraction(408, 169), k=2, precision=20, guard=0)
+@example(u1=Fraction(499, 498), k=9, precision=60, guard=10)
+@settings(max_examples=300, deadline=None)
+@given(u1=rational_cotangents(), k=st.integers(2, 9), precision=st.integers(20, 300),
+       guard=st.integers(0, 10))
+def test_u2_trig_agrees_with_the_exact_pair(u1, k, precision, guard):
+    """At verify's rule: precision - 2 - u2.adjusted() places of the exact u2,
+    on either side of the sizing rule, |u2| above and below 1."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("MACHINLIKE_GUARD_DIGITS", str(guard))
+        trig = u2_trig(u1, k, precision)
+        exact = fraction_to_decimal(u2_of(u1, k, allow_huge=True), precision + 10)
+    assert coinciding_digits(trig, exact) >= precision - 2 - exact.adjusted(), (u1, k)
 
 
 def test_rational_sin_cos_k3():
@@ -389,17 +416,14 @@ def test_verify_k_trig_check_asks_for_all_but_one_digit(monkeypatch):
 
 
 def test_u2_trig_keeps_all_but_one_digit_past_the_cap():
-    # against the rounded chain at 20 digits more, from k = 21 to where
-    # 1 - sin(phi) falls below 10**-20 at precision 20, and to k = 64 at 40
-    for precision, depths in ((20, range(21, 34)), (40, range(21, 65))):
-        for k in depths:
+    # against the rounded chain at 20 digits more, from k = 21 to 64, where
+    # |u2| passes 10**(precision/2) at precision 20
+    for precision in (20, 40):
+        for k in range(21, 65):
             u1 = u1_of_k(k)
             rounded = squaring.rounded_u2(u1, k, precision + 20)
             agreement = coinciding_digits(u2_trig(u1, k, precision), rounded)
             assert agreement + rounded.adjusted() + 1 >= precision - 1, (k, precision)
-    for k in range(34, 65):
-        with pytest.raises(PrecisionError, match=r"below 10\*\*-20"):
-            u2_trig(u1_of_k(k), k, 20)
 
 
 def test_verify_k_rejects_k1():
