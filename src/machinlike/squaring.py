@@ -11,7 +11,8 @@ step, by _ends_in_decimal, from the width the final parts reach: a chain
 that ends within _INT_CHAIN_BITS runs in ints, where Python's multiply is
 2-7 times faster than libmpdec's, and a longer one runs in Decimal, where
 libmpdec's number-theoretic multiply pays off over the chain and a part
-prints and parses in one linear pass.
+prints and parses in one linear pass.  A step whose factors sit in
+libmpdec's schoolbook band pads them past it (_product).
 No loop squares their common denominator D, z(1)'s reduced denominator to
 the 2**(k-1); _denominator gives it, of the parts' kind by the same rule,
 where a value needs it.
@@ -32,7 +33,8 @@ coprime ints, which halving alone keeps in lowest terms, with no gcd.
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+import operator
+from decimal import MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -44,22 +46,31 @@ from .exactmath import (
 # Above this depth the chain's integers pass a million digits (they
 # double per step).  No gcd is taken on u2's parts, so the Decimal chain
 # sets the cost, about 2 times more per step: at k = 20 generate took
-# 0.81 s, compute-pi --u2-file 0.20 s and verify, which squares the parts
-# once more for its unit-circle check, 1.8 s (2 vCPUs, Python 3.11).
+# 0.60 s, compute-pi --u2-file 0.14 s and verify, which squares the parts
+# once more for its unit-circle check, 1.3 s (2 vCPUs, Python 3.11).
 DESK_SCALE_MAX_K = 20
 
 # A chain whose final parts stay within this many bits runs in ints, and
 # a longer one in Decimal, each from its first step.  One squaring, best
 # of three medians of 25, ms, int against Decimal under _EXACT (2 vCPUs,
-# Python 3.11): 0.0043/0.0121 at 2,048 bits, 0.048/0.339 at 11,000,
-# 0.147/0.306 at 22,000, 0.305/0.557 at 32,768, 0.545/0.585 at 47,000
-# and 2.84/2.49 at 131,072.  The bound sits
-# between the ladder's closing parts at k = 12 (22.2k bits) and k = 13
-# (48.5k), so verify and compute-pi --k through k = 12 square, check the
-# unit circle and read u2 on ints, and generate from k = 13 on squares,
-# prints and parses Decimals; at k = 12 generate pays about 1 ms more to
-# print its int parts through _as_decimal.
+# Python 3.11): 0.0043/0.0121 at 2,048 bits, 0.048/0.339 at 11,000 (in
+# the schoolbook band below, padded past it 0.16), 0.147/0.306 at 22,000,
+# 0.305/0.557 at 32,768, 0.545/0.585 at 47,000 and 2.84/2.49 at 131,072.
+# The bound sits between the ladder's closing parts at k = 12 (22.2k bits)
+# and k = 13 (48.5k), so verify and compute-pi --k through k = 12 square,
+# check the unit circle and read u2 on ints, and generate from k = 13 on
+# squares, prints and parses Decimals; at k = 12 generate pays about 1 ms
+# more to print its int parts through _as_decimal.
 _INT_CHAIN_BITS = 32768
+
+# libmpdec multiplies schoolbook while the shorter factor has at most 256
+# words of 19 digits (9 on 32-bit builds, where this band is empty), and by
+# Karatsuba or a number-theoretic transform past that.  One multiply of two
+# n-digit factors, ms, as they are against padded to 4,865 digits, best of 7
+# (2 vCPUs, Python 3.11): 0.098/0.156 at n = 2,000, 0.153/0.157 at 2,500,
+# 0.192/0.162 at 2,700, 0.303/0.158 at 3,500 and 0.583/0.163 at 4,864.
+_SCHOOLBOOK_DIGITS = 256 * (19 if MAX_PREC > 425_000_000 else 9)
+_PADDED_DIGITS = 2700
 
 # Deepest k verify runs the direct oracle at; its cost grows about fourfold
 # per step (best of 5 on the ladder's u1: 0.18 ms at k = 12, 0.62 ms at
@@ -105,9 +116,9 @@ def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
     trapped).  The parts keep one kind from the first step to the last.
     When the model's size of D, below, will end past _INT_CHAIN_BITS
     (_ends_in_decimal), z(1)'s numerators become integral Decimals before
-    the first step; otherwise they stay ints.  A caller combines Decimal
-    parts only under _EXACT: the default context rounds them to 28 digits,
-    or overflows.
+    the first step, and _product multiplies them; otherwise they stay ints.
+    A caller combines Decimal parts only under _EXACT: the default context
+    rounds them to 28 digits, or overflows.
 
     The parts at depth n have about bits(z(1)'s denominator) * 2**(n-1)
     bits.  generate's peak RSS above the interpreter's, on its Decimal
@@ -134,10 +145,23 @@ def shared_parts(u1: Fraction | int, k: int, allow_huge: bool = False,
     x, y = start.x.numerator, start.y.numerator
     if _ends_in_decimal(bits, k - _least):
         x, y = _as_decimal(x), _as_decimal(y)
+    mul = _product if isinstance(x, Decimal) else operator.mul
     with localcontext(_EXACT):
         for _ in range(k - _least):
-            x, y = (x - y) * (x + y), 2 * x * y
+            x, y = mul(x - y, x + y), mul(2 * x, y)
     return x, y
+
+
+def _product(a: Decimal, b: Decimal) -> Decimal:
+    """a * b under _EXACT.  When the shorter factor has _PADDED_DIGITS to
+    _SCHOOLBOOK_DIGITS digits, both go to a negative exponent that pads it
+    with zeros past the schoolbook band, and the product is quantized back
+    to exponent 0; that drops only zeros, and _EXACT would trap any other."""
+    short = min(a.adjusted(), b.adjusted()) + 1
+    if not _PADDED_DIGITS <= short <= _SCHOOLBOOK_DIGITS:
+        return a * b
+    pad = Decimal(1).scaleb(short - _SCHOOLBOOK_DIGITS - 1)
+    return (a.quantize(pad) * b.quantize(pad)).quantize(1)
 
 
 def _ends_in_decimal(bits: int, steps: int) -> bool:

@@ -11,15 +11,16 @@ so that every output stays byte-identical to the int code's.
 import contextlib
 import io
 import random
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from machinlike import cli
-from machinlike.errors import DomainError
+from machinlike import cli, squaring
+from machinlike.errors import DomainError, FormulaParseError
 from machinlike.exactmath import (
+    _EXACT,
     _as_decimal,
     _as_int,
     _bit_length,
@@ -35,8 +36,9 @@ from machinlike.formulas import MachinFormula
 from machinlike.radical import u1_of_k
 from machinlike.series import _arctan_scaled, _branch_float, arctan_fast, auto_term_count
 from machinlike.squaring import (
-    ORACLE_MAX_K, _denominator, _ends_in_decimal, closing_parts, init_state, read_fraction_parts,
-    shared_parts, square_step, u2_direct_oracle, u2_of)
+    _PADDED_DIGITS, _SCHOOLBOOK_DIGITS, ORACLE_MAX_K, _denominator, _ends_in_decimal, _product,
+    closing_parts, init_state, read_fraction_parts, shared_parts, square_step, u2_direct_oracle,
+    u2_of)
 
 
 def _dec(n: int) -> Decimal:
@@ -156,6 +158,71 @@ def test_a_chain_keeps_the_kind_its_end_names_from_its_first_step(chain):
     closing = closing_parts(u1, k)
     assert [_as_int(part) for part in closing] == [a + b, a - b]
     _one_kind([*closing, _denominator(u1, k - 1)], _ends_in_decimal(bits, k - 2))
+
+
+def _int_chain(u1: Fraction, steps: int) -> tuple[int, int]:
+    """z(1)'s integer numerators squared ``steps`` times in ints."""
+    start = init_state(u1)
+    x, y = start.x.numerator, start.y.numerator
+    for _ in range(steps):
+        x, y = (x - y) * (x + y), 2 * x * y
+    return x, y
+
+
+# chains whose Decimal steps cross libmpdec's schoolbook band at different
+# widths: the ladder's shorter factor has 3,652 to 4,576 digits there,
+# 163/7's 4,222 and (2**1500 + 3)/5's 3,162; 163/7's closing chain at
+# k = 13 and (2**1500 + 3)/5's at k = 5 stay in ints
+BAND_CHAINS = ([(Fraction(u1_of_k(k)), k) for k in range(13, 17)]
+               + [(Fraction(163, 7), k) for k in (13, 14, 15)]
+               + [(Fraction(2**1500 + 3, 5), k) for k in (5, 6, 7)])
+
+
+@pytest.mark.parametrize("u1, k", BAND_CHAINS, ids=[
+    *(f"ladder-k{k}" for k in range(13, 17)), *(f"163/7-k{k}" for k in (13, 14, 15)),
+    *(f"(2**1500+3)/5-k{k}" for k in (5, 6, 7))])
+def test_the_padded_band_step_gives_the_int_chains_parts(u1, k, monkeypatch):
+    padded = []
+
+    def product(a, b):
+        padded.append(_PADDED_DIGITS <= min(a.adjusted(), b.adjusted()) + 1 <= _SCHOOLBOOK_DIGITS)
+        return _product(a, b)
+
+    monkeypatch.setattr(squaring, "_product", product)
+    x, y = _int_chain(u1, k - 1)
+    a, b = _int_chain(u1, k - 2)
+    for parts, expected in ((shared_parts(u1, k), (x, y)), (closing_parts(u1, k), (a + b, a - b))):
+        assert [_as_int(part) for part in parts] == list(expected)
+        assert [str(_as_decimal(part)) for part in parts] == [str(_as_decimal(n)) for n in expected]
+        assert all(part.as_tuple().exponent == 0 for part in parts if type(part) is Decimal)
+    assert any(padded)
+
+
+@pytest.mark.parametrize("short", [2_699, 2_700, 4_864, 4_865])
+def test_a_product_at_the_band_edges_is_the_int_product(short):
+    for long in (short, 9_000):
+        a, b = -_digits(short, short), _digits(long, long + 1)
+        with localcontext(_EXACT):
+            for x, y in ((a, b), (b, a), (-b, a)):
+                product = _product(_as_decimal(x), _as_decimal(y))
+                assert str(product) == str(_as_decimal(x * y))
+                assert product.as_tuple().exponent == 0
+
+
+def test_a_bad_byte_deep_in_a_wide_part_is_refused(tmp_path):
+    # Decimal() alone would take "_", "e" or "." between digits; a digit
+    # check that stopped scanning early would pass any of them
+    text = _generated_u2_text(tmp_path, 16)
+    at = (1 if text[0] == "-" else 0) + 69_999    # the numerator's 70,000th digit
+    assert text[at].isdigit() and text.index("/") > at
+    path = tmp_path / "bad.txt"
+    for bad in (b"_", b"e", b" ", b".", b"\xb2"):
+        path.write_bytes(text[:at].encode() + bad + text[at + 1:].encode())
+        with pytest.raises(FormulaParseError) as raised:
+            read_fraction_parts(path)
+        assert raised.value.line == 1
+        assert ("0xb2" in str(raised.value)) == (bad == b"\xb2")
+        assert _run(["compute-pi", "--k", "16", "--u2-file", str(path)]) == (4, "")
 
 
 def _digits(count: int, seed: int) -> int:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from machinlike.errors import DomainError, FormulaParseError
 from machinlike.exactmath import (
+    _EXACT,
     _LEAF_BITS,
     _LEAF_DIGITS,
     _as_decimal,
@@ -216,6 +217,57 @@ def test_parse_rational():
     for text in ("5/", "/5", "5/3/2", "5 / 3", "--5", "+", "\u00b2", "1_0"):
         with pytest.raises(FormulaParseError, match="not a rational literal"):
             parse_rational_parts(text)
+
+
+def _parse_by_str_rule(text: str) -> tuple:
+    """The reference digit rule: str.isdecimal on the parts, which
+    _EXACT.create_decimal makes."""
+    num, slash, den = text.strip().partition("/")
+    if not (num[1:] if num[:1] in "+-" else num).isdecimal() or slash and not den.isdecimal():
+        raise FormulaParseError(f"not a rational literal: {text.strip()!r}")
+    num, den = map(_EXACT.create_decimal, (num, den or "1"))
+    if den == 0:
+        raise FormulaParseError(f"zero denominator: {text.strip()!r}")
+    return num, den
+
+
+# ASCII digits, signs, the slash, the whitespace str.strip drops (\x1c-\x1f
+# and \u2028 among it), what Decimal() would take past a digit check
+# ("_", "e", ".", ...), a Unicode decimal digit and a digit that is no decimal
+LITERAL_CHARS = "0123456789+-/ \t\x0b\x0c\x1c\x1f_eE.x\u0663\u00b2\u2028"
+
+
+@st.composite
+def literal_like(draw):
+    """Mostly text shaped like [space][sign]digits[/digits][space], with at
+    most one stray character, and some of it any text from LITERAL_CHARS."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(LITERAL_CHARS, max_size=12))
+    space = st.text(" \t\x0b\x0c\x1c\x1f\u2028", max_size=2)
+    digits = st.text("0123456789\u0663", min_size=1, max_size=8)
+    text = (draw(space) + draw(st.sampled_from(["", "+", "-"])) + draw(digits)
+            + draw(st.sampled_from(["", "/"])) + draw(st.one_of(st.just(""), digits))
+            + draw(space))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(LITERAL_CHARS)) + text[at:]
+    return text
+
+
+@settings(max_examples=400)
+@given(literal_like())
+def test_parse_checks_digits_as_the_str_rule_does(text):
+    try:
+        expected = _parse_by_str_rule(text)
+    except FormulaParseError as exc:
+        with pytest.raises(FormulaParseError) as raised:
+            parse_rational_parts(text)
+        assert str(raised.value) == str(exc)
+    else:
+        parts = parse_rational_parts(text)
+        assert parts == expected
+        assert [str(part) for part in parts] == [str(part) for part in expected]
+        assert all(type(part) is Decimal for part in parts)
 
 
 @given(st.fractions())
