@@ -60,60 +60,70 @@ EXIT_DOMAIN = 4
 EXIT_VERIFY = 5
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# add_argument's keywords for each option, by flag
+_OPTIONS = {
+    "--k": {"type": int, "help": "ladder index, 2..64"},
+    "--precision": {"type": int, "default": 100, "help": "decimal digits (default 100)"},
+    "--terms": {"type": int, "help": "series truncation order"},
+    "--out": {"help": "output file path"},
+    "--formula": {"help": "formula file to load"},
+    "--fixture": {"help": "named built-in formula"},
+    "--allow-huge": {"action": "store_true", "help": "lift the k <= 20 desk-scale cap"},
+    "--u2-file": {"help": "reload the closing cotangent of --k"},
+    "--series": {"choices": ("fast", "euler"), "default": "fast"},
+    "--samples": {"type": int, "default": 41},
+    "--x-min": {"default": "-1/1000000"},
+    "--x-max": {"default": "1/1000000"},
+    "--k-max": {"type": int, "default": 16},
+}
+# a command with --formula takes its formula from exactly one of these
+_SOURCES = ("--k", "--formula", "--fixture")
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of argv.  When argv[0] names a command it holds that
+    command alone, which parses argv as the full parser does for a fraction
+    of its build time; otherwise (--help, no arguments, an unknown word) it
+    holds all six."""
+    # each command's name, help, options in the order its --help lists
+    # them, and set_defaults' keywords: run, the handler main calls as
+    # args.run(args), and any default of a shared option the command changes
+    commands = (
+        ("generate", "derive the pair (u1, u2) at index k",
+         ("--k", "--precision", "--out", "--allow-huge"), {"run": cmd_generate}),
+        ("compute-pi", "evaluate pi from a formula",
+         ("--k", "--precision", "--terms", "--out", "--formula", "--fixture", "--u2-file"),
+         {"run": cmd_compute_pi}),
+        ("measure", "digits-per-term measure of a formula",
+         ("--k", "--formula", "--fixture"), {"run": cmd_measure}),
+        ("verify", "independent cross-checks at index k",
+         ("--k", "--precision", "--allow-huge"), {"run": cmd_verify}),
+        ("error-curve", "truncation error over an interval",
+         ("--terms", "--out", "--series", "--samples", "--x-min", "--x-max"),
+         {"run": cmd_error_curve, "terms": 10}),
+        ("measure-sweep", "measure vs k table", ("--out", "--k-max"), {"run": cmd_measure_sweep}),
+    )
+    names = [name for name, *_ in commands]
+    named = argv[0] if argv and argv[0] in names else None
     parser = argparse.ArgumentParser(
         prog="machinlike",
         description="two-term arctangent formula generation, measurement, "
                     "and verification")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, run, *, k=False, precision=False, terms=False, out=False,
-               formula=False, allow_huge=False):
-        p.set_defaults(run=run)    # main calls args.run(args)
-        # a formula comes from exactly one source: --k, --formula or --fixture
-        sources = p.add_mutually_exclusive_group(required=True) if formula else p
-        if k:
-            sources.add_argument("--k", type=int, required=not formula,
-                                 help="ladder index, 2..64")
-        if precision:
-            p.add_argument("--precision", type=int, default=100,
-                           help="decimal digits (default 100)")
-        if terms:
-            p.add_argument("--terms", type=int, help="series truncation order")
-        if out:
-            p.add_argument("--out", help="output file path")
-        if formula:
-            sources.add_argument("--formula", help="formula file to load")
-            sources.add_argument("--fixture", help="named built-in formula")
-        if allow_huge:
-            p.add_argument("--allow-huge", action="store_true",
-                           help="lift the k <= 20 desk-scale cap")
-
-    p = sub.add_parser("generate", help="derive the pair (u1, u2) at index k")
-    common(p, cmd_generate, k=True, precision=True, out=True, allow_huge=True)
-
-    p = sub.add_parser("compute-pi", help="evaluate pi from a formula")
-    common(p, cmd_compute_pi, k=True, precision=True, terms=True, out=True, formula=True)
-    p.add_argument("--u2-file", help="reload the closing cotangent of --k")
-
-    p = sub.add_parser("measure", help="digits-per-term measure of a formula")
-    common(p, cmd_measure, k=True, formula=True)
-
-    p = sub.add_parser("verify", help="independent cross-checks at index k")
-    common(p, cmd_verify, k=True, precision=True, allow_huge=True)
-
-    p = sub.add_parser("error-curve", help="truncation error over an interval")
-    common(p, cmd_error_curve, terms=True, out=True)
-    p.set_defaults(terms=10)
-    p.add_argument("--series", choices=("fast", "euler"), default="fast")
-    p.add_argument("--samples", type=int, default=41)
-    p.add_argument("--x-min", default="-1/1000000")
-    p.add_argument("--x-max", default="1/1000000")
-
-    p = sub.add_parser("measure-sweep", help="measure vs k table")
-    common(p, cmd_measure_sweep, out=True)
-    p.add_argument("--k-max", type=int, default=16)
-
+    # with one command built, the usage line of an "unrecognized arguments"
+    # error still names all six
+    sub = parser.add_subparsers(dest="command", required=True,
+                                **({"metavar": "{" + ",".join(names) + "}"} if named else {}))
+    for name, help_text, options, defaults in commands:
+        if named not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(**defaults)
+        sources = p.add_mutually_exclusive_group(required=True) if "--formula" in options else p
+        for flag in options:
+            if flag in _SOURCES:
+                sources.add_argument(flag, required=sources is p, **_OPTIONS[flag])
+            else:
+                p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
@@ -363,9 +373,9 @@ def cmd_measure_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

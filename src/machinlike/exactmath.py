@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import numbers
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import (
@@ -421,15 +422,28 @@ def parse_rational_parts(text: str) -> tuple:
     A digit is any Unicode decimal digit, not isdigit's "²"; ASCII text is
     checked as bytes, 7 times faster than by str.isdecimal.  The parts are
     always integral Decimals, made by Decimal(text), which is exact in any
-    context, in one linear pass, to combine only under _EXACT."""
-    num, slash, den = text.strip().partition("/")
+    context, in one linear pass, to combine only under _EXACT.  A refusal
+    quotes at most the line's first 40 characters, and gives its length and
+    its first bad character: a bad line of a u2 file may hold a million
+    digits."""
+    line = text.strip()
+    num, slash, den = line.partition("/")
     for part in (num[1:] if num[:1] in "+-" else num, den if slash else "1"):
         if not (part.encode("ascii").isdigit() if part.isascii() else part.isdecimal()):
-            raise FormulaParseError(f"not a rational literal: {text.strip()!r}")
+            # the longest prefix a literal can begin with; re's \d is isdecimal's Nd
+            end = re.match(r"[+-]?(?:\d+(?:/\d*)?)?", line).end()
+            fault = f"first bad character at {end + 1}" if end < len(line) else "unfinished"
+            raise FormulaParseError(f"not a rational literal: {_quoted(line)} "
+                                    f"(length {len(line)}, {fault})")
     num, den = Decimal(num), Decimal(den or "1")
     if den == 0:
-        raise FormulaParseError(f"zero denominator: {text.strip()!r}")
+        raise FormulaParseError(f"zero denominator: {_quoted(line)}")
     return num, den
+
+
+def _quoted(text: str) -> str:
+    """repr of text's first 40 characters, "..." after it when it is longer."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
 
 
 def parsed_lines(path, parse):

@@ -211,7 +211,8 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
     k = 13 Decimals throughout.
     Checks: (A + B)^2 + (A - B)^2 == 2D^2, under exactmath._EXACT with D
     from a closed form the chain never touches, is the unit circle
-    A^2 + B^2 == D^2 there (equivalent to the check at k); the trig closed
+    A^2 + B^2 == D^2 there (equivalent to the check at k), tested as
+    (2B)^2 == (2D - 2A)(2D + 2A); the trig closed
     form agrees with u2 = (A + B)/(A - B) to precision - 1 significant
     digits, precision - 2 - u2.adjusted() places (u2_trig proves its own); up
     to ORACLE_MAX_K the direct oracle's parts equal u2's; and
@@ -221,7 +222,10 @@ def verify_k(k: int, precision: int = 60, allow_huge: bool = False) -> TrigCheck
     u1 = u1_of_k(k)  # refuses k outside 2..MAX_LADDER_K
     num, den = squaring.closing_parts(u1, k, allow_huge)
     with localcontext(_EXACT):
-        unit_exact = num * num + den * den == 2 * squaring._denominator(u1, k - 1) ** 2
+        # num^2 + den^2 == 2D^2 iff (num - den)^2 == 4D^2 - (num + den)^2:
+        # one squaring and one product where the sum of squares takes three
+        twice_d, total = 2 * squaring._denominator(u1, k - 1), num + den
+        unit_exact = (num - den) ** 2 == (twice_d - total) * (twice_d + total)
     exact_u2 = coprime_fraction(num, den)    # coprime by proof, as in u2_of
 
     trig = u2_trig(u1, k, precision)

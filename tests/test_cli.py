@@ -14,6 +14,7 @@ from machinlike.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    _build_parser,
     main,
 )
 from machinlike.errors import ConsistencyError
@@ -43,10 +44,55 @@ def test_no_arguments_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+COMMANDS = ("generate", "compute-pi", "measure", "verify", "error-curve", "measure-sweep")
+
+
 def test_help_exits_clean(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == EXIT_OK
-    assert "generate" in out
+    assert all(name in out for name in COMMANDS)
+
+
+def _parsed(capsys, parser, argv):
+    """(exit code, stdout, stderr, vars of the Namespace or None) of
+    parser.parse_args(argv)."""
+    try:
+        namespace, code = vars(parser.parse_args(argv)), 0
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err, namespace
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "-h"] for name in COMMANDS), ["-h", "verify"],
+    [], ["bogus"], ["veri"],
+    ["verify"], ["verify", "--k", "three"],
+    ["verify", "--k", "3", "--bogus"], ["verify", "--k", "3", "extra"],
+    ["compute-pi", "--k", "3", "--fixture", "machin-1706"],
+    ["error-curve", "--series", "taylor"],
+    ["generate", "--k", "3", "--precision", "50", "--out", "u2.txt", "--allow-huge"],
+    ["compute-pi", "--k", "6", "--u2-file", "u2.txt", "--terms", "9", "--out", "pi.txt"],
+    ["measure", "--fixture", "machin-1706"],
+    ["verify", "--k", "12", "--precision", "60"],
+    ["error-curve", "--series", "euler", "--samples", "5", "--x-min=-1e-6", "--x-max", "1/2"],
+    ["measure-sweep", "--k-max", "22", "--out", "sweep.csv"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_a_parser_of_one_command_parses_as_the_full_one(capsys, argv):
+    """_build_parser(argv) holds only the command argv names; on every
+    argv it must print, exit and parse as the parser of all six does."""
+    full = _parsed(capsys, _build_parser([]), argv)
+    assert _parsed(capsys, _build_parser(argv), argv) == full
+    assert full[0] == 0 or "usage: machinlike" in full[2]
+
+
+def test_a_named_command_builds_only_its_own_parser():
+    def built(argv):
+        action, = (a for a in _build_parser(argv)._actions if a.dest == "command")
+        return tuple(action.choices)
+
+    assert all(built([name, "--k", "3"]) == (name,) for name in COMMANDS)
+    assert built([]) == built(["--help"]) == built(["veri"]) == COMMANDS
 
 
 def test_main_rejects_bad_values_before_any_work(tmp_path, monkeypatch, capsys):
@@ -279,6 +325,20 @@ def test_compute_pi_bad_fraction_file(tmp_path, capsys):
     path.write_text("not a fraction\n", encoding="ascii")
     code, _, _ = run(capsys, "compute-pi", "--k", "6", "--u2-file", str(path))
     assert code == EXIT_DOMAIN
+
+
+def test_a_bad_line_of_k16_size_is_refused_in_one_short_line(tmp_path, capsys):
+    # u2's parts at k = 16 have about 146,000 digits each; one "_" in the
+    # numerator's middle
+    path = tmp_path / "u2-bad.txt"
+    path.write_text("7" * 73_000 + "_" + "7" * 73_000 + "/" + "3" * 146_000 + "\n",
+                    encoding="ascii")
+    code, out, err = run(capsys, "compute-pi", "--k", "16", "--u2-file", str(path),
+                         "--precision", "200")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert len(err.encode()) < 300 and err.count("\n") == 1, err
+    assert err == (f"error: line 1: not a rational literal: {'7' * 40!r}... "
+                   f"(length 292002, first bad character at 73001)\n")
 
 
 def test_measure_fixture(capsys):

@@ -217,14 +217,39 @@ def test_parse_rational():
     for text in ("5/", "/5", "5/3/2", "5 / 3", "--5", "+", "\u00b2", "1_0"):
         with pytest.raises(FormulaParseError, match="not a rational literal"):
             parse_rational_parts(text)
+    # the first character no literal can have there, or "unfinished"
+    for text, fault in (("5/", "unfinished"), ("/5", "first bad character at 1"),
+                        ("5/3/2", "first bad character at 4"), (" -12/3x ", "first bad character at 6")):
+        with pytest.raises(FormulaParseError) as raised:
+            parse_rational_parts(text)
+        assert str(raised.value) == (f"not a rational literal: {text.strip()!r} "
+                                     f"(length {len(text.strip())}, {fault})")
+    # a long line is quoted by its first 40 characters
+    with pytest.raises(FormulaParseError) as raised:
+        parse_rational_parts("7" * 1000 + "x")
+    assert str(raised.value) == (f"not a rational literal: {'7' * 40!r}... "
+                                 f"(length 1001, first bad character at 1001)")
+
+
+def _is_literal(text: str) -> bool:
+    num, slash, den = text.partition("/")
+    return (num[1:] if num[:1] in "+-" else num).isdecimal() and (not slash or den.isdecimal())
 
 
 def _parse_by_str_rule(text: str) -> tuple:
     """The reference digit rule: str.isdecimal on the parts, which
-    _EXACT.create_decimal makes."""
-    num, slash, den = text.strip().partition("/")
-    if not (num[1:] if num[:1] in "+-" else num).isdecimal() or slash and not den.isdecimal():
-        raise FormulaParseError(f"not a rational literal: {text.strip()!r}")
+    _EXACT.create_decimal makes.  A refusal names the first character at
+    which the line's prefix is neither a literal nor a literal short of
+    one final digit."""
+    line = text.strip()
+    if not _is_literal(line):
+        end = next((i for i in range(len(line))
+                    if not (_is_literal(line[:i + 1]) or _is_literal(line[:i + 1] + "1"))),
+                   len(line))
+        fault = f"first bad character at {end + 1}" if end < len(line) else "unfinished"
+        quoted = repr(line[:40]) + ("..." if len(line) > 40 else "")
+        raise FormulaParseError(f"not a rational literal: {quoted} (length {len(line)}, {fault})")
+    num, _, den = line.partition("/")
     num, den = map(_EXACT.create_decimal, (num, den or "1"))
     if den == 0:
         raise FormulaParseError(f"zero denominator: {text.strip()!r}")
